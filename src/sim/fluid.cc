@@ -1,9 +1,9 @@
 #include "sim/fluid.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "sim/packet.h"
 
@@ -36,7 +36,14 @@ double bytesPerPs(Bandwidth b) {
 FluidEngine::FluidEngine(EventLoop& loop, const NetworkConfig& net,
                          FluidConfig cfg)
     : loop_(loop), cfg_(std::move(cfg)) {
-    assert(cfg_.bestOneWay && "FluidConfig::bestOneWay is required");
+    if (!cfg_.bestOneWay) {
+        throw std::invalid_argument("FluidConfig::bestOneWay is required");
+    }
+    // std::clamp passes NaN through, which would make every capacity NaN.
+    if (std::isnan(cfg_.reservedFraction)) {
+        throw std::invalid_argument(
+            "FluidConfig::reservedFraction must be a number");
+    }
     const double share =
         1.0 - std::clamp(cfg_.reservedFraction, 0.0, 0.95);
     const int n = net.hostCount();
@@ -110,54 +117,73 @@ void FluidEngine::addLinksFor(Flow& f) const {
 void FluidEngine::solveRates() {
     if (flows_.empty()) return;
     solves_++;
-    std::fill(alloc_.begin(), alloc_.end(), 0.0);
-    std::fill(active_.begin(), active_.end(), 0);
+    // alloc_ and active_ are all-zero on entry; collect the links this
+    // flow set touches while counting the flows on each.
+    links_.clear();
     for (Flow& f : flows_) {
         f.rate = 0;
-        for (int i = 0; i < f.nLinks; i++) active_[f.links[i]]++;
+        for (int k = 0; k < f.nLinks; k++) {
+            if (active_[f.links[k]]++ == 0) links_.push_back(f.links[k]);
+        }
     }
+    unfrozen_.resize(flows_.size());
+    for (size_t i = 0; i < flows_.size(); i++) unfrozen_[i] = i;
     // Progressive filling: all unfrozen flows grow at the same rate until
     // some link saturates; flows crossing a saturated link freeze at their
-    // current rate; repeat on the rest. Links in index order, flows in
-    // admission order — the allocation is a pure function of the flow set.
-    frozen_.assign(flows_.size(), 0);
-    size_t unfrozen = flows_.size();
+    // current rate; repeat on the rest. Each round costs O(active links +
+    // unfrozen flows x hops). The rates are a pure function of the flow
+    // set: the min over link rooms does not depend on scan order, each
+    // link's alloc_ receives the same `inc` additions in admission order
+    // (unfrozen_ stays in admission order as it compacts), and freezing
+    // reads only alloc_, which the freeze pass does not write.
     // Each round freezes at least one flow, so flows_.size() bounds the
     // rounds; the +1 margin tolerates a no-progress epsilon round.
-    for (size_t round = 0; unfrozen > 0 && round <= flows_.size(); round++) {
+    for (size_t round = 0; !unfrozen_.empty() && round <= flows_.size();
+         round++) {
         double inc = std::numeric_limits<double>::infinity();
-        for (size_t l = 0; l < capacity_.size(); l++) {
-            if (active_[l] <= 0) continue;
+        for (int l : links_) {
             const double room = (capacity_[l] - alloc_[l]) /
                                 static_cast<double>(active_[l]);
             if (room < inc) inc = room;
         }
         if (!std::isfinite(inc) || inc < 0) inc = 0;
-        for (size_t i = 0; i < flows_.size(); i++) {
-            if (frozen_[i]) continue;
-            flows_[i].rate += inc;
-            for (int k = 0; k < flows_[i].nLinks; k++) {
-                alloc_[flows_[i].links[k]] += inc;
-            }
+        for (size_t i : unfrozen_) {
+            Flow& f = flows_[i];
+            f.rate += inc;
+            for (int k = 0; k < f.nLinks; k++) alloc_[f.links[k]] += inc;
         }
-        size_t frozeThisRound = 0;
-        for (size_t i = 0; i < flows_.size(); i++) {
-            if (frozen_[i]) continue;
+        size_t kept = 0;
+        for (size_t i : unfrozen_) {
+            const Flow& f = flows_[i];
             bool saturated = false;
-            for (int k = 0; k < flows_[i].nLinks && !saturated; k++) {
-                const int l = flows_[i].links[k];
+            for (int k = 0; k < f.nLinks && !saturated; k++) {
+                const int l = f.links[k];
                 saturated = capacity_[l] - alloc_[l] <=
                             kSaturationEps * capacity_[l];
             }
-            if (!saturated) continue;
-            frozen_[i] = 1;
-            frozeThisRound++;
-            for (int k = 0; k < flows_[i].nLinks; k++) {
-                active_[flows_[i].links[k]]--;
+            if (!saturated) {
+                unfrozen_[kept++] = i;
+                continue;
+            }
+            for (int k = 0; k < f.nLinks; k++) active_[f.links[k]]--;
+        }
+        if (kept == unfrozen_.size()) break;  // fp corner: accept rates
+        unfrozen_.resize(kept);
+        // Drop the links no unfrozen flow crosses any more. Nothing adds
+        // to their alloc_ for the rest of the solve, so zero it now.
+        size_t live = 0;
+        for (int l : links_) {
+            if (active_[l] > 0) {
+                links_[live++] = l;
+            } else {
+                alloc_[l] = 0;
             }
         }
-        if (frozeThisRound == 0) break;  // fp corner: accept current rates
-        unfrozen -= frozeThisRound;
+        links_.resize(live);
+    }
+    for (int l : links_) {
+        alloc_[l] = 0;
+        active_[l] = 0;
     }
 }
 

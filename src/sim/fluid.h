@@ -28,11 +28,11 @@
 //
 // Determinism: the engine runs on shard 0's loop only (the driver forces
 // the network serial when the fluid path is on), flows live in a vector
-// in admission order, links are iterated in index order, and every rate
-// is a pure double computation over those orderings — same seed, same
-// bytes. With the threshold above the workload's largest message no flow
-// is ever admitted and the run is byte-identical to one without the
-// engine (the offer() hook just declines).
+// in admission order, each link sums its flows' rate increments in that
+// order, and every rate is a pure double computation over it — same
+// seed, same bytes. With the threshold above the workload's largest
+// message no flow is ever admitted and the run is byte-identical to one
+// without the engine (the offer() hook just declines).
 #pragma once
 
 #include <cstdint>
@@ -81,6 +81,8 @@ class FluidEngine {
 public:
     /// `loop` must be the serial simulation loop (shard 0 of a one-shard
     /// network); `net` describes the topology the trunk graph aggregates.
+    /// Throws std::invalid_argument when `cfg.bestOneWay` is empty or
+    /// `cfg.reservedFraction` is NaN.
     FluidEngine(EventLoop& loop, const NetworkConfig& net, FluidConfig cfg);
 
     /// Offer a message to the fluid path. Returns true — message absorbed,
@@ -130,11 +132,14 @@ private:
     // Aggregated trunk capacities, bytes/ps, reservation already applied.
     // Layout: [0,n) host uplinks, [n,2n) host downlinks, then per-rack
     // up/down trunks, then per-pod up/down trunks (multi-rack/three-tier
-    // only). Scratch vectors are solver state, sized like capacity_.
+    // only). The rest is solver scratch: alloc_ and active_ (sized like
+    // capacity_) are all-zero between solves; links_ lists the links with
+    // unfrozen flows, unfrozen_ the unfrozen flow indices.
     std::vector<double> capacity_;
     std::vector<double> alloc_;
     std::vector<int> active_;
-    std::vector<char> frozen_;
+    std::vector<int> links_;
+    std::vector<size_t> unfrozen_;
     int hostsPerRack_ = 1;
     int podRacks_ = 1;
     int rackBase_ = 0;  // index of rack trunk block; -1 if single-rack

@@ -7,7 +7,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "driver/sweep.h"
 #include "sim/fluid.h"
@@ -175,6 +180,83 @@ TEST(FluidEngine, BelowThresholdMessagesAreDeclined) {
     EXPECT_EQ(engine.stats().flows, 1u);
 }
 
+TEST(FluidEngine, ConstructorRejectsBadConfig) {
+    NetworkConfig net = NetworkConfig::fatTree144();
+    EventLoop loop;
+    FluidConfig noOracle;
+    noOracle.thresholdBytes = 0;
+    EXPECT_THROW((void)FluidEngine(loop, net, noOracle),
+                 std::invalid_argument);
+    FluidConfig nanReserve = noOracle;
+    nanReserve.bestOneWay = [](uint32_t, bool) { return Duration{1}; };
+    nanReserve.reservedFraction = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW((void)FluidEngine(loop, net, nanReserve),
+                 std::invalid_argument);
+}
+
+// Offers a multi-level bottleneck set at staggered times on `f`'s engine
+// and returns (id, delivery time - first offer) per delivery. All flows
+// are intra-rack, so only NICs constrain them: hosts 1..5 share host 0's
+// downlink (1/5 of a NIC each); host 5's uplink also carries 5->6 and
+// 5->7, which split the 4/5 left (2/5 each); 8->9 runs alone at line
+// rate. Once the levels form, each solve drops links between rounds.
+std::vector<std::pair<MsgId, Duration>> runMultiLevelSet(EngineFixture& f) {
+    struct Offer {
+        HostId src, dst;
+    };
+    const Offer offers[] = {{1, 0}, {5, 6}, {2, 0}, {8, 9},
+                            {3, 0}, {5, 7}, {4, 0}, {5, 0}};
+    const Time base = f.loop.now();
+    std::vector<std::pair<MsgId, Duration>> out;
+    f.engine.setDeliveryCallback(
+        [&out, base](const Message& m, const DeliveryInfo& info) {
+            out.emplace_back(m.id, info.completed - base);
+        });
+    for (size_t i = 0; i < std::size(offers); i++) {
+        f.loop.at(base + microseconds(static_cast<int64_t>(i)), [&f, &offers,
+                                                                  i] {
+            const MsgId id = 100 + static_cast<MsgId>(i);
+            ASSERT_TRUE(f.engine.offer(
+                f.msg(id, offers[i].src, offers[i].dst, 1000000)));
+        });
+    }
+    f.loop.run();
+    return out;
+}
+
+TEST(FluidEngine, SolverScratchStateResetsBetweenSolves) {
+    EngineFixture fresh;
+    const auto expected = runMultiLevelSet(fresh);
+    ASSERT_EQ(expected.size(), 8u);
+
+    // The same set on an engine that already ran flows to completion over
+    // the same NICs (with their own multi-round solves) must deliver at
+    // exactly the same times: no solver state may survive a solve.
+    EngineFixture reused;
+    ASSERT_TRUE(reused.engine.offer(reused.msg(1, 1, 0, 300000)));
+    ASSERT_TRUE(reused.engine.offer(reused.msg(2, 2, 0, 600000)));
+    ASSERT_TRUE(reused.engine.offer(reused.msg(3, 5, 6, 900000)));
+    ASSERT_TRUE(reused.engine.offer(reused.msg(4, 5, 0, 1200000)));
+    reused.loop.run();
+    ASSERT_EQ(reused.deliveries, 4u);
+    EXPECT_EQ(runMultiLevelSet(reused), expected);
+
+    // And the levels themselves: 8->9 finishes at the oracle best; host
+    // 0's downlink stays saturated, so the last of the five flows into it
+    // finishes after 5 x wire bytes at NIC rate.
+    const double wire = 1056908.0;  // 1e6 + 694 packets x 82 overhead
+    const double best =
+        static_cast<double>(fresh.oracle.bestOneWay(1000000, true));
+    for (const auto& [id, at] : expected) {
+        if (id == 103) {
+            EXPECT_NEAR(static_cast<double>(at), 3e6 + best, 100.0);
+        }
+    }
+    const double fifth = best + 4.0 * 800.0 * wire;
+    EXPECT_NEAR(static_cast<double>(expected.back().second), fifth,
+                0.01 * fifth);
+}
+
 // -------------------------------------------------------------- fidelity
 
 TEST(FluidFidelity, AllPacketThresholdIsByteIdenticalToDisabled) {
@@ -324,6 +406,50 @@ TEST(FluidDeterminism, SpecDrivenRunMatchesConfigDriven) {
     viaSpec.traffic.scenario = parsed;
     EXPECT_EQ(resultFingerprint(runExperiment(viaConfig)),
               resultFingerprint(runExperiment(viaSpec)));
+}
+
+// FNV-1a of the full resultFingerprint for three small fluid runs,
+// captured before the solver's active-set rewrite. The tests above are
+// all relative (replay, thread count, spec vs config); these pin the
+// rates themselves, so a solver change that moves any flow's rate by one
+// ulp fails here. On mismatch the live fingerprint is streamed.
+uint64_t fnv1a(const std::string& s) {
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(FluidDeterminism, SolverGoldenFingerprints) {
+    struct Golden {
+        const char* name;
+        int64_t threshold;
+        const char* topo;  // nullptr: the default 144-host fat-tree
+        uint64_t hash;
+        size_t length;
+    };
+    const Golden goldens[] = {
+        {"fat-tree hybrid", 20000, nullptr, 0xbda93d03b9b340d4ull, 1681},
+        {"all-fluid", 0, nullptr, 0x480a4e6e2516038eull, 1653},
+        {"three-tier oversub=4 hybrid", 10000,
+         "racks=8,hosts=4,aggr=2,core=2,oversub=4", 0x6a22df06b999464bull, 1819},
+    };
+    for (const Golden& g : goldens) {
+        ExperimentConfig cfg = fluidConfig(WorkloadId::W4, 0.5, g.threshold);
+        cfg.traffic.seed = 99;
+        if (g.topo != nullptr) cfg.traffic.scenario.topoSpec = g.topo;
+        const ExperimentResult r = runExperiment(cfg);
+        ASSERT_TRUE(r.fluid != nullptr) << g.name;
+        EXPECT_GT(r.fluid->flows, 0u) << g.name;
+        const std::string fp = resultFingerprint(r);
+        EXPECT_EQ(fnv1a(fp), g.hash)
+            << g.name << std::hex << " hash 0x" << fnv1a(fp) << std::dec
+            << " length " << fp.size() << " live fingerprint:\n"
+            << fp;
+        EXPECT_EQ(fp.size(), g.length) << g.name;
+    }
 }
 
 // ------------------------------------------------------------- spec
