@@ -1,11 +1,8 @@
 #include "core/homa_sender.h"
 
-#include <cassert>
-
 namespace homa {
 
 void HomaSender::sendMessage(const Message& m) {
-    assert(m.length > 0);
     OutMessage om;
     om.msg = m;
     om.unschedLimit = ctx_.unschedLimitFor(m.length, m.flags);
@@ -119,7 +116,7 @@ std::optional<Packet> HomaSender::pullPacket() {
         const uint32_t chunk = std::min<uint32_t>(len, kMaxPayload);
         p = makeDataPacket(*om, off, chunk, /*retransmit=*/true);
         if (chunk == len) {
-            om->resends.pop_front();
+            om->resends.erase(om->resends.begin());
         } else {
             om->resends.front() = {off + chunk, len - chunk};
         }
@@ -165,12 +162,6 @@ void HomaSender::scheduleReap() {
         }
         if (!lingering_.empty()) scheduleReap();
     });
-}
-
-int64_t HomaSender::untransmittedBytes() const {
-    int64_t total = 0;
-    for (const auto& [id, om] : out_) total += std::max<int64_t>(0, om.remaining());
-    return total;
 }
 
 }  // namespace homa

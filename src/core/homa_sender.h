@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "core/homa_context.h"
 #include "sched/srpt_index.h"
@@ -34,11 +34,9 @@ public:
     /// NIC pull: next DATA packet by SRPT, or nullopt.
     std::optional<Packet> pullPacket();
 
-    size_t activeMessages() const { return out_.size(); }
     bool knowsMessage(MsgId id) const {
         return out_.count(id) != 0 || lingering_.count(id) != 0;
     }
-    int64_t untransmittedBytes() const;
 
 private:
     struct OutMessage {
@@ -47,7 +45,10 @@ private:
         int64_t nextOffset = 0;     // next fresh byte
         int64_t grantedTo = 0;      // may transmit fresh bytes below this
         int schedPriority = 0;      // logical level from the latest GRANT
-        std::deque<std::pair<uint32_t, uint32_t>> resends;
+        // Requested retransmissions, oldest first. Rare and short, so a
+        // vector: unlike a deque it allocates nothing while empty, and
+        // every message carries one into lingering_.
+        std::vector<std::pair<uint32_t, uint32_t>> resends;
         Time lingerUntil = 0;
         Time lastSend = 0;          // last time a DATA packet left
 

@@ -33,10 +33,12 @@ RpcId RpcEndpoint::call(HostId server, uint32_t requestSize, ResponseCallback cb
         req.flags |= kFlagIncastMark;
     }
 
+    // Send first: a request the network rejects (it throws) must leave no
+    // pending entry, or the timeout scan would RESEND to a bad server.
+    net_.sendMessage(req);
     pending_.emplace(req.id, PendingRpc{server, requestSize, net_.loop().now(),
                                         std::move(cb), 0});
     stats_.issued++;
-    net_.sendMessage(req);
     if (!scan_.armed()) scan_.schedule(responseTimeout_ / 2);
     return req.id;
 }

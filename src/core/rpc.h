@@ -63,6 +63,8 @@ public:
     /// plain handler while set).
     void setAsyncHandler(AsyncHandler h) { asyncHandler_ = std::move(h); }
 
+    /// Throws std::invalid_argument (from Network::sendMessage) for a bad
+    /// server or a zero requestSize, recording nothing.
     RpcId call(HostId server, uint32_t requestSize, ResponseCallback cb);
 
     /// Abandon a pending RPC without waiting for its response: the loser

@@ -264,12 +264,11 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     // by m.dst (transports deliver on the destination shard). Merging in
     // ascending host order afterwards — in the serial engine too — makes
     // every statistic, including floating-point accumulation order, a pure
-    // function of the simulated events. The Oracle keeps a mutable
-    // memoization cache, so delivery recording gets one per host as well.
+    // function of the simulated events. The Oracle is immutable, so every
+    // shard reads the one above.
     std::vector<uint64_t> inWindowGenerated(n, 0), inWindowDelivered(n, 0);
     std::vector<uint64_t> deliveredTotal(n, 0);
     std::vector<int64_t> generatedBytesAll(n, 0), deliveredBytesAll(n, 0);
-    std::vector<Oracle> oracles(static_cast<size_t>(n), Oracle(netCfg));
     std::vector<SlowdownTracker> slowdowns;
     slowdowns.reserve(n);
     for (int h = 0; h < n; h++) slowdowns.emplace_back(dist, oracle.oneWayFn());
@@ -326,7 +325,7 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         const bool intraRack = net.rackOf(m.src) == net.rackOf(m.dst);
         slowdowns[m.dst].recordWithBest(
             m.length, info.completed - m.created,
-            oracles[m.dst].bestOneWay(m.length, intraRack), info.queueingDelay,
+            oracle.bestOneWay(m.length, intraRack), info.queueingDelay,
             info.preemptionLag);
     };
     net.setDeliveryCallback(onDelivery);

@@ -1,26 +1,27 @@
 #include "driver/oracle.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "sim/packet.h"
 
 namespace homa {
 
-Duration Oracle::computeOneWay(uint32_t size, bool intraRack) const {
-    // Split into packets exactly like the transports do.
-    const int packets =
-        std::max(1, static_cast<int>((size + kMaxPayload - 1) / kMaxPayload));
-    std::vector<int64_t> wire(packets);
-    uint32_t left = size;
-    for (int i = 0; i < packets; i++) {
-        const uint32_t payload = std::min<uint32_t>(left, kMaxPayload);
-        wire[i] = payload + kHeaderBytes + kFrameOverhead;
-        left -= payload;
-    }
+Duration Oracle::bestOneWay(uint32_t size, bool intraRack) const {
+    // Split into packets exactly like the transports do: full payloads,
+    // then the remainder.
+    const int64_t packets = std::max<int64_t>(
+        1, (static_cast<int64_t>(size) + kMaxPayload - 1) / kMaxPayload);
+    const int64_t lastWire = static_cast<int64_t>(size) -
+                             (packets - 1) * kMaxPayload + kHeaderBytes +
+                             kFrameOverhead;
 
-    std::vector<Duration> done(packets, 0);
-
+    // The walk is packet-major: packet i's finish time at hop k depends only
+    // on its finish at hop k-1 (store-and-forward: hop k starts after that
+    // plus the switch delay) and on when hop k's link finished packet i-1.
+    // So one clock per link carries the whole pipeline.
+    Duration completion = 0;
     if (cfg_.threeTier() && !intraRack) {
         // Worst-case placement on a three-tier tree: cross-pod, 6 links /
         // 5 switches, with the aggr<->core hops at the oversubscribed
@@ -33,37 +34,33 @@ Duration Oracle::computeOneWay(uint32_t size, bool intraRack) const {
         const int fan = cfg_.aggrSwitches;          // TOR -> pod aggrs
         const int coreFan = fan * cfg_.coreSwitches;  // aggr -> core links
         const Bandwidth up = cfg_.aggrCoreLink();
-        const std::vector<Bandwidth> hops = {cfg_.hostLink, cfg_.coreLink,
-                                             up,            up,
-                                             cfg_.coreLink, cfg_.hostLink};
-        const std::vector<int> mult = {1, fan, coreFan, coreFan, fan, 1};
-        Duration senderFree = 0;
-        for (int i = 0; i < packets; i++) {
-            done[i] = senderFree + hops[0].serialize(wire[i]);
-            senderFree = done[i];
-        }
-        for (size_t k = 1; k < hops.size(); k++) {
-            std::vector<Duration> linkFree(mult[k], 0);
-            for (int i = 0; i < packets; i++) {
-                Duration& free = linkFree[i % mult[k]];
-                const Duration start =
-                    std::max(done[i] + cfg_.switchDelay, free);
-                done[i] = start + hops[k].serialize(wire[i]);
-                free = done[i];
+        const std::array<Bandwidth, 6> hops = {cfg_.hostLink, cfg_.coreLink,
+                                               up,            up,
+                                               cfg_.coreLink, cfg_.hostLink};
+        const std::array<int, 6> links = {1, fan, coreFan, coreFan, fan, 1};
+        std::array<std::vector<Duration>, 6> linkFree;
+        for (size_t k = 0; k < hops.size(); k++) linkFree[k].assign(links[k], 0);
+        for (int64_t i = 0; i < packets; i++) {
+            const int64_t wire = i + 1 < packets ? kFullPacketWireBytes : lastWire;
+            Duration done = linkFree[0][0] += hops[0].serialize(wire);
+            for (size_t k = 1; k < hops.size(); k++) {
+                Duration& free = linkFree[k][i % links[k]];
+                done = free = std::max(done + cfg_.switchDelay, free) +
+                              hops[k].serialize(wire);
             }
+            completion = std::max(completion, done);
         }
     } else {
         // Hop bandwidths along the path.
-        std::vector<Bandwidth> hops = {cfg_.hostLink};
+        std::array<Bandwidth, 4> hops;
+        size_t hopCount = 0;
+        hops[hopCount++] = cfg_.hostLink;
         if (!cfg_.singleRack() && !intraRack) {
-            hops.push_back(cfg_.coreLink);
-            hops.push_back(cfg_.coreLink);
+            hops[hopCount++] = cfg_.coreLink;
+            hops[hopCount++] = cfg_.coreLink;
         }
-        hops.push_back(cfg_.hostLink);
+        hops[hopCount++] = cfg_.hostLink;
 
-        // done[i] = time packet i has fully left hop k (store-and-forward:
-        // hop k+1 starts after done[i] + switchDelay).
-        //
         // On the single-rack cluster there is one path, so packets share
         // every link FIFO. On the fat-tree, per-packet spraying lets
         // packets travel independent core paths; the sender link imposes
@@ -71,35 +68,20 @@ Duration Oracle::computeOneWay(uint32_t size, bool intraRack) const {
         // serialization time, so shared final-hop contention cannot delay
         // the completion-determining packet). The event simulator confirms
         // both models exactly.
-        Duration linkFree = 0;
-        for (int i = 0; i < packets; i++) {
-            done[i] = linkFree + hops[0].serialize(wire[i]);
-            linkFree = done[i];
-        }
         const bool sharedPath = cfg_.singleRack() || intraRack;
-        for (size_t k = 1; k < hops.size(); k++) {
-            linkFree = 0;
-            for (int i = 0; i < packets; i++) {
-                Duration start = done[i] + cfg_.switchDelay;
-                if (sharedPath) start = std::max(start, linkFree);
-                done[i] = start + hops[k].serialize(wire[i]);
-                linkFree = done[i];
+        std::array<Duration, 4> linkFree{};
+        for (int64_t i = 0; i < packets; i++) {
+            const int64_t wire = i + 1 < packets ? kFullPacketWireBytes : lastWire;
+            Duration done = linkFree[0] += hops[0].serialize(wire);
+            for (size_t k = 1; k < hopCount; k++) {
+                Duration start = done + cfg_.switchDelay;
+                if (sharedPath) start = std::max(start, linkFree[k]);
+                done = linkFree[k] = start + hops[k].serialize(wire);
             }
+            completion = std::max(completion, done);
         }
     }
-    Duration completion = 0;
-    for (int i = 0; i < packets; i++) completion = std::max(completion, done[i]);
     return completion + cfg_.softwareDelay;
-}
-
-Duration Oracle::bestOneWay(uint32_t size, bool intraRack) const {
-    const auto key = std::make_pair(size, intraRack);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-    const Duration d = computeOneWay(size, intraRack);
-    if (cache_.size() > 100000) cache_.clear();
-    cache_[key] = d;
-    return d;
 }
 
 Duration Oracle::bestEchoRpc(uint32_t size) const {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "sim/topology.h"
 #include "stats/slowdown.h"
@@ -17,6 +16,12 @@ namespace homa {
 /// back-to-back on the sender link, each later hop forwards a packet after
 /// the switch delay, and the receiver's software delay is paid once at the
 /// end. Validated against the event simulator in tests.
+///
+/// Immutable after construction, so one instance is shared by every host
+/// and shard thread. Each lookup walks the packets hop by hop, O(packets x
+/// hops) integer steps with no allocation off the three-tier path: no more
+/// than the packet simulator spends delivering that message, so no size
+/// needs a memo.
 class Oracle {
 public:
     explicit Oracle(const NetworkConfig& cfg) : cfg_(cfg) {}
@@ -37,10 +42,7 @@ public:
     }
 
 private:
-    Duration computeOneWay(uint32_t size, bool intraRack) const;
-
     NetworkConfig cfg_;
-    mutable std::map<std::pair<uint32_t, bool>, Duration> cache_;
 };
 
 }  // namespace homa

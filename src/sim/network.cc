@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace homa {
 
@@ -301,9 +303,20 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
 }
 
 void Network::sendMessage(Message m) {
-    assert(m.src >= 0 && m.src < hostCount());
-    assert(m.dst >= 0 && m.dst < hostCount());
-    assert(m.src != m.dst);
+    const auto reject = [](const std::string& why) {
+        throw std::invalid_argument("Network::sendMessage: " + why);
+    };
+    const auto checkHost = [&](const char* field, HostId h) {
+        if (h < 0 || h >= hostCount()) {
+            reject(std::string(field) + " " + std::to_string(h) +
+                   " is not a host (0.." + std::to_string(hostCount() - 1) +
+                   ")");
+        }
+    };
+    checkHost("src", m.src);
+    checkHost("dst", m.dst);
+    if (m.src == m.dst) reject("src == dst (" + std::to_string(m.src) + ")");
+    if (m.length == 0) reject("length must be > 0");
     m.created = loopFor(m.src).now();
     if (intercept_ && intercept_(m)) return;
     hosts_[m.src]->transport().sendMessage(m);

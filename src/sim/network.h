@@ -60,7 +60,9 @@ public:
     Host& host(HostId h) { return *hosts_[h]; }
 
     /// Hand a message to its source host's transport. Assigns created time;
-    /// the id must already be unique (use nextMsgId()).
+    /// the id must already be unique (use nextMsgId()). Throws
+    /// std::invalid_argument, naming the field, when src or dst is not a
+    /// host, src == dst, or length is 0.
     void sendMessage(Message m);
 
     /// Fluid fast-path seam (sim/fluid.h): when set, sendMessage offers

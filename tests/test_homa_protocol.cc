@@ -420,6 +420,79 @@ TEST(HomaLoss, SenderRetransmitsWhenIdleAndAsked) {
     EXPECT_TRUE(retrans[0].hasFlag(kFlagRetransmit));
 }
 
+Packet resendFor(MsgId id, uint32_t offset, uint32_t length) {
+    Packet r;
+    r.type = PacketType::Resend;
+    r.src = 5;
+    r.msg = id;
+    r.offset = offset;
+    r.length = length;
+    return r;
+}
+
+TEST(HomaLoss, SenderForgetsMessageAfterLinger) {
+    Harness h;
+    std::vector<Packet> unknown;
+    h.transport->setUnknownResendHandler(
+        [&unknown](const Packet& p) { unknown.push_back(p); });
+    Message a = h.makeMessage(1, 2000, 0);
+    a.dst = 5;
+    h.transport->sendMessage(a);
+    ASSERT_EQ(h.pullAll().size(), 2u);
+
+    // Fully sent at t=0: kept for senderLinger to answer RESENDs, then
+    // reaped.
+    const Duration linger = HomaConfig{}.senderLinger;
+    h.host.loop_.runUntil(linger - 1);
+    EXPECT_TRUE(h.transport->sender().knowsMessage(1));
+    h.host.loop_.runUntil(linger);
+    EXPECT_FALSE(h.transport->sender().knowsMessage(1));
+
+    // A late RESEND now goes to the RPC layer; the sender neither answers
+    // BUSY nor retransmits.
+    h.host.pushed.clear();
+    h.transport->handlePacket(resendFor(1, 0, 1442));
+    ASSERT_EQ(unknown.size(), 1u);
+    EXPECT_EQ(unknown[0].msg, 1u);
+    EXPECT_TRUE(h.pullAll().empty());
+    EXPECT_TRUE(h.host.pushed.empty());
+}
+
+TEST(HomaLoss, RevivedMessageLingersAgainFromItsRetransmission) {
+    Harness h;
+    int unknown = 0;
+    h.transport->setUnknownResendHandler([&unknown](const Packet&) {
+        unknown++;
+    });
+    Message a = h.makeMessage(1, 2000, 0);
+    a.dst = 5;
+    h.transport->sendMessage(a);
+    ASSERT_EQ(h.pullAll().size(), 2u);
+
+    // Mid-linger RESEND: the message is revived and retransmits, which
+    // starts a second linger deadline at the retransmission.
+    const Duration linger = HomaConfig{}.senderLinger;
+    const Time resendAt = milliseconds(3);
+    h.host.loop_.runUntil(resendAt);
+    h.transport->handlePacket(resendFor(1, 0, 1442));
+    auto retrans = h.pullAll();
+    ASSERT_EQ(retrans.size(), 1u);
+    EXPECT_TRUE(retrans[0].hasFlag(kFlagRetransmit));
+
+    // The first deadline passes without reaping it...
+    h.host.loop_.runUntil(linger);
+    EXPECT_TRUE(h.transport->sender().knowsMessage(1));
+    h.host.loop_.runUntil(resendAt + linger - 1);
+    EXPECT_TRUE(h.transport->sender().knowsMessage(1));
+    // ...and a reap pass at most one linger period after the second
+    // deadline forgets it.
+    h.host.loop_.runUntil(resendAt + 2 * linger);
+    EXPECT_FALSE(h.transport->sender().knowsMessage(1));
+    h.transport->handlePacket(resendFor(1, 0, 1442));
+    EXPECT_EQ(unknown, 1);
+    EXPECT_TRUE(h.pullAll().empty());
+}
+
 TEST(HomaLoss, ReceiverAbortsAfterMaxResends) {
     HomaConfig cfg;
     cfg.maxResends = 2;

@@ -1,6 +1,9 @@
 // Network wiring, port accounting, and timing constants.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/homa_transport.h"
 #include "sim/network.h"
 #include "workload/workloads.h"
@@ -106,6 +109,40 @@ TEST(NetworkWiring, SprayingSpreadsAcrossUplinks) {
         EXPECT_GT(st.packetsSent, 50u) << "uplink " << u;
         EXPECT_LT(st.packetsSent, 200u) << "uplink " << u;
     }
+}
+
+TEST(NetworkSendMessage, RejectsInvalidMessagesNamingTheField) {
+    Network net = makeNet(NetworkConfig::singleRack16());
+    int delivered = 0;
+    net.setDeliveryCallback([&](const Message&, const DeliveryInfo&) {
+        delivered++;
+    });
+    // The error text of sending src -> dst with `length` bytes, or "" when
+    // the message is accepted.
+    auto errorOf = [&net](HostId src, HostId dst, uint32_t length) {
+        Message m;
+        m.id = net.nextMsgId();
+        m.src = src;
+        m.dst = dst;
+        m.length = length;
+        try {
+            net.sendMessage(m);
+        } catch (const std::invalid_argument& e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(errorOf(-1, 1, 100).find("src -1"), std::string::npos);
+    EXPECT_NE(errorOf(16, 1, 100).find("src 16"), std::string::npos);
+    EXPECT_NE(errorOf(0, -1, 100).find("dst -1"), std::string::npos);
+    EXPECT_NE(errorOf(0, 16, 100).find("dst 16"), std::string::npos);
+    EXPECT_NE(errorOf(3, 3, 100).find("src == dst"), std::string::npos);
+    EXPECT_NE(errorOf(0, 1, 0).find("length"), std::string::npos);
+
+    // Rejected messages queue nothing: only the valid one is delivered.
+    EXPECT_EQ(errorOf(0, 1, 100), "");
+    net.loop().run();
+    EXPECT_EQ(delivered, 1);
 }
 
 TEST(PortStats, BusyTimeAndBytesConsistent) {

@@ -2,6 +2,8 @@
 // this pins down every timing constant in the substrate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/homa_transport.h"
 #include "driver/oracle.h"
 #include "sim/network.h"
@@ -57,10 +59,43 @@ TEST(Oracle, LargeMessageApproachesLineRate) {
     EXPECT_LT(secs, lineRate * 1.01);
 }
 
-TEST(Oracle, CachedLookupsAreStable) {
-    Oracle oracle(NetworkConfig::fatTree144());
-    for (uint32_t s : {1u, 777u, 10000u}) {
-        EXPECT_EQ(oracle.bestOneWay(s), oracle.bestOneWay(s));
+// Exact one-way times (ps) on every path shape the walk distinguishes, at
+// packet boundaries (1442/1443, 2884/2885) and up to W3's largest size.
+// Captured from the earlier memoized implementation; any change to the
+// walk that moves a slowdown denominator by one picosecond fails here.
+TEST(Oracle, GoldenOneWayTimes) {
+    const std::vector<uint32_t> sizes = {1,    100,  1442,   1443,   2884,
+                                         2885, 9000, 100000, 5114695};
+    NetworkConfig tiered = NetworkConfig::fatTree144();
+    ASSERT_TRUE(
+        parseTopoSpec("racks=8,hosts=4,aggr=2,core=2,oversub=4", tiered));
+    // The intra-rack path is the same host-TOR-host walk on every shape.
+    const std::vector<Duration> rack = {1882800,  2041200,    4188400,
+                                        4254800,  5407600,    5474000,
+                                        10628400, 87561200,   4327408400};
+    struct Shape {
+        const char* name;
+        NetworkConfig cfg;
+        bool intraRack;
+        std::vector<Duration> want;
+    };
+    const std::vector<Shape> shapes = {
+        {"fatTree144 cross-rack", NetworkConfig::fatTree144(), false,
+         {2416000, 2614000, 5298000, 5298000, 6517200, 6517200, 11394000,
+          88203600, 4328423200}},
+        {"fatTree144 intra-rack", NetworkConfig::fatTree144(), true, rack},
+        {"singleRack16", NetworkConfig::singleRack16(), false, rack},
+        {"three-tier cross-pod", tiered, false,
+         {2982400, 3259600, 7017200, 7083600, 8236400, 8302800, 13457200,
+          90390000, 4330237200}},
+        {"three-tier intra-rack", tiered, true, rack},
+    };
+    for (const Shape& s : shapes) {
+        const Oracle oracle(s.cfg);
+        for (size_t i = 0; i < sizes.size(); i++) {
+            EXPECT_EQ(oracle.bestOneWay(sizes[i], s.intraRack), s.want[i])
+                << s.name << ", " << sizes[i] << " B";
+        }
     }
 }
 

@@ -1,6 +1,8 @@
 // RPC layer: echo semantics, at-least-once recovery, incast marking.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/rpc.h"
 #include "workload/workloads.h"
 
@@ -124,6 +126,19 @@ TEST(Rpc, LostResponseRecoveredViaResend) {
     }
     net.loop().run();
     EXPECT_EQ(completed, 60);
+}
+
+TEST(Rpc, RejectedCallRecordsNothing) {
+    Cluster c;
+    // Zero bytes, an unknown server, and a call to oneself never reach a
+    // transport, so they leave no pending RPC for the timeout scan.
+    EXPECT_THROW(c.eps[0]->call(5, 0, nullptr), std::invalid_argument);
+    EXPECT_THROW(c.eps[0]->call(16, 100, nullptr), std::invalid_argument);
+    EXPECT_THROW(c.eps[0]->call(0, 100, nullptr), std::invalid_argument);
+    EXPECT_EQ(c.eps[0]->outstanding(), 0u);
+    EXPECT_EQ(c.eps[0]->stats().issued, 0u);
+    c.net->loop().run();
+    EXPECT_EQ(c.eps[0]->stats().retries, 0u);
 }
 
 TEST(Rpc, ResponseIdEncoding) {
