@@ -5,27 +5,76 @@
 
 namespace homa {
 
+size_t HomaReceiver::CompletedIds::home(MsgId id) const {
+    // Per-host id streams keep the source above bit 40 and a counter
+    // below; the multiply spreads both upwards and the fold brings the
+    // high half back down to the bits the mask keeps.
+    uint64_t h = id * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+    return static_cast<size_t>(h) & (index_.size() - 1);
+}
+
+bool HomaReceiver::CompletedIds::contains(MsgId id) const {
+    if (index_.empty()) return false;
+    const size_t mask = index_.size() - 1;
+    for (size_t s = home(id);; s = (s + 1) & mask) {
+        if (index_[s] == 0) return false;
+        if (ring_[index_[s] - 1] == id) return true;
+    }
+}
+
+void HomaReceiver::CompletedIds::link(uint32_t pos) {
+    const size_t mask = index_.size() - 1;
+    size_t s = home(ring_[pos]);
+    while (index_[s] != 0) s = (s + 1) & mask;
+    index_[s] = static_cast<uint16_t>(pos + 1);
+}
+
+void HomaReceiver::CompletedIds::unlink(uint32_t pos) {
+    const size_t mask = index_.size() - 1;
+    size_t hole = home(ring_[pos]);
+    while (index_[hole] != pos + 1) hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless that would move it before its home slot.
+    for (size_t s = (hole + 1) & mask; index_[s] != 0; s = (s + 1) & mask) {
+        const size_t from = home(ring_[index_[s] - 1]);
+        if (((s - from) & mask) >= ((s - hole) & mask)) {
+            index_[hole] = index_[s];
+            hole = s;
+        }
+    }
+    index_[hole] = 0;
+}
+
+void HomaReceiver::CompletedIds::note(MsgId id) {
+    if (ring_.size() == kCapacity) {  // evict the oldest call's entry
+        unlink(head_);
+        ring_[head_] = id;
+        link(head_);
+        head_ = (head_ + 1) % kCapacity;
+        return;
+    }
+    ring_.push_back(id);
+    const uint32_t n = static_cast<uint32_t>(ring_.size());
+    if (index_.size() < 2 * size_t{n}) {
+        index_.assign(std::max<size_t>(16, 2 * index_.size()), 0);
+        for (uint32_t pos = 0; pos < n; pos++) link(pos);
+    } else {
+        link(n - 1);
+    }
+}
+
 HomaReceiver::HomaReceiver(HomaContext& ctx, DeliverFn deliver)
     : ctx_(ctx),
       deliver_(std::move(deliver)),
       sched_(makeGrantScheduler(ctx.cfg.grantPolicy)),
       timeoutScan_(ctx.host.loop(), [this] { checkTimeouts(); }) {}
 
-bool HomaReceiver::recentlyCompleted(MsgId id) const {
-    return completedSet_.count(id) != 0;
-}
-
-void HomaReceiver::noteCompleted(MsgId id) {
-    completedSet_.insert(id);
-    completedFifo_.push_back(id);
-    while (completedFifo_.size() > 8192) {
-        completedSet_.erase(completedFifo_.front());
-        completedFifo_.pop_front();
-    }
-}
-
 void HomaReceiver::handleData(const Packet& p) {
-    if (recentlyCompleted(p.msg)) return;  // duplicate tail of a done message
+    if (completed_.contains(p.msg)) {  // duplicate tail of a done message
+        duplicateTails_++;
+        return;
+    }
 
     auto it = in_.find(p.msg);
     if (it == in_.end()) {
@@ -58,7 +107,7 @@ void HomaReceiver::handleData(const Packet& p) {
         Message meta = im.meta;
         DeliveryInfo info = im.acc;
         info.completed = ctx_.host.loop().now();
-        noteCompleted(p.msg);
+        completed_.note(p.msg);
         sched_->remove(p.msg);
         in_.erase(it);
         applyGrantDecision();  // a finished message may unblock a withheld one

@@ -11,10 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/homa_context.h"
@@ -41,6 +39,9 @@ public:
     size_t incompleteMessages() const { return in_.size(); }
     uint64_t abortedMessages() const { return aborted_; }
     uint64_t resendsSent() const { return resendsSent_; }
+    /// DATA packets dropped because their message had already completed
+    /// (retransmitted or delayed copies arriving after the last byte).
+    uint64_t duplicateTailsDropped() const { return duplicateTails_; }
     const GrantScheduler& scheduler() const { return *sched_; }
 
 private:
@@ -63,13 +64,37 @@ private:
         }
     };
 
+    /// The ids of the last kCapacity note() calls, for dropping
+    /// retransmitted tails of messages that already completed (§3.7). A
+    /// ring holds the ids in call order (an id noted twice takes two
+    /// entries, and eviction counts calls); a linear-probing index of
+    /// ring positions, at most half full, finds them. Ids use all 64
+    /// bits, so the index stores position + 1 and 0 marks an empty slot.
+    /// Both arrays start empty and grow by doubling, so an idle host
+    /// holds no heap and a completion allocates no node.
+    class CompletedIds {
+    public:
+        static constexpr uint32_t kCapacity = 8192;
+
+        bool contains(MsgId id) const;
+        void note(MsgId id);
+
+    private:
+        size_t home(MsgId id) const;
+        void link(uint32_t pos);
+        void unlink(uint32_t pos);
+
+        std::vector<MsgId> ring_;      // oldest at head_ once full
+        uint32_t head_ = 0;
+        std::vector<uint16_t> index_;  // ring position + 1; 0 = empty
+        static_assert(kCapacity < UINT16_MAX);
+    };
+
     /// Ask the scheduler for the post-delta active set and issue the
     /// implied GRANTs (no-ops suppressed). O(log n + degree) per call.
     void applyGrantDecision();
     void issueGrant(InMessage& im, int64_t window, int logical);
     void checkTimeouts();
-    bool recentlyCompleted(MsgId id) const;
-    void noteCompleted(MsgId id);
 
     HomaContext& ctx_;
     DeliverFn deliver_;
@@ -78,10 +103,9 @@ private:
     std::vector<ActiveGrant> grantBuf_;  // reused per decision
     uint64_t aborted_ = 0;
     uint64_t resendsSent_ = 0;
+    uint64_t duplicateTails_ = 0;
 
-    // Duplicate suppression after completion (retransmitted tails).
-    std::unordered_set<MsgId> completedSet_;
-    std::deque<MsgId> completedFifo_;
+    CompletedIds completed_;  // duplicate suppression after completion
 
     Timer timeoutScan_;
 };

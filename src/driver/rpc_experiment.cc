@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace homa {
@@ -18,6 +19,12 @@ namespace {
 // issued byte consumed, refunded, or declared unresolved at run end.
 RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     const ServingConfig& sv = cfg.serving;
+    // Checked before anything is built, in every build type. A valid
+    // config leaves >= 1 server host and resolves its replica groups.
+    const std::string invalid = validateServingConfig(sv, cfg.net.hostCount());
+    if (!invalid.empty()) {
+        throw std::invalid_argument("runRpcExperiment: " + invalid);
+    }
     NetworkConfig netCfg = cfg.net;
     if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
     // Transport factories key unscheduled-priority cutoffs off one size
@@ -31,17 +38,10 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     const int nTenants = static_cast<int>(sv.tenants.size());
     const int nClients = sv.totalClients();
     const int servers = net.hostCount() - nClients;
-    assert(validateServingConfig(sv, net.hostCount()).empty());
-    assert(servers >= 1);
 
     const std::vector<ReplicaGroupConfig> groups = sv.effectiveGroups();
     std::vector<ResolvedGroup> resolved;
-    {
-        std::string err;
-        const bool ok = resolveReplicaGroups(sv, servers, resolved, &err);
-        assert(ok);
-        (void)ok;
-    }
+    resolveReplicaGroups(sv, servers, resolved, nullptr);
 
     std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
     for (HostId h = 0; h < net.hostCount(); h++) {
@@ -131,8 +131,10 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     auto hedgeDelayFor = [&](int t) -> Duration {
         TenantState& s = ts[t];
         const ReplicaGroupConfig& g = groups[s.groupIdx];
-        // Recompute the cached percentile every 64 completions: percentile
-        // extraction is a sort, too costly per RPC.
+        // Recompute the cached percentile every 64 completions. A refresh
+        // merges only the latencies added since the last one into Samples'
+        // sorted prefix. The cadence decides when every hedge timer fires,
+        // which the serving goldens pin, so it stays fixed.
         if (s.hedgeDelay == 0 || s.sinceRecalc >= 64) {
             const Duration p = static_cast<Duration>(std::llround(
                 s.latency.percentile(g.hedgePercentile) *

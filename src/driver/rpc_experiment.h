@@ -123,6 +123,8 @@ struct RpcExperimentResult {
     bool keptUp = false;
 };
 
+/// Throws std::invalid_argument carrying validateServingConfig's reason
+/// when a serving config does not fit the topology.
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg);
 
 /// Canonical serialization of everything an RpcExperimentResult measures,

@@ -88,10 +88,11 @@ PriorityAllocation computeAllocation(const SizeDistribution& dist,
     return allocationFromSample(std::move(sizes), cfg, rttBytes);
 }
 
-TrafficMeter::TrafficMeter(size_t reservoirSize, uint64_t seed) : rng_(seed) {
-    reservoir_.reserve(reservoirSize);
-    reservoirCapacity_ = reservoirSize;
-}
+// The reservoir grows by push_back up to its capacity. Every HomaTransport
+// owns a meter, and with a precomputed allocation it is never fed, so a
+// reserve here would cost every host 16 KB for nothing.
+TrafficMeter::TrafficMeter(size_t reservoirSize, uint64_t seed)
+    : reservoirCapacity_(reservoirSize), rng_(seed) {}
 
 void TrafficMeter::recordMessage(uint32_t length) {
     observed_++;

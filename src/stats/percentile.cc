@@ -7,13 +7,11 @@ namespace homa {
 
 void Samples::add(double v) {
     values_.push_back(v);
-    sorted_ = false;
     sum_ += v;
 }
 
 void Samples::absorb(const Samples& other) {
     values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-    sorted_ = false;
     sum_ += other.sum_;
 }
 
@@ -34,9 +32,12 @@ double Samples::max() const {
 double Samples::percentile(double p) const {
     if (values_.empty()) return 0.0;
     p = std::clamp(p, 0.0, 1.0);
-    if (!sorted_) {
-        std::sort(values_.begin(), values_.end());
-        sorted_ = true;
+    const auto tail =
+        values_.begin() + static_cast<std::ptrdiff_t>(sortedPrefix_);
+    if (tail != values_.end()) {
+        std::sort(tail, values_.end());
+        std::inplace_merge(values_.begin(), tail, values_.end());
+        sortedPrefix_ = values_.size();
     }
     const size_t idx = std::min(
         values_.size() - 1,

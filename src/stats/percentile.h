@@ -1,7 +1,11 @@
 // Sample collection with exact percentiles.
 //
-// Experiments collect up to a few million samples; storing them and using
-// nth_element on demand is simpler and more accurate than sketches.
+// Experiments collect up to a few million samples; storing them is simpler
+// and more accurate than sketches. `values_` is a sorted prefix followed
+// by the samples added since the last percentile() call. percentile()
+// sorts only that tail and merges it into the prefix, so a caller that
+// asks every k additions pays O(n + k log k) instead of re-sorting the
+// whole history; the first call on n fresh samples is an O(n log n) sort.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +41,7 @@ public:
 
 private:
     mutable std::vector<double> values_;
-    mutable bool sorted_ = false;
+    mutable size_t sortedPrefix_ = 0;  // values_[0, sortedPrefix_) is sorted
     double sum_ = 0;
 };
 

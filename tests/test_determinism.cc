@@ -9,6 +9,7 @@
 
 #include "driver/rpc_experiment.h"
 #include "driver/sweep.h"
+#include "sim/parallel.h"
 
 namespace homa {
 namespace {
@@ -529,6 +530,106 @@ TEST(SweepRunner, SeedDerivationIsAPureSpreadFunction) {
         }
     }
     EXPECT_EQ(seen.size(), 300u);  // no collisions across bases or indices
+}
+
+// ------------------------------------------------- hard-coded goldens
+//
+// Replay tests above only prove a run repeats itself; these pin the
+// bytes. FNV-1a of the full resultFingerprint, captured before the
+// percentile and completed-id bookkeeping were rewritten: any change to
+// the hedge-delay percentiles or to which duplicate DATA the Homa
+// receiver drops moves them. On mismatch the test streams the live
+// fingerprint so the diff is inspectable.
+uint64_t fnv1a(const std::string& s) {
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(ServingDeterminism, HedgedHomaGoldenFingerprint) {
+    // Hedge delays come from tenant latency percentiles refreshed every
+    // 64 completions, so every hedge timer depends on them.
+    const RpcExperimentConfig cfg = servingConfig();
+    ASSERT_EQ(cfg.proto.kind, Protocol::Homa);
+    const RpcExperimentResult r = runRpcExperiment(cfg);
+    ASSERT_GT(r.serving.hedgesIssued, 0u);
+    const std::string fp = resultFingerprint(r);
+    EXPECT_EQ(fnv1a(fp), 0xbb8b77e24aba18cfull)
+        << std::hex << "hash 0x" << fnv1a(fp) << std::dec
+        << " live fingerprint:\n" << fp;
+    EXPECT_EQ(fp.size(), 1112u);
+}
+
+// A small fat tree whose aggr0 runs at 2% speed and drops 2% of packets
+// for 4 ms. Data queued there outlives the RESEND timeout, so receivers
+// RESEND and senders retransmit; whichever copy loses the race arrives
+// after its message completed and must be dropped as a duplicate tail.
+ExperimentConfig lossyHomaConfig() {
+    ExperimentConfig cfg = smallConfig(WorkloadId::W2, 0.6);
+    cfg.net.racks = 3;
+    cfg.net.hostsPerRack = 4;
+    cfg.net.aggrSwitches = 2;
+    FaultSpec degrade;
+    EXPECT_TRUE(parseFaultSpec(
+        "degrade=aggr0,at=200us,for=4ms,bw=0.02,drop=0.02", degrade));
+    cfg.traffic.scenario.faults.push_back(degrade);
+    return cfg;
+}
+
+struct LossyReplay {
+    uint64_t delivered = 0;
+    uint64_t probDrops = 0;
+    uint64_t resends = 0;
+    uint64_t duplicateTails = 0;
+};
+
+// The lossy point rebuilt at the network level the way runExperiment
+// builds it, so the Homa receivers' counters can be read afterwards.
+LossyReplay replayLossyPoint(const ExperimentConfig& cfg) {
+    NetworkConfig netCfg = cfg.net;
+    netCfg.switchQdisc = switchQdiscFor(cfg.proto);
+    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg,
+                                             &workload(cfg.traffic.workload)));
+    FaultTimeline faults(net, cfg.traffic.scenario.faults,
+                         deriveFaultSeed(cfg.traffic.seed));
+    faults.schedule();
+    LossyReplay out;
+    net.setDeliveryCallback(
+        [&out](const Message&, const DeliveryInfo&) { out.delivered++; });
+    TrafficGenerator gen(net, cfg.traffic);
+    gen.start();
+    runNetworkUntil(net, cfg.traffic.stop + cfg.drainGrace);
+    out.probDrops = faults.collect().probDrops;
+    for (HostId h = 0; h < net.hostCount(); h++) {
+        const HomaReceiver& rx =
+            static_cast<HomaTransport&>(net.host(h).transport()).receiver();
+        out.resends += rx.resendsSent();
+        out.duplicateTails += rx.duplicateTailsDropped();
+    }
+    return out;
+}
+
+TEST(FaultDeterminism, LossyHomaGoldenFingerprint) {
+    const ExperimentConfig cfg = lossyHomaConfig();
+    const ExperimentResult r = runExperiment(cfg);
+    ASSERT_TRUE(r.faults);
+    EXPECT_GT(r.faults->probDrops, 0u);
+    const std::string fp = resultFingerprint(r);
+    EXPECT_EQ(fnv1a(fp), 0xd6a792f7fd818b50ull)
+        << std::hex << "hash 0x" << fnv1a(fp) << std::dec
+        << " live fingerprint:\n" << fp;
+    EXPECT_EQ(fp.size(), 1847u);
+
+    // Not vacuous: the same run, replayed where the receivers are
+    // reachable, issues RESENDs and drops duplicate tails.
+    const LossyReplay replay = replayLossyPoint(cfg);
+    EXPECT_EQ(replay.delivered, r.deliveredTotal);
+    EXPECT_EQ(replay.probDrops, r.faults->probDrops);
+    EXPECT_GT(replay.resends, 0u);
+    EXPECT_GT(replay.duplicateTails, 0u);
 }
 
 }  // namespace

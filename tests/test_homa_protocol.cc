@@ -301,6 +301,60 @@ TEST(HomaReceiver, DeliversOnceDespiteDuplicateTail) {
     EXPECT_EQ(h.delivered.size(), 1u);
 }
 
+TEST(HomaReceiver, RemembersExactlyTheLast8192Completions) {
+    // Duplicate suppression covers the ids of the last 8192 completions:
+    // a duplicate tail of a message completed 8191 completions ago is
+    // dropped, one completed 8192 ago opens a fresh incomplete message.
+    Harness h;
+    HomaReceiver& rx = h.transport->receiver();
+    const Message old = h.makeMessage(1, 2000);
+    auto completeOld = [&] {
+        h.rxData(old, 0, 1442);
+        h.rxData(old, 1442, 558);
+    };
+    MsgId next = 2;
+    auto completeOthers = [&](int n) {
+        for (int i = 0; i < n; i++) h.rxData(h.makeMessage(next++, 700), 0, 700);
+    };
+    completeOld();
+    completeOthers(8191);
+    ASSERT_EQ(h.delivered.size(), 8192u);
+    h.rxData(old, 1442, 558);
+    EXPECT_EQ(rx.incompleteMessages(), 0u);
+    completeOthers(1);
+    h.rxData(old, 1442, 558);
+    EXPECT_EQ(rx.incompleteMessages(), 1u);
+    EXPECT_EQ(h.delivered.size(), 8193u);
+
+    // The forgotten id completes again (an RPC response re-sent under the
+    // same id) and is remembered for another 8192 completions.
+    h.rxData(old, 0, 1442);
+    ASSERT_EQ(h.delivered.size(), 8194u);
+    EXPECT_EQ(rx.incompleteMessages(), 0u);
+    completeOthers(8191);
+    h.rxData(old, 1442, 558);
+    EXPECT_EQ(rx.incompleteMessages(), 0u);
+    completeOthers(1);
+    h.rxData(old, 1442, 558);
+    EXPECT_EQ(rx.incompleteMessages(), 1u);
+}
+
+TEST(HomaReceiver, RemembersCompletionsOfAnyIdValue) {
+    // MsgIds use all 64 bits (per-host streams pack the source above bit
+    // 40), so no value may double as an empty marker.
+    Harness h;
+    const MsgId ids[] = {0, ~MsgId{0}, MsgId{1} << 40, (MsgId{145} << 40) | 7};
+    for (MsgId id : ids) {
+        const Message m = h.makeMessage(id, 2000);
+        h.rxData(m, 0, 1442);
+        h.rxData(m, 1442, 558);
+    }
+    ASSERT_EQ(h.delivered.size(), 4u);
+    for (MsgId id : ids) h.rxData(h.makeMessage(id, 2000), 1442, 558);
+    EXPECT_EQ(h.transport->receiver().incompleteMessages(), 0u);
+    EXPECT_EQ(h.delivered.size(), 4u);
+}
+
 TEST(HomaReceiver, AccumulatesDelayDecomposition) {
     Harness h;
     Packet p;

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -374,6 +375,41 @@ TEST(ServingValidate, CatchesIncoherentConfigs) {
         const std::string why = validateServingConfig(cfg, 16);
         EXPECT_NE(why.find(c.expect), std::string::npos)
             << "expected '" << c.expect << "', got: '" << why << "'";
+    }
+}
+
+TEST(ServingValidate, RunRejectsIncoherentConfigsWithTheReason) {
+    // The library entry point checks the config in every build type,
+    // before building anything, and says why: a bad field, no server
+    // host left, and replica groups that do not fit the server pool.
+    struct Case {
+        const char* expect;
+        std::function<void(ServingConfig&)> mutate;
+    };
+    const Case cases[] = {
+        {"load must be in (0, 1.5]",
+         [](ServingConfig& c) { c.tenants[0].load = 2.0; }},
+        {"at least one server host",
+         [](ServingConfig& c) { c.tenants[0].clients = 12; }},
+        {"server hosts remain",
+         [](ServingConfig& c) {
+             c.groups.push_back(ReplicaGroupConfig{});
+             c.groups[0].replicas = 99;
+         }},
+    };
+    for (const Case& c : cases) {
+        RpcExperimentConfig cfg;
+        cfg.net = NetworkConfig::singleRack16();
+        cfg.serving = twoTenantConfig();
+        c.mutate(cfg.serving);
+        const std::string why = validateServingConfig(cfg.serving, 16);
+        ASSERT_NE(why.find(c.expect), std::string::npos) << why;
+        EXPECT_THROW(runRpcExperiment(cfg), std::invalid_argument) << c.expect;
+        try {
+            runRpcExperiment(cfg);
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()), "runRpcExperiment: " + why);
+        }
     }
 }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "sim/random.h"
 #include "stats/percentile.h"
 #include "stats/report.h"
 #include "stats/slowdown.h"
@@ -75,6 +80,61 @@ TEST(Samples, InterleavedAddAndQuery) {
     s.add(20);
     s.add(30);
     EXPECT_DOUBLE_EQ(s.median(), 20.0);  // re-sorts after new samples
+}
+
+TEST(Samples, MergedPercentilesMatchAFreshSortUnderRandomInterleavings) {
+    // percentile() merges only the samples added since its last call into
+    // a sorted prefix. Under any interleaving of add, absorb (of partly
+    // queried collections too) and percentile, each answer must equal
+    // nearest rank on a freshly sorted copy. Values come from 16
+    // levels, so duplicates are everywhere.
+    Rng rng(20240611);
+    auto draw = [&rng] { return 0.5 * static_cast<double>(rng.below(16)); };
+    for (int trial = 0; trial < 40; trial++) {
+        Samples s;
+        std::vector<double> model;
+        double sum = 0;
+        for (int op = 0; op < 300; op++) {
+            const uint64_t kind = rng.below(10);
+            if (kind < 6) {
+                const double v = draw();
+                s.add(v);
+                model.push_back(v);
+                sum += v;
+            } else if (kind < 8) {
+                Samples other;
+                double otherSum = 0;
+                const uint64_t n = rng.below(20);
+                for (uint64_t i = 0; i < n; i++) {
+                    const double v = draw();
+                    other.add(v);
+                    otherSum += v;
+                    if (rng.below(4) == 0) other.percentile(0.5);
+                }
+                s.absorb(other);
+                model.insert(model.end(), other.values().begin(),
+                             other.values().end());
+                sum += otherSum;
+            } else {
+                std::vector<double> sorted = model;
+                std::sort(sorted.begin(), sorted.end());
+                for (double p : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+                    const double want =
+                        sorted.empty()
+                            ? 0.0
+                            : sorted[p == 0.0 ? 0
+                                              : static_cast<size_t>(std::ceil(
+                                                    p * sorted.size())) -
+                                                    1];
+                    ASSERT_EQ(s.percentile(p), want)
+                        << "trial " << trial << " op " << op << " p=" << p;
+                }
+                ASSERT_EQ(s.values(), sorted) << "trial " << trial;
+            }
+            ASSERT_EQ(s.count(), model.size());
+            ASSERT_EQ(s.mean(), model.empty() ? 0.0 : sum / model.size());
+        }
+    }
 }
 
 TEST(SlowdownTracker, RecordsIntoCorrectDecileBuckets) {
