@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 namespace homa {
 
-// Note: std::push_heap et al. with std::greater<> (via HeapEntry's
+// Note: std::push_heap et al. with std::greater<> (via Entry's
 // operator>) maintain the min-(time, seq) heap the calendar needs, with
 // heap_.front() the earliest event.
 
@@ -28,28 +30,66 @@ uint32_t EventLoop::allocSlot() {
 void EventLoop::freeSlot(uint32_t idx) {
     Slot& s = slots_[idx];
     s.ops = nullptr;
-    s.gen++;  // invalidates outstanding handles and ghost heap entries
+    s.gen++;  // invalidates outstanding handles and ghost entries
     s.nextFree = freeHead_;
     freeHead_ = idx;
 }
 
-void EventLoop::heapPush(HeapEntry e) {
+EventLoop::LaneId EventLoop::fixedDelayLane(Duration d) {
+    if (d < 0) {
+        throw std::invalid_argument(
+            "EventLoop: a fixed-delay lane needs a delay >= 0, got " +
+            std::to_string(d));
+    }
+    for (LaneId i = 0; i < lanes_.size(); i++) {
+        if (lanes_[i].delay == d) return i;
+    }
+    lanes_.emplace_back().delay = d;
+    return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void EventLoop::growLane(Lane& l) {
+    std::vector<Entry> bigger(l.ring.empty() ? 16 : 2 * l.ring.size());
+    for (uint32_t i = 0; i < l.size; i++) {
+        bigger[i] = l.ring[(l.head + i) & (l.ring.size() - 1)];
+    }
+    l.ring.swap(bigger);
+    l.head = 0;
+}
+
+size_t EventLoop::queuedEntries() const {
+    size_t n = heap_.size();
+    for (const Lane& l : lanes_) n += l.size;
+    return n;
+}
+
+void EventLoop::heapPush(const Entry& e) {
     heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
-EventLoop::HeapEntry EventLoop::heapPop() {
+EventLoop::Entry EventLoop::heapPop() {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    const HeapEntry e = heap_.back();
+    const Entry e = heap_.back();
     heap_.pop_back();
     return e;
 }
 
-void EventLoop::compactHeap() {
-    std::erase_if(heap_, [this](const HeapEntry& e) {
-        return slots_[e.slot].gen != e.gen;
-    });
+void EventLoop::compact() {
+    auto ghost = [this](const Entry& e) { return slots_[e.slot].gen != e.gen; };
+    std::erase_if(heap_, ghost);
     std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+    for (Lane& l : lanes_) {
+        // In place and in order: the write index never passes the read one.
+        const uint32_t mask = static_cast<uint32_t>(l.ring.size()) - 1;
+        uint32_t kept = 0;
+        for (uint32_t i = 0; i < l.size; i++) {
+            const Entry e = l.ring[(l.head + i) & mask];
+            if (!ghost(e)) l.ring[(l.head + kept++) & mask] = e;
+        }
+        l.size = kept;
+        cacheHead(l);
+    }
     ghosts_ = 0;
 }
 
@@ -60,25 +100,49 @@ bool EventLoop::cancel(EventHandle h) {
     freeSlot(h.slot);
     live_--;
     ghosts_++;
-    // Keep cancel/re-arm churn (timers) from growing the heap without
+    // Keep cancel/re-arm churn (timers) from growing the queues without
     // bound: once ghosts dominate, one O(n) sweep reclaims them all.
-    if (ghosts_ > 64 && ghosts_ > live_) compactHeap();
+    if (ghosts_ > 64 && ghosts_ > live_) compact();
     return true;
 }
 
-void EventLoop::dropGhosts() {
-    while (!heap_.empty()) {
-        const HeapEntry& e = heap_.front();
-        if (slots_[e.slot].gen == e.gen) return;
-        heapPop();
+uint32_t EventLoop::selectNext() {
+    for (;;) {
+        uint32_t best = kEmpty;
+        Time t = kNoEvent;
+        uint64_t seq = UINT64_MAX;
+        if (!heap_.empty()) {
+            best = kHeap;
+            t = heap_.front().time;
+            seq = heap_.front().seq;
+        }
+        for (uint32_t i = 0; i < lanes_.size(); i++) {
+            const Lane& l = lanes_[i];
+            if (l.headTime < t || (l.headTime == t && l.headSeq < seq)) {
+                best = i;
+                t = l.headTime;
+                seq = l.headSeq;
+            }
+        }
+        if (best == kEmpty) return kEmpty;
+        const Entry& e = front(best);
+        if (slots_[e.slot].gen == e.gen) return best;
+        popFront(best);
         if (ghosts_ > 0) ghosts_--;
     }
 }
 
-bool EventLoop::runOne() {
-    dropGhosts();
-    if (heap_.empty()) return false;
-    const HeapEntry e = heapPop();
+EventLoop::Entry EventLoop::popFront(uint32_t src) {
+    if (src == kHeap) return heapPop();
+    Lane& l = lanes_[src];
+    const Entry e = l.ring[l.head];
+    l.head = (l.head + 1) & (static_cast<uint32_t>(l.ring.size()) - 1);
+    l.size--;
+    cacheHead(l);
+    return e;
+}
+
+void EventLoop::dispatch(const Entry& e) {
     now_ = e.time;
     executed_++;
     live_--;
@@ -89,6 +153,12 @@ bool EventLoop::runOne() {
     ops->relocate(buf, slots_[e.slot].storage);
     freeSlot(e.slot);
     ops->invoke(buf);
+}
+
+bool EventLoop::runOne() {
+    const uint32_t src = selectNext();
+    if (src == kEmpty) return false;
+    dispatch(popFront(src));
     return true;
 }
 
@@ -99,26 +169,22 @@ uint64_t EventLoop::run(uint64_t limit) {
 }
 
 void EventLoop::runUntil(Time t) {
-    for (;;) {
-        dropGhosts();
-        if (heap_.empty() || heap_.front().time > t) break;
-        runOne();
+    for (uint32_t src; (src = selectNext()) != kEmpty && front(src).time <= t;) {
+        dispatch(popFront(src));
     }
     if (now_ < t) now_ = t;
 }
 
 void EventLoop::runBefore(Time t) {
-    for (;;) {
-        dropGhosts();
-        if (heap_.empty() || heap_.front().time >= t) break;
-        runOne();
+    for (uint32_t src; (src = selectNext()) != kEmpty && front(src).time < t;) {
+        dispatch(popFront(src));
     }
     if (now_ < t) now_ = t;
 }
 
 Time EventLoop::nextEventTime() {
-    dropGhosts();
-    return heap_.empty() ? kNoEvent : heap_.front().time;
+    const uint32_t src = selectNext();
+    return src == kEmpty ? kNoEvent : front(src).time;
 }
 
 }  // namespace homa

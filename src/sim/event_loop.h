@@ -1,24 +1,37 @@
 // Discrete-event execution core.
 //
-// A binary-heap calendar of (time, sequence) ordered events. The heap holds
-// small POD entries; the callables live in a slab of fixed-size slots that
-// are recycled through a freelist, so steady-state scheduling performs no
-// heap allocation (callables larger than a slot fall back to one boxed
-// allocation each; everything in the hot paths fits inline).
+// A calendar of (time, sequence) ordered events in two kinds of queue: one
+// binary heap for events at arbitrary times, plus one FIFO "lane" per
+// distinct fixed delay. Both hold small POD entries; the callables live in
+// a slab of fixed-size slots that are recycled through a freelist, so
+// steady-state scheduling performs no heap allocation (callables larger
+// than a slot fall back to one boxed allocation each; everything in the
+// hot paths fits inline).
 //
-// Ordering contract: events fire in (time, scheduling order). Scheduling an
-// event in the past (t < now()) clamps it to now() *at scheduling time*, so
-// it joins the back of the current instant's FIFO — clamping never reorders
-// events that execute at the same instant relative to their scheduling
-// order, and never preempts an event already pending at now().
+// Lanes: most events in a packet simulation fire a constant delay after
+// they are scheduled — a switch's internal delay, a host's software delay,
+// a full-size or header-only packet's serialization time at one link
+// speed. afterLane() appends such an event to the lane for its delay in
+// O(1). Because now() never decreases and sequence numbers only grow, each
+// lane is already sorted by (time, seq), so the earliest event overall is
+// the minimum of the heap top and the lane heads; popping that minimum
+// runs events in exactly the order a single heap would.
 //
-// Cancellation is by handle: at()/after() return an EventHandle that
-// cancel() invalidates in O(1). The heap entry becomes a ghost that is
-// discarded lazily when it reaches the top; its slot is recycled
-// immediately (a generation counter makes stale handles and ghost heap
-// entries detectable). When ghosts outnumber live events the heap is
-// compacted in one pass, so pathological cancel/re-arm churn (timers) stays
-// O(log n) amortized with bounded memory.
+// Ordering contract: events fire in (time, scheduling order), whichever
+// queue holds them. Scheduling an event in the past (t < now()) clamps it
+// to now() *at scheduling time*, so it joins the back of the current
+// instant's FIFO — clamping never reorders events that execute at the same
+// instant relative to their scheduling order, and never preempts an event
+// already pending at now().
+//
+// Cancellation is by handle: at()/after()/afterLane() return an
+// EventHandle that cancel() invalidates in O(1). The queued entry becomes
+// a ghost that is discarded lazily when it is selected as the earliest
+// event; its slot is recycled immediately (a generation counter makes
+// stale handles and ghost entries detectable). When ghosts outnumber live
+// events the heap and every lane are compacted in one pass, so
+// pathological cancel/re-arm churn (timers) stays O(log n) amortized with
+// bounded memory.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +47,10 @@
 
 namespace homa {
 
-class EventLoop {
+// Cache-line aligned: the parallel engine allocates its shard loops back to
+// back, and each is written on every event by its own thread; a shared line
+// would make one shard's writes invalidate its neighbour's reads.
+class alignas(64) EventLoop {
 public:
     using Callback = std::function<void()>;
 
@@ -56,30 +72,39 @@ public:
     /// Current simulated time.
     Time now() const { return now_; }
 
+    /// Names one fixed-delay lane of this loop (see the header comment).
+    using LaneId = uint32_t;
+
     /// Schedule `fn` to run at absolute time `t` (clamped to now(); see the
     /// ordering contract above).
     template <typename F>
     EventHandle at(Time t, F&& fn) {
         if (t < now_) t = now_;
-        const uint32_t idx = allocSlot();
-        Slot& s = slots_[idx];
-        using D = std::decay_t<F>;
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void*>(s.storage)) D(std::forward<F>(fn));
-            s.ops = &InlineOps<D>::ops;
-        } else {
-            ::new (static_cast<void*>(s.storage)) D*(new D(std::forward<F>(fn)));
-            s.ops = &BoxedOps<D>::ops;
-        }
-        heapPush(HeapEntry{t, nextSeq_++, idx, s.gen});
-        live_++;
-        return EventHandle{idx, s.gen};
+        const uint32_t idx = store(std::forward<F>(fn));
+        const uint32_t gen = slots_[idx].gen;
+        heapPush(Entry{t, nextSeq_++, idx, gen});
+        return EventHandle{idx, gen};
     }
 
     /// Schedule `fn` to run `d` after now().
     template <typename F>
     EventHandle after(Duration d, F&& fn) {
         return at(now_ + d, std::forward<F>(fn));
+    }
+
+    /// The lane for events that fire `d` after they are scheduled, created
+    /// on first use. Throws std::invalid_argument for a negative `d`.
+    LaneId fixedDelayLane(Duration d);
+
+    /// Schedule `fn` to run the lane's delay after now(): the same event,
+    /// order and handle as after(delay, fn), queued in O(1).
+    template <typename F>
+    EventHandle afterLane(LaneId lane, F&& fn) {
+        const uint32_t idx = store(std::forward<F>(fn));
+        const uint32_t gen = slots_[idx].gen;
+        Lane& l = lanes_[lane];
+        lanePush(l, Entry{now_ + l.delay, nextSeq_++, idx, gen});
+        return EventHandle{idx, gen};
     }
 
     /// Cancel a pending event. Returns true if it was still pending (it
@@ -111,8 +136,9 @@ public:
     /// Sentinel returned by nextEventTime() when no events are pending.
     static constexpr Time kNoEvent = INT64_MAX;
 
-    /// Earliest pending event time, or kNoEvent. Non-const: pops cancelled
-    /// ghosts off the heap top so the answer reflects live events only.
+    /// Earliest pending event time, or kNoEvent. Non-const: discards
+    /// cancelled ghosts at the queue fronts so the answer reflects live
+    /// events only.
     Time nextEventTime();
 
     /// Pending (live, uncancelled) events.
@@ -121,6 +147,8 @@ public:
 
     /// Capacity counters, exposed for tests and the substrate bench.
     size_t slabSlots() const { return slots_.size(); }
+    /// Entries held by the heap and every lane, cancelled ghosts included.
+    size_t queuedEntries() const;
 
 private:
     // Per-callable-type operation table. `relocate` move-constructs into
@@ -183,28 +211,84 @@ private:
         uint32_t nextFree = EventHandle::kNone;
     };
 
-    struct HeapEntry {
+    struct Entry {
         Time time;
         uint64_t seq;
         uint32_t slot;
         uint32_t gen;
-        bool operator>(const HeapEntry& o) const {
+        bool operator>(const Entry& o) const {
             return time != o.time ? time > o.time : seq > o.seq;
         }
     };
 
+    // A FIFO of entries that each fire `delay` after they were scheduled,
+    // so appends arrive in (time, seq) order. The ring's capacity is zero
+    // until first use, then a power of two. The front entry's key is
+    // cached beside it so the selection scan touches one line per lane.
+    struct Lane {
+        Time headTime = kNoEvent;
+        uint64_t headSeq = UINT64_MAX;  // with kNoEvent: sorts after all
+        std::vector<Entry> ring;
+        uint32_t head = 0;
+        uint32_t size = 0;
+        Duration delay = 0;
+    };
+
+    // Where the earliest event waits: a lane index or one of these.
+    static constexpr uint32_t kHeap = UINT32_MAX - 1;
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+
+    /// Place `fn` in a fresh slab slot; counts it live.
+    template <typename F>
+    uint32_t store(F&& fn) {
+        const uint32_t idx = allocSlot();
+        Slot& s = slots_[idx];
+        using D = std::decay_t<F>;
+        if constexpr (fitsInline<D>()) {
+            ::new (static_cast<void*>(s.storage)) D(std::forward<F>(fn));
+            s.ops = &InlineOps<D>::ops;
+        } else {
+            ::new (static_cast<void*>(s.storage)) D*(new D(std::forward<F>(fn)));
+            s.ops = &BoxedOps<D>::ops;
+        }
+        live_++;
+        return idx;
+    }
+
+    /// Re-read the front entry's key (the sorts-last sentinel if empty).
+    static void cacheHead(Lane& l) {
+        l.headTime = l.size > 0 ? l.ring[l.head].time : kNoEvent;
+        l.headSeq = l.size > 0 ? l.ring[l.head].seq : UINT64_MAX;
+    }
+
+    void lanePush(Lane& l, const Entry& e) {
+        if (l.size == l.ring.size()) growLane(l);
+        l.ring[(l.head + l.size) & (l.ring.size() - 1)] = e;
+        if (l.size++ == 0) cacheHead(l);
+    }
+
     uint32_t allocSlot();
     void freeSlot(uint32_t idx);
-    /// Pop cancelled ghosts off the heap top.
-    void dropGhosts();
-    /// Rebuild the heap without ghost entries.
-    void compactHeap();
-    void heapPush(HeapEntry e);
-    HeapEntry heapPop();
+    static void growLane(Lane& l);
+    /// The queue holding the earliest live event (kEmpty if none). Ghosts
+    /// are checked only at the selected front: one found there is
+    /// discarded and the selection repeated.
+    uint32_t selectNext();
+    const Entry& front(uint32_t src) const {
+        return src == kHeap ? heap_.front() : lanes_[src].ring[lanes_[src].head];
+    }
+    Entry popFront(uint32_t src);
+    /// Advance the clock to `e` and run it.
+    void dispatch(const Entry& e);
+    /// Drop every ghost from the heap and the lanes.
+    void compact();
+    void heapPush(const Entry& e);
+    Entry heapPop();
 
     // Min-heap over (time, seq), maintained with the std heap algorithms so
     // it can be compacted in place.
-    std::vector<HeapEntry> heap_;
+    std::vector<Entry> heap_;
+    std::vector<Lane> lanes_;
     std::vector<Slot> slots_;
     uint32_t freeHead_ = EventHandle::kNone;
     size_t live_ = 0;

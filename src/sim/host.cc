@@ -9,7 +9,7 @@ Host::Host(EventLoop& loop, HostId id, Bandwidth nicSpeed, Duration softwareDela
            Rng rng)
     : loop_(loop),
       id_(id),
-      softwareDelay_(softwareDelay),
+      softwareLane_(loop.fixedDelayLane(softwareDelay)),
       rng_(rng),
       nic_(loop, nicSpeed, std::make_unique<StrictPriorityQdisc>()) {}
 
@@ -34,7 +34,7 @@ void Host::deliver(Packet p) {
     assert(transport_ != nullptr);
     rxPackets_++;
     pendingRx_.push_back(std::move(p));
-    loop_.after(softwareDelay_, [this] { processHead(); });
+    loop_.afterLane(softwareLane_, [this] { processHead(); });
 }
 
 void Host::processHead() {

@@ -48,7 +48,7 @@ private:
 
     EventLoop& loop_;
     HostId id_;
-    Duration softwareDelay_;
+    EventLoop::LaneId softwareLane_;  // the software delay's lane
     Rng rng_;
     EgressPort nic_;
     std::unique_ptr<Transport> transport_;

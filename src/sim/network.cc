@@ -21,10 +21,20 @@ void Network::wireCrossShard(EgressPort& out, int srcShard, Switch* peer,
     });
 }
 
+namespace {
+
+// Rejects a bad topology before anything is derived from it.
+const NetworkConfig& validated(const NetworkConfig& cfg) {
+    const std::string why = validateTopoConfig(cfg);
+    if (!why.empty()) throw std::invalid_argument("Network: " + why);
+    return cfg;
+}
+
+}  // namespace
+
 Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
                  int shards)
-    : cfg_(cfg), timings_(NetworkTimings::compute(cfg)), rng_(cfg.seed) {
-    assert(validateTopoConfig(cfg_).empty());
+    : cfg_(validated(cfg)), timings_(NetworkTimings::compute(cfg)), rng_(cfg.seed) {
     const int nHosts = cfg_.hostCount();
     const int perRack = cfg_.hostsPerRack;
     const bool multiRack = !cfg_.singleRack();

@@ -38,7 +38,8 @@ namespace homa {
 class Network {
 public:
     /// `shards` is clamped to [1, racks]; single-rack topologies and
-    /// zero switch delay (no lookahead) always build one shard.
+    /// zero switch delay (no lookahead) always build one shard. Throws
+    /// std::invalid_argument when validateTopoConfig rejects `cfg`.
     Network(NetworkConfig cfg, const TransportFactory& makeTransport,
             int shards = 1);
 

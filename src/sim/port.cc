@@ -6,8 +6,16 @@
 
 namespace homa {
 
+namespace {
+constexpr int64_t kHeaderOnlyWireBytes = kHeaderBytes + kFrameOverhead;
+}  // namespace
+
 EgressPort::EgressPort(EventLoop& loop, Bandwidth bw, std::unique_ptr<Qdisc> qdisc)
-    : loop_(loop), bw_(bw), qdisc_(std::move(qdisc)) {}
+    : loop_(loop),
+      bw_(bw),
+      fullLane_(loop.fixedDelayLane(bw.serialize(kFullPacketWireBytes))),
+      headerLane_(loop.fixedDelayLane(bw.serialize(kHeaderOnlyWireBytes))),
+      qdisc_(std::move(qdisc)) {}
 
 void EgressPort::noteQueueChange() {
     const Time now = loop_.now();
@@ -139,32 +147,44 @@ void EgressPort::startTransmission(Packet p) {
     // The packet lives in txPacket_ rather than the closure: keeping the
     // capture pointer-sized keeps the event inside the EventLoop's inline
     // slab slot, which matters at tens of millions of events per run.
+    // Full-size and header-only packets on a healthy link take one of the
+    // link's two fixed times, so their end goes to that time's lane;
+    // partial packets and stretched (degraded) times use the heap.
     txPacket_ = std::move(p);
-    txEvent_ = loop_.at(txEndsAt_, [this] {
-        busy_ = false;
-        inFlightBytes_ = 0;
-        txEvent_ = {};
-        Packet done = std::move(*txPacket_);
-        txPacket_.reset();
-        done.arrivalLink = linkId_;
-        if (degradeDropProb_ > 0.0 && faultRng_->chance(degradeDropProb_)) {
-            // Lost on the degraded wire: it burned serialization time but
-            // never reaches the peer.
-            stats_.faultProbDrops++;
-        } else if (remote_) {
-            // Cross-shard link: park the packet in the engine's outbox; it
-            // reaches the peer switch at the next window barrier.
-            done.hops++;
-            remote_(loop_.now(), std::move(done));
-        } else if (peer_ != nullptr) {
-            done.hops++;
-            peer_->deliver(std::move(done));
-        }
-        // Canonical enqueue-before-dequeue: apply all due routings at the
-        // owning switch before this port picks its next packet.
-        if (owner_ != nullptr) owner_->routeDue();
-        tryTransmit();
-    });
+    auto finish = [this] { finishTransmission(); };
+    if (serialization == bw_.serialize(kFullPacketWireBytes)) {
+        txEvent_ = loop_.afterLane(fullLane_, finish);
+    } else if (serialization == bw_.serialize(kHeaderOnlyWireBytes)) {
+        txEvent_ = loop_.afterLane(headerLane_, finish);
+    } else {
+        txEvent_ = loop_.at(txEndsAt_, finish);
+    }
+}
+
+void EgressPort::finishTransmission() {
+    busy_ = false;
+    inFlightBytes_ = 0;
+    txEvent_ = {};
+    Packet done = std::move(*txPacket_);
+    txPacket_.reset();
+    done.arrivalLink = linkId_;
+    if (degradeDropProb_ > 0.0 && faultRng_->chance(degradeDropProb_)) {
+        // Lost on the degraded wire: it burned serialization time but
+        // never reaches the peer.
+        stats_.faultProbDrops++;
+    } else if (remote_) {
+        // Cross-shard link: park the packet in the engine's outbox; it
+        // reaches the peer switch at the next window barrier.
+        done.hops++;
+        remote_(loop_.now(), std::move(done));
+    } else if (peer_ != nullptr) {
+        done.hops++;
+        peer_->deliver(std::move(done));
+    }
+    // Canonical enqueue-before-dequeue: apply all due routings at the
+    // owning switch before this port picks its next packet.
+    if (owner_ != nullptr) owner_->routeDue();
+    tryTransmit();
 }
 
 }  // namespace homa

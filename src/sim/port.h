@@ -156,11 +156,16 @@ public:
 private:
     void tryTransmit();
     void startTransmission(Packet p);
+    void finishTransmission();
     void noteQueueChange();
     void abortTransmission();
 
     EventLoop& loop_;
     Bandwidth bw_;
+    // The loop's lanes for this link's two fixed serialization times: a
+    // full-size data packet and a header-only packet.
+    EventLoop::LaneId fullLane_;
+    EventLoop::LaneId headerLane_;
     std::unique_ptr<Qdisc> qdisc_;
     PacketSink* peer_ = nullptr;
     PacketSource* source_ = nullptr;

@@ -16,14 +16,18 @@ int Switch::addPort(Bandwidth bw, std::unique_ptr<Qdisc> qdisc, PacketSink* peer
 
 void Switch::insertTransit(Time arrival, Packet p) {
     Transit t{arrival + delay_, p.arrivalLink, std::move(p)};
-    // upper_bound keeps equal keys FIFO. Real links serialize, so two
-    // packets can tie on (route, link) only when tests call deliver()
+    auto before = [](const Transit& a, const Transit& b) {
+        return a.route != b.route ? a.route < b.route : a.link < b.link;
+    };
+    // A local arrival almost always sorts last: append without searching.
+    // Otherwise upper_bound keeps equal keys FIFO. Real links serialize, so
+    // two packets can tie on (route, link) only when tests call deliver()
     // directly (link -1); FIFO preserves their scheduling order.
-    auto pos = std::upper_bound(
-        transit_.begin(), transit_.end(), t,
-        [](const Transit& a, const Transit& b) {
-            return a.route != b.route ? a.route < b.route : a.link < b.link;
-        });
+    if (transit_.empty() || !before(t, transit_.back())) {
+        transit_.push_back(std::move(t));
+        return;
+    }
+    auto pos = std::upper_bound(transit_.begin(), transit_.end(), t, before);
     transit_.insert(pos, std::move(t));
 }
 
@@ -33,7 +37,7 @@ void Switch::deliver(Packet p) {
         return;
     }
     insertTransit(loop_.now(), std::move(p));
-    loop_.after(delay_, [this] { routeDue(); });
+    loop_.afterLane(delayLane_, [this] { routeDue(); });
 }
 
 void Switch::injectArrival(Time arrival, Packet p) {

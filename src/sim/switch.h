@@ -37,7 +37,11 @@ public:
     using RouteFn = std::function<int(const Packet&, Rng&)>;
 
     Switch(EventLoop& loop, std::string name, Duration internalDelay, Rng rng)
-        : loop_(loop), name_(std::move(name)), delay_(internalDelay), rng_(rng) {}
+        : loop_(loop),
+          name_(std::move(name)),
+          delay_(internalDelay),
+          delayLane_(loop.fixedDelayLane(internalDelay)),
+          rng_(rng) {}
 
     /// Add an egress port; returns its index. The port's transmission
     /// boundaries flush this switch's routeDue() (enqueue-before-dequeue).
@@ -88,6 +92,7 @@ private:
     EventLoop& loop_;
     std::string name_;
     Duration delay_;
+    EventLoop::LaneId delayLane_;  // local arrivals' routeDue() kicks
     Rng rng_;
     RouteFn route_;
     std::vector<std::unique_ptr<EgressPort>> ports_;

@@ -35,6 +35,8 @@ std::string validateTopoConfig(const NetworkConfig& cfg) {
     if (cfg.oversubscription <= 0 || !std::isfinite(cfg.oversubscription)) {
         return "oversubscription must be a finite ratio > 0";
     }
+    if (cfg.switchDelay < 0) return "switch delay must be >= 0";
+    if (cfg.softwareDelay < 0) return "software delay must be >= 0";
     if (cfg.coreSwitches > 0 && cfg.singleRack()) {
         return "core switches need a multi-rack topology (racks >= 2 "
                "and aggr >= 1)";

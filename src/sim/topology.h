@@ -89,7 +89,8 @@ struct NetworkConfig {
     static NetworkConfig singleRack16();    // §5.1 implementation cluster
 };
 
-/// Structural validation (index ranges, pod divisibility, oversub > 0).
+/// Structural validation (index ranges, pod divisibility, oversub > 0,
+/// non-negative switch and software delays).
 /// Returns "" when valid, else a human-readable reason.
 std::string validateTopoConfig(const NetworkConfig& cfg);
 

@@ -286,6 +286,16 @@ TEST(ParallelDeterminism, SweepSimThreadsComposesByteIdentically) {
     }
 }
 
+// FNV-1a of a full resultFingerprint, for the hard-coded goldens below.
+uint64_t fnv1a(const std::string& s) {
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 // ------------------------------------------------------ fault goldens
 
 ExperimentConfig faultConfig(Protocol kind, const std::string& faultBody,
@@ -326,19 +336,27 @@ TEST(FaultDeterminism, SerialEqualsParallelUnderFaults) {
     // The fault layer composes with the parallel engine: every primitive
     // action lands on its owning shard's loop before the run starts, so a
     // faulted sharded run is byte-identical to the serial one — including
-    // the drop-by-cause counters in the fingerprint.
+    // the drop-by-cause counters in the fingerprint. The serial bytes are
+    // pinned too (captured before the event loop's fixed-delay lanes): the
+    // flaps and the kill cancel packets mid-serialization, and the degrade
+    // stretches serialization to times no healthy link uses.
     struct Case {
         Protocol kind;
         const char* body;
         bool ecmp;
+        bool killsOnWire;
+        uint64_t hash;
+        size_t length;
     };
     const Case cases[] = {
-        {Protocol::Homa, "flap=aggr0,at=500us,for=200us", false},
+        {Protocol::Homa, "flap=aggr0,at=500us,for=200us", false, true,
+         0x4e733dda9d80d8d4ull, 1852},
         {Protocol::PFabric, "degrade=aggr1,at=200us,for=1ms,bw=0.5,drop=0.02",
-         false},
-        {Protocol::Ndp, "kill=aggr0,at=400us", true},
+         false, false, 0xd09ec2a5e60f53f4ull, 1770},
+        {Protocol::Ndp, "kill=aggr0,at=400us", true, true,
+         0xf8fd4da4778b6183ull, 1770},
         {Protocol::Basic, "flap-train=tor1,at=100us,count=4,gap=250us,for=60us",
-         false},
+         false, true, 0xf59609c7841a2657ull, 1751},
     };
     for (const Case& c : cases) {
         ExperimentConfig cfg = faultConfig(c.kind, c.body, c.ecmp);
@@ -348,9 +366,14 @@ TEST(FaultDeterminism, SerialEqualsParallelUnderFaults) {
                       serial.faults->degradeEvents,
                   0u)
             << c.body;
+        if (c.killsOnWire) EXPECT_GT(serial.faults->wireDrops, 0u) << c.body;
+        const std::string fp = resultFingerprint(serial);
+        EXPECT_EQ(fnv1a(fp), c.hash)
+            << c.body << std::hex << " hash 0x" << fnv1a(fp) << std::dec
+            << " live fingerprint:\n" << fp;
+        EXPECT_EQ(fp.size(), c.length) << c.body;
         cfg.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(serial),
-                  resultFingerprint(runExperiment(cfg)))
+        EXPECT_EQ(fp, resultFingerprint(runExperiment(cfg)))
             << protocolName(c.kind) << " " << c.body;
     }
 }
@@ -540,15 +563,6 @@ TEST(SweepRunner, SeedDerivationIsAPureSpreadFunction) {
 // the hedge-delay percentiles or to which duplicate DATA the Homa
 // receiver drops moves them. On mismatch the test streams the live
 // fingerprint so the diff is inspectable.
-uint64_t fnv1a(const std::string& s) {
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 TEST(ServingDeterminism, HedgedHomaGoldenFingerprint) {
     // Hedge delays come from tenant latency percentiles refreshed every
     // 64 completions, so every hedge timer depends on them.

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -320,6 +325,282 @@ TEST(EventLoopSlab, DestructorReleasesPendingCallables) {
         EXPECT_FALSE(weak.expired());
     }
     EXPECT_TRUE(weak.expired()) << "pending closure destroyed with the loop";
+}
+
+// ------------------------------------------------------ fixed-delay lanes
+
+TEST(EventLoopLane, SameDelaySharesALaneAndNegativeDelayThrows) {
+    EventLoop loop;
+    const EventLoop::LaneId a = loop.fixedDelayLane(250);
+    EXPECT_EQ(loop.fixedDelayLane(250), a);
+    EXPECT_NE(loop.fixedDelayLane(1500), a);
+    EXPECT_NO_THROW(loop.fixedDelayLane(0));
+    EXPECT_THROW(loop.fixedDelayLane(-1), std::invalid_argument);
+    EXPECT_EQ(loop.queuedEntries(), 0u);  // lanes start empty
+}
+
+TEST(EventLoopLane, SameInstantLaneAndHeapEventsRunInSchedulingOrder) {
+    // Both interleavings at one instant: the heap event first, then the
+    // lane event first. Scheduling order decides, not the queue.
+    EventLoop loop;
+    const EventLoop::LaneId lane = loop.fixedDelayLane(10);
+    std::vector<int> order;
+    loop.at(10, [&] { order.push_back(1); });
+    loop.afterLane(lane, [&] { order.push_back(2); });
+    loop.afterLane(lane, [&] { order.push_back(3); });
+    loop.after(10, [&] { order.push_back(4); });
+    loop.at(10, [&] {
+        // At t=10 the lane and the heap both hold t=20 events.
+        loop.afterLane(lane, [&] { order.push_back(6); });
+        loop.at(20, [&] { order.push_back(7); });
+        loop.afterLane(lane, [&] { order.push_back(8); });
+    });
+    loop.at(20, [&] { order.push_back(5); });  // scheduled before 6, 7, 8
+    loop.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(loop.now(), 20);
+}
+
+TEST(EventLoopLane, LaneEventFiresItsDelayAfterScheduling) {
+    EventLoop loop;
+    const EventLoop::LaneId lane = loop.fixedDelayLane(7);
+    std::vector<Time> fired;
+    loop.runUntil(100);
+    loop.afterLane(lane, [&] { fired.push_back(loop.now()); });
+    loop.at(103, [&] {
+        loop.afterLane(lane, [&] { fired.push_back(loop.now()); });
+    });
+    loop.run();
+    EXPECT_EQ(fired, (std::vector<Time>{107, 110}));
+}
+
+TEST(EventLoopLane, CancelledLaneEventNeverRuns) {
+    EventLoop loop;
+    const EventLoop::LaneId lane = loop.fixedDelayLane(5);
+    std::vector<int> order;
+    loop.afterLane(lane, [&] { order.push_back(1); });
+    auto h = loop.afterLane(lane, [&] { order.push_back(2); });
+    loop.afterLane(lane, [&] { order.push_back(3); });
+    EXPECT_EQ(loop.pendingEvents(), 3u);
+    EXPECT_TRUE(loop.pending(h));
+    EXPECT_TRUE(loop.cancel(h));
+    EXPECT_FALSE(loop.pending(h));
+    EXPECT_FALSE(loop.cancel(h));
+    EXPECT_EQ(loop.pendingEvents(), 2u);
+    EXPECT_EQ(loop.run(), 2u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_EQ(loop.queuedEntries(), 0u);
+}
+
+TEST(EventLoopLane, GhostCompactionStaysBoundedUnderLaneChurn) {
+    // Arm and cancel far more lane events than ever run, across two lanes
+    // and the heap: compaction must sweep the lanes too, keeping every
+    // queue bounded by the live population, not the churn volume.
+    EventLoop loop;
+    const EventLoop::LaneId fast = loop.fixedDelayLane(100);
+    const EventLoop::LaneId slow = loop.fixedDelayLane(900);
+    int fired = 0;
+    loop.at(1'000'000, [&] { fired++; });  // one live survivor
+    size_t peak = 0;
+    for (int round = 0; round < 1000; round++) {
+        EventLoop::EventHandle hs[64];
+        for (int i = 0; i < 64; i++) {
+            hs[i] = i % 3 == 0   ? loop.afterLane(fast, [&] { fired++; })
+                    : i % 3 == 1 ? loop.afterLane(slow, [&] { fired++; })
+                                 : loop.after(500 + i, [&] { fired++; });
+        }
+        for (int i = 0; i < 64; i++) EXPECT_TRUE(loop.cancel(hs[i]));
+        peak = std::max(peak, loop.queuedEntries());
+    }
+    EXPECT_EQ(loop.pendingEvents(), 1u);
+    EXPECT_LE(peak, 256u);
+    EXPECT_LE(loop.slabSlots(), 128u);
+    loop.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(loop.executedEvents(), 1u);
+    EXPECT_EQ(loop.queuedEntries(), 0u);
+}
+
+TEST(EventLoopLane, WindowEdgesTreatLaneEventsLikeHeapEvents) {
+    EventLoop loop;
+    const EventLoop::LaneId lane = loop.fixedDelayLane(20);
+    std::vector<int> order;
+    loop.at(20, [&] { order.push_back(1); });
+    auto ghost = loop.at(5, [&] { order.push_back(-1); });
+    loop.afterLane(lane, [&] { order.push_back(2); });  // t = 20
+    EXPECT_TRUE(loop.cancel(ghost));
+    EXPECT_EQ(loop.nextEventTime(), 20);
+
+    // runBefore excludes the boundary instant for both queues.
+    loop.runBefore(20);
+    EXPECT_TRUE(order.empty());
+    EXPECT_EQ(loop.now(), 20);
+    EXPECT_EQ(loop.nextEventTime(), 20);
+
+    // A lane ghost at the front must not masquerade as the next event.
+    auto laneGhost = loop.afterLane(lane, [&] { order.push_back(-2); });  // 40
+    loop.at(45, [&] { order.push_back(4); });
+    loop.runUntil(20);  // runUntil includes the boundary instant
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(loop.nextEventTime(), 40);
+    EXPECT_TRUE(loop.cancel(laneGhost));
+    EXPECT_EQ(loop.nextEventTime(), 45);
+    loop.afterLane(lane, [&] { order.push_back(3); });  // t = 40 again
+    EXPECT_EQ(loop.nextEventTime(), 40);
+    loop.runBefore(40);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    loop.runUntil(44);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(loop.now(), 44);
+    loop.runBefore(46);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(loop.nextEventTime(), EventLoop::kNoEvent);
+}
+
+// Seeded property test: random mixes of at/after/afterLane over four lanes,
+// cancels (of pending, run and already-cancelled handles), churn bursts
+// that force compaction, and runUntil/runBefore/runOne steps, with
+// callbacks that schedule and cancel more events. A reference model keeps
+// every pending event keyed by (time, scheduling order); each event that
+// fires must be the model's minimum at that moment, and every query must
+// agree with the model.
+class LaneMixModel {
+public:
+    explicit LaneMixModel(uint64_t seed) : rng_(seed) {
+        for (Duration d : {Duration{0}, Duration{7}, Duration{25}, Duration{250}}) {
+            lanes_.push_back(loop_.fixedDelayLane(d));
+            delays_.push_back(d);
+        }
+    }
+
+    void step() {
+        const int op = pick(100);
+        if (op < 50) {
+            schedule();
+        } else if (op < 62) {
+            cancelOne();
+        } else if (op < 64) {
+            churn();
+        } else if (op < 78) {
+            const Time t = loop_.now() + pick(300);
+            const Time before = loop_.now();
+            loop_.runUntil(t);
+            EXPECT_TRUE(pending_.empty() || std::get<0>(*pending_.begin()) > t);
+            EXPECT_EQ(loop_.now(), std::max(before, t));
+        } else if (op < 92) {
+            const Time t = loop_.now() + pick(300) - 20;  // sometimes past
+            const Time before = loop_.now();
+            loop_.runBefore(t);
+            EXPECT_TRUE(pending_.empty() || std::get<0>(*pending_.begin()) >= t);
+            EXPECT_EQ(loop_.now(), std::max(before, t));
+        } else {
+            const bool any = !pending_.empty();  // runOne() changes pending_
+            EXPECT_EQ(loop_.runOne(), any);
+        }
+        check();
+    }
+
+    void finish() {
+        loop_.run();
+        EXPECT_TRUE(pending_.empty());
+        check();
+    }
+
+    size_t fired() const { return fired_; }
+
+private:
+    using Key = std::tuple<Time, uint64_t, int>;  // (time, seq, id)
+
+    int pick(int n) { return static_cast<int>(rng_() % static_cast<uint64_t>(n)); }
+
+    void check() {
+        EXPECT_EQ(loop_.pendingEvents(), pending_.size());
+        EXPECT_EQ(loop_.nextEventTime(), pending_.empty()
+                                             ? EventLoop::kNoEvent
+                                             : std::get<0>(*pending_.begin()));
+    }
+
+    void schedule() {
+        const int id = static_cast<int>(keys_.size());
+        auto fn = [this, id] { fire(id); };
+        Time t;
+        EventLoop::EventHandle h;
+        const int how = pick(6);
+        if (how == 0) {
+            const Time want = loop_.now() + pick(400) - 50;  // may clamp
+            t = std::max(want, loop_.now());
+            h = loop_.at(want, fn);
+        } else if (how == 1) {
+            const Duration d = pick(400);
+            t = loop_.now() + d;
+            h = loop_.after(d, fn);
+        } else {
+            const int l = pick(static_cast<int>(lanes_.size()));
+            t = loop_.now() + delays_[l];
+            h = loop_.afterLane(lanes_[l], fn);
+        }
+        const Key k{t, seq_++, id};
+        keys_.push_back(k);
+        handles_.push_back(h);
+        pending_.insert(k);
+    }
+
+    void cancelOne() {
+        if (keys_.empty()) return;
+        const int id = pick(static_cast<int>(keys_.size()));
+        const bool wasPending = pending_.erase(keys_[id]) == 1;
+        EXPECT_EQ(loop_.cancel(handles_[id]), wasPending) << "id " << id;
+    }
+
+    // Enough cancelled lane events to outnumber the live ones.
+    void churn() {
+        const size_t first = keys_.size();
+        const int n = 70 + pick(60);
+        for (int i = 0; i < n; i++) schedule();
+        for (size_t id = first; id < keys_.size(); id++) {
+            if (pick(8) == 0) continue;  // a few survive the burst
+            const bool wasPending = pending_.erase(keys_[id]) == 1;
+            EXPECT_EQ(loop_.cancel(handles_[id]), wasPending);
+        }
+    }
+
+    void fire(int id) {
+        ASSERT_FALSE(pending_.empty()) << "id " << id << " fired";
+        const Key first = *pending_.begin();
+        EXPECT_EQ(std::get<2>(first), id) << "at t=" << loop_.now();
+        EXPECT_EQ(std::get<0>(first), loop_.now());
+        EXPECT_EQ(pending_.erase(keys_[id]), 1u) << "id " << id;
+        fired_++;
+        // Callbacks schedule and cancel too, as transports do.
+        const int more = pick(10);
+        if (more < 3) schedule();
+        if (more == 0) schedule();
+        if (more == 9) cancelOne();
+    }
+
+    EventLoop loop_;
+    std::mt19937_64 rng_;
+    std::vector<EventLoop::LaneId> lanes_;
+    std::vector<Duration> delays_;
+    std::vector<Key> keys_;  // by id
+    std::vector<EventLoop::EventHandle> handles_;
+    std::set<Key> pending_;
+    uint64_t seq_ = 0;
+    size_t fired_ = 0;
+};
+
+TEST(EventLoopLane, RandomMixFiresInReferenceOrder) {
+    size_t fired = 0;
+    for (uint64_t seed = 1; seed <= 24; seed++) {
+        LaneMixModel model(seed);
+        for (int i = 0; i < 1500 && !::testing::Test::HasFailure(); i++) {
+            model.step();
+        }
+        model.finish();
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+        fired += model.fired();
+    }
+    EXPECT_GT(fired, 10'000u);  // the mix really runs events
 }
 
 TEST(Timer, FiresAfterDelay) {

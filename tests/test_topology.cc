@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -401,6 +402,61 @@ TEST(TopologyClamp, TopoSpecRejectsInvalidShapes) {
     EXPECT_EQ(cfg.coreSwitches, 0);
 }
 
+TEST(TopologyClamp, NetworkConstructorThrowsOnInvalidConfigs) {
+    // A library caller that skips parseTopoSpec gets the same validation,
+    // as an exception that survives -DNDEBUG builds. The transport factory
+    // comes from a valid config: only the constructor is under test.
+    const TransportFactory factory = HomaTransport::factory(
+        {}, NetworkConfig::fatTree144(), &workload(WorkloadId::W3));
+    auto build = [&factory](const NetworkConfig& cfg) { Network net(cfg, factory); };
+    auto with = [](auto edit) {
+        NetworkConfig cfg = NetworkConfig::fatTree144();
+        cfg.racks = 8;  // divisible into the default two pods
+        edit(cfg);
+        return cfg;
+    };
+    EXPECT_NO_THROW(build(with([](NetworkConfig&) {})));
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.racks = 0; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.hostsPerRack = 0; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.aggrSwitches = -1; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.coreSwitches = -1; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.oversubscription = 0; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) {
+                     c.racks = 1;
+                     c.coreSwitches = 2;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) {
+                     c.coreSwitches = 2;
+                     c.podCount = 0;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) {
+                     c.coreSwitches = 2;
+                     c.podCount = 16;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) {
+                     c.coreSwitches = 2;
+                     c.podCount = 3;
+                 })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.switchDelay = -1; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) { c.softwareDelay = -1; })),
+                 std::invalid_argument);
+    try {
+        build(with([](NetworkConfig& c) { c.switchDelay = -1; }));
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), "Network: switch delay must be >= 0");
+    }
+}
+
 // --------------------------------------------------- replay goldens
 //
 // FNV-1a of the full resultFingerprint, captured on the pre-core-layer
@@ -428,14 +484,22 @@ TEST(TopologyDeterminism, TwoTierGoldenFingerprintsUnchanged) {
         {Protocol::PFabric, WorkloadId::W3, 0x91c59c26a2d7c7b4ull, 1635},
         {Protocol::Homa, WorkloadId::W2, 0x7832e2b8da2c777full, 1718},
         {Protocol::Homa, WorkloadId::W4, 0xf9a675df2b776ca1ull, 1640},
+        // Every other transport at W3, captured before the event loop's
+        // fixed-delay lanes: each one's hop and timer mix differs.
+        {Protocol::Basic, WorkloadId::W3, 0xa016ea10bef01b86ull, 1617},
+        {Protocol::PHost, WorkloadId::W3, 0xfc0fa2d165f7171cull, 1636},
+        {Protocol::Pias, WorkloadId::W3, 0x8464195f8ee8466dull, 1692},
+        {Protocol::Ndp, WorkloadId::W3, 0x66e794ebb3dc9a7dull, 1634},
+        {Protocol::StreamSC, WorkloadId::W3, 0xde29e600459e88d8ull, 1623},
+        {Protocol::StreamMC, WorkloadId::W3, 0x35936bfb07547e8full, 1622},
     };
     for (const Golden& g : goldens) {
         ExperimentConfig cfg = smallConfig(g.wl, 0.8, g.proto);
         cfg.traffic.seed = 99;
         const std::string fp = resultFingerprint(runExperiment(cfg));
         EXPECT_EQ(fnv1a(fp), g.hash)
-            << protocolName(g.proto) << " live fingerprint:\n"
-            << fp;
+            << protocolName(g.proto) << std::hex << " hash 0x" << fnv1a(fp)
+            << std::dec << " live fingerprint:\n" << fp;
         EXPECT_EQ(fp.size(), g.length) << protocolName(g.proto);
     }
 }
@@ -449,12 +513,31 @@ ExperimentConfig threeTierConfig(WorkloadId wl, double load,
 }
 
 TEST(TopologyDeterminism, ThreeTierRunsReplayByteIdentically) {
-    for (Protocol kind : {Protocol::Homa, Protocol::PFabric}) {
+    // Pinned bytes too, captured before the event loop's fixed-delay
+    // lanes: three link speeds (host, TOR<->aggr, oversubscribed
+    // aggr<->core) mean more distinct serialization times than on the
+    // two-tier goldens above.
+    struct Golden {
+        Protocol kind;
+        uint64_t hash;
+        size_t length;
+    };
+    const Golden goldens[] = {
+        {Protocol::Homa, 0xa40a085187efae48ull, 1884},
+        {Protocol::PFabric, 0x0dc988ecfad2332full, 1802},
+    };
+    for (const Golden& g : goldens) {
+        const Protocol kind = g.kind;
         const ExperimentConfig cfg = threeTierConfig(WorkloadId::W2, 0.6, kind);
         const ExperimentResult a = runExperiment(cfg);
         EXPECT_GT(a.delivered, 0u) << protocolName(kind);
         EXPECT_EQ(a.coreSwitches, 2) << protocolName(kind);
-        EXPECT_EQ(resultFingerprint(a), resultFingerprint(runExperiment(cfg)))
+        const std::string fp = resultFingerprint(a);
+        EXPECT_EQ(fnv1a(fp), g.hash)
+            << protocolName(kind) << std::hex << " hash 0x" << fnv1a(fp)
+            << std::dec << " live fingerprint:\n" << fp;
+        EXPECT_EQ(fp.size(), g.length) << protocolName(kind);
+        EXPECT_EQ(fp, resultFingerprint(runExperiment(cfg)))
             << protocolName(kind);
         ExperimentConfig reseeded = cfg;
         reseeded.traffic.seed = cfg.traffic.seed + 1;
