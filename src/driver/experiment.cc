@@ -1,9 +1,9 @@
 #include "driver/experiment.h"
 
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 namespace homa {
 
@@ -165,10 +165,9 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         // Serving scenarios run through runRpcExperiment; silently running
         // the uniform placeholder pattern here would measure nothing the
         // spec asked for.
-        std::fprintf(stderr,
-                     "runExperiment: serving scenarios (tenants) must run "
-                     "through runRpcExperiment\n");
-        std::abort();
+        throw std::invalid_argument(
+            "runExperiment: serving scenarios (tenants) must run through "
+            "runRpcExperiment");
     }
     const SizeDistribution& dist = workload(cfg.traffic.workload);
 
@@ -176,13 +175,13 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     if (!cfg.traffic.scenario.topoSpec.empty()) {
         // Scenario-carried topology ("topo:..." modifier), applied over the
         // configured base. The spec was validated at parse time; a failure
-        // here means the base config fought the spec — abort loudly rather
-        // than run the wrong topology.
+        // here means the base config fought the spec (or the spec was set
+        // directly) — refuse rather than run the wrong topology.
         std::string terr;
         if (!parseTopoSpec(cfg.traffic.scenario.topoSpec, netCfg, &terr)) {
-            std::fprintf(stderr, "runExperiment: bad topo spec '%s': %s\n",
-                         cfg.traffic.scenario.topoSpec.c_str(), terr.c_str());
-            std::abort();
+            throw std::invalid_argument("runExperiment: bad topo spec '" +
+                                        cfg.traffic.scenario.topoSpec +
+                                        "': " + terr);
         }
     }
     if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
@@ -195,10 +194,9 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         // Fluid flows bypass the switches faults act on; a hybrid fault
         // run would silently break conservation. The spec parser rejects
         // the combination too — reaching here means API-level misuse.
-        std::fprintf(stderr,
-                     "runExperiment: fluidThresholdBytes does not compose "
-                     "with fault injection\n");
-        std::abort();
+        throw std::invalid_argument(
+            "runExperiment: fluidThresholdBytes does not compose with fault "
+            "injection");
     }
 
     Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &dist),

@@ -77,7 +77,7 @@ struct ExperimentConfig {
     /// everything fluid, -1 (default) disables the engine entirely. A
     /// scenario "fluid:" modifier overrides this. Fluid runs are serial
     /// (any `parallel.threads` yields byte-identical results) and do not
-    /// compose with fault injection (runExperiment aborts).
+    /// compose with fault injection (runExperiment throws).
     int64_t fluidThresholdBytes = -1;
 };
 
@@ -138,6 +138,9 @@ struct ExperimentResult {
     bool keptUp = false;
 };
 
+/// Throws std::invalid_argument on caller misuse: a serving scenario
+/// (those run through runRpcExperiment), a `topoSpec` that does not apply,
+/// or a fluid threshold combined with fault injection.
 ExperimentResult runExperiment(const ExperimentConfig& cfg);
 
 /// Per-edge unloaded cost for DAG tree slowdown: Oracle::bestOneWay with

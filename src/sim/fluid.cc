@@ -53,25 +53,23 @@ FluidEngine::FluidEngine(EventLoop& loop, const NetworkConfig& net,
     // Host NIC up/down links first. The trunk blocks only exist on
     // topologies that have the corresponding tier: intra-rack flows cross
     // two links, cross-rack four, cross-pod six.
-    capacity_.assign(static_cast<size_t>(2 * n), 0.0);
-    const double hostCap = share * bytesPerPs(net.hostLink);
-    for (int h = 0; h < 2 * n; h++) capacity_[static_cast<size_t>(h)] = hostCap;
-
+    std::vector<double> capacity(static_cast<size_t>(2 * n),
+                                 share * bytesPerPs(net.hostLink));
     if (!net.singleRack()) {
-        rackBase_ = static_cast<int>(capacity_.size());
+        rackBase_ = static_cast<int>(capacity.size());
         // Packet spraying spreads a rack's cross-rack traffic evenly over
         // its uplinks, so the whole uplink stage behaves like one pooled
         // trunk of aggrSwitches x coreLink (same pool downward).
         const double rackCap =
             share * static_cast<double>(net.aggrSwitches) *
             bytesPerPs(net.coreLink);
-        capacity_.insert(capacity_.end(), static_cast<size_t>(2 * net.racks),
-                         rackCap);
+        capacity.insert(capacity.end(), static_cast<size_t>(2 * net.racks),
+                        rackCap);
     } else {
         rackBase_ = -1;
     }
     if (net.threeTier()) {
-        podBase_ = static_cast<int>(capacity_.size());
+        podBase_ = static_cast<int>(capacity.size());
         // Each pod's aggrs together run aggrSwitches x coreSwitches
         // uplinks at the oversubscribed aggr<->core bandwidth — the trunk
         // where cross-pod fluid flows contend, exactly like cross-pod
@@ -80,18 +78,27 @@ FluidEngine::FluidEngine(EventLoop& loop, const NetworkConfig& net,
             share * static_cast<double>(net.aggrSwitches) *
             static_cast<double>(net.coreSwitches) *
             bytesPerPs(net.aggrCoreLink());
-        capacity_.insert(capacity_.end(), static_cast<size_t>(2 * net.pods()),
-                         podCap);
+        capacity.insert(capacity.end(), static_cast<size_t>(2 * net.pods()),
+                        podCap);
     } else {
         podBase_ = -1;
     }
-    alloc_.assign(capacity_.size(), 0.0);
-    active_.assign(capacity_.size(), 0);
+    // Classes are keyed by capacity group (links of equal capacity) and
+    // flow count.
+    std::vector<double> groups;
+    links_.resize(capacity.size());
+    for (size_t l = 0; l < capacity.size(); l++) {
+        const auto g = std::find(groups.begin(), groups.end(), capacity[l]);
+        links_[l].capacity = capacity[l];
+        links_[l].group = static_cast<int>(g - groups.begin());
+        if (g == groups.end()) groups.push_back(capacity[l]);
+    }
+    classAt_.resize(groups.size());
 }
 
 void FluidEngine::addLinksFor(Flow& f) const {
-    const int hosts = rackBase_ >= 0 ? rackBase_ / 2
-                                     : static_cast<int>(capacity_.size()) / 2;
+    const int links = static_cast<int>(links_.size());
+    const int hosts = rackBase_ >= 0 ? rackBase_ / 2 : links / 2;
     const int srcRack = f.msg.src / hostsPerRack_;
     const int dstRack = f.msg.dst / hostsPerRack_;
     f.nLinks = 0;
@@ -99,113 +106,209 @@ void FluidEngine::addLinksFor(Flow& f) const {
     f.links[f.nLinks++] = hosts + f.msg.dst;  // host downlink
     f.intraRack = srcRack == dstRack;
     if (f.intraRack || rackBase_ < 0) return;
-    const int racks = (podBase_ >= 0 ? podBase_ - rackBase_
-                                     : static_cast<int>(capacity_.size()) -
-                                           rackBase_) /
-                      2;
+    const int racks = ((podBase_ >= 0 ? podBase_ : links) - rackBase_) / 2;
     f.links[f.nLinks++] = rackBase_ + srcRack;          // rack uplink trunk
     f.links[f.nLinks++] = rackBase_ + racks + dstRack;  // rack downlink trunk
     if (podBase_ < 0) return;
     const int srcPod = srcRack / podRacks_;
     const int dstPod = dstRack / podRacks_;
     if (srcPod == dstPod) return;
-    const int pods = (static_cast<int>(capacity_.size()) - podBase_) / 2;
+    const int pods = (links - podBase_) / 2;
     f.links[f.nLinks++] = podBase_ + srcPod;         // pod->core trunk
     f.links[f.nLinks++] = podBase_ + pods + dstPod;  // core->pod trunk
 }
 
-void FluidEngine::solveRates() {
-    if (flows_.empty()) return;
-    solves_++;
-    // alloc_ and active_ are all-zero on entry; collect the links this
-    // flow set touches while counting the flows on each.
-    links_.clear();
-    for (Flow& f : flows_) {
-        f.rate = 0;
-        for (int k = 0; k < f.nLinks; k++) {
-            if (active_[f.links[k]]++ == 0) links_.push_back(f.links[k]);
+void FluidEngine::attach(int slot) {
+    const Flow& f = slots_[slot];
+    for (int k = 0; k < f.nLinks; k++) {
+        Link& link = links_[f.links[k]];
+        const int node = slot * kMaxHops + k;
+        hopPrev_[node] = -1;
+        hopNext_[node] = link.head;
+        if (link.head >= 0) hopPrev_[link.head] = node;
+        link.head = node;
+        changeFlowCount(f.links[k], +1);
+    }
+}
+
+void FluidEngine::detach(int slot) {
+    const Flow& f = slots_[slot];
+    for (int k = 0; k < f.nLinks; k++) {
+        Link& link = links_[f.links[k]];
+        const int node = slot * kMaxHops + k;
+        const int prev = hopPrev_[node];
+        const int next = hopNext_[node];
+        if (prev >= 0) {
+            hopNext_[prev] = next;
+        } else {
+            link.head = next;
+        }
+        if (next >= 0) hopPrev_[next] = prev;
+        changeFlowCount(f.links[k], -1);
+    }
+}
+
+void FluidEngine::changeFlowCount(int l, int delta) {
+    Link& link = links_[l];
+    if (link.cls >= 0) {
+        LinkClass& c = classes_[link.cls];
+        const int last = c.members.back();
+        c.members[link.classPos] = last;
+        links_[last].classPos = link.classPos;
+        c.members.pop_back();
+        if (c.members.empty()) {
+            const int moved = nonempty_.back();
+            nonempty_[c.listed] = moved;
+            classes_[moved].listed = c.listed;
+            nonempty_.pop_back();
+            c.listed = -1;
         }
     }
-    unfrozen_.resize(flows_.size());
-    for (size_t i = 0; i < flows_.size(); i++) unfrozen_[i] = i;
-    // Progressive filling: all unfrozen flows grow at the same rate until
-    // some link saturates; flows crossing a saturated link freeze at their
-    // current rate; repeat on the rest. Each round costs O(active links +
-    // unfrozen flows x hops). The rates are a pure function of the flow
-    // set: the min over link rooms does not depend on scan order, each
-    // link's alloc_ receives the same `inc` additions in admission order
-    // (unfrozen_ stays in admission order as it compacts), and freezing
-    // reads only alloc_, which the freeze pass does not write.
-    // Each round freezes at least one flow, so flows_.size() bounds the
-    // rounds; the +1 margin tolerates a no-progress epsilon round.
-    for (size_t round = 0; !unfrozen_.empty() && round <= flows_.size();
-         round++) {
+    link.flows += delta;
+    link.cls = -1;
+    if (link.flows == 0) return;
+    std::vector<int>& byCount = classAt_[link.group];
+    if (byCount.size() <= static_cast<size_t>(link.flows)) {
+        byCount.resize(static_cast<size_t>(link.flows) + 1, -1);
+    }
+    int& id = byCount[link.flows];
+    if (id < 0) {
+        id = static_cast<int>(classes_.size());
+        LinkClass fresh;
+        fresh.capacity = link.capacity;
+        fresh.flows = link.flows;
+        classes_.push_back(std::move(fresh));
+    }
+    LinkClass& c = classes_[id];
+    if (c.members.empty()) {
+        c.listed = static_cast<int>(nonempty_.size());
+        nonempty_.push_back(id);
+    }
+    link.cls = id;
+    link.classPos = static_cast<int>(c.members.size());
+    c.members.push_back(l);
+}
+
+void FluidEngine::freezeFlowsOn(int l, double rate) {
+    for (int node = links_[l].head; node >= 0; node = hopNext_[node]) {
+        const int slot = node / kMaxHops;
+        uint64_t& frozen = frozen_[slot];
+        if (frozen == solveStamp_) continue;
+        frozen = solveStamp_;
+        slots_[slot].rate = rate;
+        frozenNow_.push_back(slot);
+    }
+}
+
+void FluidEngine::solveRates() {
+    if (order_.empty()) return;
+    solves_++;
+    const uint64_t stamp = ++solveStamp_;
+    for (int id : nonempty_) {
+        LinkClass& c = classes_[id];
+        c.alloc = 0;
+        c.untouched = static_cast<int>(c.members.size());
+    }
+    touched_.clear();
+    // Progressive filling over link classes (see the header comment): all
+    // unfrozen flows grow at the same rate until some link saturates;
+    // flows crossing a saturated link freeze at their current rate; repeat
+    // on the rest. `rate` is every unfrozen flow's running sum of
+    // increments. An untouched link's allocation is its class's; a touched
+    // one (stamp == this solve) keeps its own. Each round freezes at least
+    // one flow, so the flow count bounds the rounds; the +1 margin
+    // tolerates a no-progress epsilon round.
+    size_t unfrozen = order_.size();
+    double rate = 0;
+    for (size_t round = 0; unfrozen > 0 && round <= order_.size(); round++) {
         double inc = std::numeric_limits<double>::infinity();
-        for (int l : links_) {
-            const double room = (capacity_[l] - alloc_[l]) /
-                                static_cast<double>(active_[l]);
+        for (int id : nonempty_) {
+            const LinkClass& c = classes_[id];
+            if (c.untouched == 0) continue;
+            const double room =
+                (c.capacity - c.alloc) / static_cast<double>(c.flows);
+            if (room < inc) inc = room;
+        }
+        for (int l : touched_) {
+            const Link& link = links_[l];
+            const double room =
+                (link.capacity - link.alloc) / static_cast<double>(link.active);
             if (room < inc) inc = room;
         }
         if (!std::isfinite(inc) || inc < 0) inc = 0;
-        for (size_t i : unfrozen_) {
-            Flow& f = flows_[i];
-            f.rate += inc;
-            for (int k = 0; k < f.nLinks; k++) alloc_[f.links[k]] += inc;
-        }
-        size_t kept = 0;
-        for (size_t i : unfrozen_) {
-            const Flow& f = flows_[i];
-            bool saturated = false;
-            for (int k = 0; k < f.nLinks && !saturated; k++) {
-                const int l = f.links[k];
-                saturated = capacity_[l] - alloc_[l] <=
-                            kSaturationEps * capacity_[l];
-            }
-            if (!saturated) {
-                unfrozen_[kept++] = i;
-                continue;
-            }
-            for (int k = 0; k < f.nLinks; k++) active_[f.links[k]]--;
-        }
-        if (kept == unfrozen_.size()) break;  // fp corner: accept rates
-        unfrozen_.resize(kept);
-        // Drop the links no unfrozen flow crosses any more. Nothing adds
-        // to their alloc_ for the rest of the solve, so zero it now.
-        size_t live = 0;
-        for (int l : links_) {
-            if (active_[l] > 0) {
-                links_[live++] = l;
-            } else {
-                alloc_[l] = 0;
+        rate += inc;
+        // Grow every allocation by one increment per unfrozen flow, then
+        // freeze the flows of the saturated links. Freezing writes no link
+        // state, so every test reads this round's allocations.
+        frozenNow_.clear();
+        for (int id : nonempty_) {
+            LinkClass& c = classes_[id];
+            if (c.untouched == 0) continue;
+            for (int k = 0; k < c.flows; k++) c.alloc += inc;
+            if (c.capacity - c.alloc > kSaturationEps * c.capacity) continue;
+            for (int l : c.members) {
+                if (links_[l].stamp != stamp) freezeFlowsOn(l, rate);
             }
         }
-        links_.resize(live);
+        for (int l : touched_) {
+            Link& link = links_[l];
+            for (int k = 0; k < link.active; k++) link.alloc += inc;
+            if (link.capacity - link.alloc <= kSaturationEps * link.capacity) {
+                freezeFlowsOn(l, rate);
+            }
+        }
+        if (frozenNow_.empty()) break;  // fp corner: accept rates
+        unfrozen -= frozenNow_.size();
+        if (unfrozen == 0) break;  // every flow froze: no later round
+        // A link leaves its class when its first flow freezes, carrying
+        // the class's allocation and its own unfrozen count from there on.
+        for (int slot : frozenNow_) {
+            const Flow& f = slots_[slot];
+            for (int k = 0; k < f.nLinks; k++) {
+                Link& link = links_[f.links[k]];
+                if (link.stamp != stamp) {
+                    LinkClass& c = classes_[link.cls];
+                    link.stamp = stamp;
+                    link.alloc = c.alloc;
+                    link.active = link.flows;
+                    c.untouched--;
+                    touched_.push_back(f.links[k]);
+                }
+                link.active--;
+            }
+        }
+        // Links no unfrozen flow crosses any more take no further part.
+        std::erase_if(touched_,
+                      [this](int l) { return links_[l].active == 0; });
     }
-    for (int l : links_) {
-        alloc_[l] = 0;
-        active_[l] = 0;
+    if (unfrozen == 0) return;
+    for (int slot : order_) {
+        if (frozen_[slot] != stamp) slots_[slot].rate = rate;
     }
 }
 
 void FluidEngine::advanceAndComplete(Time now) {
     const double dt = static_cast<double>(now - lastSolve_);
     if (dt > 0) {
-        for (Flow& f : flows_) f.remaining -= f.rate * dt;
+        for (int slot : order_) {
+            Flow& f = slots_[slot];
+            f.remaining -= f.rate * dt;
+        }
     }
     lastSolve_ = now;
     size_t w = 0;
-    for (size_t i = 0; i < flows_.size(); i++) {
-        if (flows_[i].remaining <= kDoneBytesEps) {
-            completeFlow(std::move(flows_[i]), now);
+    for (int slot : order_) {
+        if (slots_[slot].remaining <= kDoneBytesEps) {
+            completeFlow(slot, now);
         } else {
-            if (w != i) flows_[w] = std::move(flows_[i]);
-            w++;
+            order_[w++] = slot;
         }
     }
-    flows_.resize(w);
+    order_.resize(w);
 }
 
-void FluidEngine::completeFlow(Flow f, Time at) {
+void FluidEngine::completeFlow(int slot, Time at) {
+    const Flow& f = slots_[slot];
     deliveredWireBytes_ += static_cast<int64_t>(f.wire);
     const Time deliverAt = at + f.tail;
     const double best = static_cast<double>(
@@ -223,14 +326,17 @@ void FluidEngine::completeFlow(Flow f, Time at) {
         info.packetsReceived = packets;
         if (deliver_) deliver_(m, info);
     });
+    detach(slot);
+    freeSlots_.push_back(slot);
 }
 
 void FluidEngine::armNextCompletion() {
     loop_.cancel(next_);
     next_ = EventLoop::EventHandle{};
-    if (flows_.empty()) return;
+    if (order_.empty()) return;
     double soonest = std::numeric_limits<double>::infinity();
-    for (const Flow& f : flows_) {
+    for (int slot : order_) {
+        const Flow& f = slots_[slot];
         if (f.rate > 0) soonest = std::min(soonest, f.remaining / f.rate);
     }
     if (!std::isfinite(soonest)) return;  // every flow stalled (cap == 0)
@@ -261,8 +367,7 @@ bool FluidEngine::offer(const Message& m) {
     // software delay). An uncontended flow transfers at NIC rate, so its
     // completion lands exactly on the oracle's best one-way time.
     const Duration serialization = static_cast<Duration>(
-        std::llround(f.wire / std::max(capacity_[static_cast<size_t>(m.src)],
-                                       1e-12)));
+        std::llround(f.wire / std::max(links_[m.src].capacity, 1e-12)));
     f.tail = std::max<Duration>(
         0, cfg_.bestOneWay(m.length, f.intraRack) - serialization);
 
@@ -271,11 +376,35 @@ bool FluidEngine::offer(const Message& m) {
     wireBytes_ += static_cast<int64_t>(f.wire);
 
     advanceAndComplete(loop_.now());
-    flows_.push_back(f);
-    maxConcurrent_ = std::max<uint64_t>(maxConcurrent_, flows_.size());
+    int slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<int>(slots_.size());
+        slots_.push_back(f);
+        frozen_.push_back(0);
+        hopNext_.resize(slots_.size() * kMaxHops);
+        hopPrev_.resize(slots_.size() * kMaxHops);
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = f;
+    }
+    order_.push_back(slot);
+    attach(slot);
+    maxConcurrent_ = std::max<uint64_t>(maxConcurrent_, order_.size());
     solveRates();
     armNextCompletion();
     return true;
+}
+
+FluidEngine::SolverState FluidEngine::solverState() const {
+    SolverState s;
+    for (const Link& link : links_) s.capacity.push_back(link.capacity);
+    for (int slot : order_) {
+        const Flow& f = slots_[slot];
+        s.flowLinks.emplace_back(f.links, f.links + f.nLinks);
+        s.rates.push_back(f.rate);
+    }
+    return s;
 }
 
 FluidStats FluidEngine::stats() const {

@@ -366,7 +366,9 @@ TEST(FaultDeterminism, SerialEqualsParallelUnderFaults) {
                       serial.faults->degradeEvents,
                   0u)
             << c.body;
-        if (c.killsOnWire) EXPECT_GT(serial.faults->wireDrops, 0u) << c.body;
+        if (c.killsOnWire) {
+            EXPECT_GT(serial.faults->wireDrops, 0u) << c.body;
+        }
         const std::string fp = resultFingerprint(serial);
         EXPECT_EQ(fnv1a(fp), c.hash)
             << c.body << std::hex << " hash 0x" << fnv1a(fp) << std::dec

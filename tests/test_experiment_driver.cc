@@ -2,6 +2,8 @@
 // measurement windows, utilization accounting, overload detection.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "driver/experiment.h"
 #include "driver/rpc_experiment.h"
 
@@ -228,6 +230,22 @@ TEST(ExperimentDriver, GenerousBuffersAbsorbTheSameIncast) {
     ExperimentResult r = runExperiment(cfg);
     EXPECT_EQ(r.switchDrops, 0u);
     EXPECT_EQ(r.switchTrims, 0u);
+}
+
+TEST(ExperimentDriver, CallerMisuseThrows) {
+    // Serving scenarios belong to runRpcExperiment.
+    ExperimentConfig serving = smallConfig(WorkloadId::W3, 0.5);
+    serving.traffic.scenario.serving.tenants.emplace_back();
+    EXPECT_THROW((void)runExperiment(serving), std::invalid_argument);
+    // A topo spec set directly on the config bypasses parse-time checks.
+    ExperimentConfig badTopo = smallConfig(WorkloadId::W3, 0.5);
+    badTopo.traffic.scenario.topoSpec = "racks=0";
+    EXPECT_THROW((void)runExperiment(badTopo), std::invalid_argument);
+    // Fluid flows bypass the switches faults act on.
+    ExperimentConfig fluidFaults = smallConfig(WorkloadId::W3, 0.5);
+    fluidFaults.fluidThresholdBytes = 20000;
+    fluidFaults.traffic.scenario.faults.emplace_back();
+    EXPECT_THROW((void)runExperiment(fluidFaults), std::invalid_argument);
 }
 
 TEST(FindMaxLoad, DetectsACapForPHost) {

@@ -1,14 +1,18 @@
 // Fluid fast-path tests: engine calibration against the oracle, the
-// FluidFidelity suite (hybrid-vs-packet slowdown percentiles within
-// tolerance, threshold extremes, conservation ledgers), determinism
-// goldens (same-seed replay, thread-count invariance), and the
-// "+fluid:" scenario spec grammar.
+// solver against its pre-link-class reference (bitwise, over random
+// arrivals and departures), the FluidFidelity suite (hybrid-vs-packet
+// slowdown percentiles within tolerance, threshold extremes, conservation
+// ledgers), determinism goldens (same-seed replay, thread-count
+// invariance), and the "+fluid:" scenario spec grammar.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -257,6 +261,138 @@ TEST(FluidEngine, SolverScratchStateResetsBetweenSolves) {
                 0.01 * fifth);
 }
 
+// ---------------------------------------------------- solver reference
+
+// The progressive-filling solver as it read before link classes, kept as
+// a reference over (link capacities, per-flow link lists in admission
+// order): every round rescans every link with unfrozen flows and every
+// unfrozen flow's links.
+std::vector<double> referenceRates(
+    const std::vector<double>& capacity,
+    const std::vector<std::vector<int>>& flowLinks) {
+    constexpr double kSaturationEps = 1e-9;  // as in sim/fluid.cc
+    std::vector<double> rate(flowLinks.size(), 0.0);
+    std::vector<double> alloc(capacity.size(), 0.0);
+    std::vector<int> active(capacity.size(), 0);
+    std::vector<int> links;
+    for (const std::vector<int>& fl : flowLinks) {
+        for (int l : fl) {
+            if (active[l]++ == 0) links.push_back(l);
+        }
+    }
+    std::vector<size_t> unfrozen(flowLinks.size());
+    std::iota(unfrozen.begin(), unfrozen.end(), size_t{0});
+    for (size_t round = 0; !unfrozen.empty() && round <= flowLinks.size();
+         round++) {
+        double inc = std::numeric_limits<double>::infinity();
+        for (int l : links) {
+            const double room =
+                (capacity[l] - alloc[l]) / static_cast<double>(active[l]);
+            if (room < inc) inc = room;
+        }
+        if (!std::isfinite(inc) || inc < 0) inc = 0;
+        for (size_t i : unfrozen) {
+            rate[i] += inc;
+            for (int l : flowLinks[i]) alloc[l] += inc;
+        }
+        size_t kept = 0;
+        for (size_t i : unfrozen) {
+            bool saturated = false;
+            for (size_t k = 0; k < flowLinks[i].size() && !saturated; k++) {
+                const int l = flowLinks[i][k];
+                saturated = capacity[l] - alloc[l] <=
+                            kSaturationEps * capacity[l];
+            }
+            if (!saturated) {
+                unfrozen[kept++] = i;
+                continue;
+            }
+            for (int l : flowLinks[i]) active[l]--;
+        }
+        if (kept == unfrozen.size()) break;  // fp corner: accept rates
+        unfrozen.resize(kept);
+        size_t live = 0;
+        for (int l : links) {
+            if (active[l] > 0) {
+                links[live++] = l;
+            } else {
+                alloc[l] = 0;
+            }
+        }
+        links.resize(live);
+    }
+    return rate;
+}
+
+struct DifferentialCase {
+    const char* topo;  // parseTopoSpec body; nullptr: 144-host fat-tree
+    double reserved;
+    bool incast;  // three in four flows converge on two hot receivers
+};
+
+// Offers 240 seeded random flows over 200 us (log-uniform 1 KB - 2 MB,
+// far more than the NICs drain, so over a hundred overlap and then leave
+// one by one) and, after every event the loop runs — each offer, epoch
+// and delivery — compares every rate with the reference bit for bit.
+void expectRatesMatchReference(const DifferentialCase& c, uint64_t seed) {
+    NetworkConfig net = NetworkConfig::fatTree144();
+    std::string err;
+    if (c.topo != nullptr) {
+        ASSERT_TRUE(parseTopoSpec(c.topo, net, &err)) << err;
+    }
+    EngineFixture f(c.reserved, net);
+    Rng rng(seed);
+    const int hosts = net.hostCount();
+    const HostId hot[2] = {0, static_cast<HostId>(hosts - 1)};
+    for (int i = 0; i < 240; i++) {
+        const Time at = static_cast<Time>(rng.below(200000000));
+        const HostId dst = c.incast && rng.chance(0.75)
+                               ? hot[rng.below(2)]
+                               : static_cast<HostId>(rng.below(hosts));
+        HostId src = dst;
+        while (src == dst) src = static_cast<HostId>(rng.below(hosts));
+        const auto length = static_cast<uint32_t>(
+            std::exp(rng.uniform(std::log(1e3), std::log(2e6))));
+        f.loop.at(at, [&f, i, src, dst, length] {
+            f.engine.offer(f.msg(static_cast<MsgId>(i + 1), src, dst, length));
+        });
+    }
+    uint64_t events = 0;
+    while (f.loop.runOne()) {
+        events++;
+        const FluidEngine::SolverState s = f.engine.solverState();
+        const std::vector<double> want =
+            referenceRates(s.capacity, s.flowLinks);
+        ASSERT_EQ(s.rates.size(), want.size());
+        for (size_t i = 0; i < want.size(); i++) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(s.rates[i]),
+                      std::bit_cast<uint64_t>(want[i]))
+                << (c.topo != nullptr ? c.topo : "fat-tree")
+                << " reserved=" << c.reserved << " incast=" << c.incast
+                << " seed=" << seed << " event " << events << " flow " << i
+                << " of " << want.size() << ": " << std::hexfloat
+                << s.rates[i] << " vs reference " << want[i];
+        }
+    }
+    const FluidStats st = f.engine.stats();
+    EXPECT_EQ(st.delivered, 240u);
+    EXPECT_GE(st.maxConcurrent, 60u);
+}
+
+TEST(FluidSolver, RatesMatchReferenceBitForBit) {
+    const char* topos[] = {nullptr, "racks=8,hosts=4,aggr=2,core=2,oversub=4",
+                           "aggr=1", "racks=1"};
+    uint64_t seed = 1;
+    for (const char* topo : topos) {
+        for (double reserved : {0.0, 0.5}) {
+            for (bool incast : {false, true}) {
+                expectRatesMatchReference({topo, reserved, incast}, seed++);
+                if (HasFatalFailure()) return;
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------- fidelity
 
 TEST(FluidFidelity, AllPacketThresholdIsByteIdenticalToDisabled) {
@@ -408,11 +544,15 @@ TEST(FluidDeterminism, SpecDrivenRunMatchesConfigDriven) {
               resultFingerprint(runExperiment(viaSpec)));
 }
 
-// FNV-1a of the full resultFingerprint for three small fluid runs,
-// captured before the solver's active-set rewrite. The tests above are
-// all relative (replay, thread count, spec vs config); these pin the
-// rates themselves, so a solver change that moves any flow's rate by one
-// ulp fails here. On mismatch the live fingerprint is streamed.
+// FNV-1a of the full resultFingerprint for six fluid runs. The first
+// three (144 hosts, at most 60 concurrent flows) were captured before the
+// solver's active-set rewrite; the last three before its link-class
+// rewrite, at sizes where classes matter: 457 concurrent flows on 1,280
+// hosts, many flows per host link (incast), and binding trunks that push
+// links out of their class early (aggr=1). The tests above are all
+// relative (replay, thread count, spec vs config); these pin the rates
+// themselves, so a solver change that moves any flow's rate by one ulp
+// fails here. On mismatch the live fingerprint is streamed.
 uint64_t fnv1a(const std::string& s) {
     uint64_t h = 1469598103934665603ull;
     for (unsigned char c : s) {
@@ -425,21 +565,40 @@ uint64_t fnv1a(const std::string& s) {
 TEST(FluidDeterminism, SolverGoldenFingerprints) {
     struct Golden {
         const char* name;
+        double load;
         int64_t threshold;
         const char* topo;  // nullptr: the default 144-host fat-tree
+        TrafficPatternKind pattern;
+        int hotspots;       // incast only; 0 keeps the scenario default
+        int hotspotDegree;  // incast only; 0 keeps the scenario default
         uint64_t hash;
         size_t length;
     };
+    constexpr TrafficPatternKind kUniform = TrafficPatternKind::Uniform;
     const Golden goldens[] = {
-        {"fat-tree hybrid", 20000, nullptr, 0xbda93d03b9b340d4ull, 1681},
-        {"all-fluid", 0, nullptr, 0x480a4e6e2516038eull, 1653},
-        {"three-tier oversub=4 hybrid", 10000,
-         "racks=8,hosts=4,aggr=2,core=2,oversub=4", 0x6a22df06b999464bull, 1819},
+        {"fat-tree hybrid", 0.5, 20000, nullptr, kUniform, 0, 0,
+         0xbda93d03b9b340d4ull, 1681},
+        {"all-fluid", 0.5, 0, nullptr, kUniform, 0, 0, 0x480a4e6e2516038eull,
+         1653},
+        {"three-tier oversub=4 hybrid", 0.5, 10000,
+         "racks=8,hosts=4,aggr=2,core=2,oversub=4", kUniform, 0, 0,
+         0x6a22df06b999464bull, 1819},
+        {"1280-host hybrid", 0.5, 20000, "racks=32,hosts=40", kUniform, 0, 0,
+         0x8f4a0fcbd3b8d6b0ull, 1757},
+        {"incast all-fluid", 0.6, 0, nullptr, TrafficPatternKind::Incast, 4,
+         16, 0x960f7530aa7c3760ull, 1750},
+        {"aggr=1 all-fluid", 0.8, 0, "aggr=1", kUniform, 0, 0,
+         0xba2673dceaf7793eull, 1772},
     };
     for (const Golden& g : goldens) {
-        ExperimentConfig cfg = fluidConfig(WorkloadId::W4, 0.5, g.threshold);
+        ExperimentConfig cfg = fluidConfig(WorkloadId::W4, g.load, g.threshold);
         cfg.traffic.seed = 99;
         if (g.topo != nullptr) cfg.traffic.scenario.topoSpec = g.topo;
+        cfg.traffic.scenario.kind = g.pattern;
+        if (g.hotspots > 0) cfg.traffic.scenario.hotspots = g.hotspots;
+        if (g.hotspotDegree > 0) {
+            cfg.traffic.scenario.hotspotDegree = g.hotspotDegree;
+        }
         const ExperimentResult r = runExperiment(cfg);
         ASSERT_TRUE(r.fluid != nullptr) << g.name;
         EXPECT_GT(r.fluid->flows, 0u) << g.name;

@@ -57,7 +57,9 @@ TEST(ReplicaSelector, P2cNeverPicksDeeperThanBothCandidates) {
                     ASSERT_LT(c1, replicas);
                     ASSERT_GE(c2, 0);
                     ASSERT_LT(c2, replicas);
-                    if (replicas >= 2) ASSERT_NE(c1, c2);
+                    if (replicas >= 2) {
+                        ASSERT_NE(c1, c2);
+                    }
                     const int picked = sel.pick(seq, depth);
                     ASSERT_TRUE(picked == c1 || picked == c2);
                     EXPECT_LE(depth(picked),
