@@ -2,13 +2,175 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace homa {
 
 namespace {
+
+// Why `cfg` cannot run, or "" when it can. Unchecked, these configs crash
+// (an empty server pool reaches Rng::below(0)), hang or run empty.
+std::string rpcConfigError(const RpcExperimentConfig& cfg) {
+    const std::string topo = validateTopoConfig(cfg.net);
+    if (!topo.empty()) return topo;
+    const int hosts = cfg.net.hostCount();
+    if (cfg.serving.enabled()) {
+        if (cfg.dagMode) return "dagMode and serving tenants are exclusive";
+        // A valid config leaves >= 1 server host and resolves its replica
+        // groups.
+        return validateServingConfig(cfg.serving, hosts);
+    }
+    if (cfg.clients < 1) return "clients must be >= 1";
+    if (cfg.clients >= hosts) return "clients leave no server host";
+    if (cfg.dagMode) {
+        if (const char* why = validateDagConfig(cfg.dag)) {
+            return std::string("dag: ") + why;
+        }
+        if (cfg.dag.depth >= 2 && hosts - cfg.clients < 2) {
+            return "dag depth >= 2 needs at least two server hosts";
+        }
+    } else if (cfg.closedLoopWindow <= 0 &&
+               !(cfg.load > 0 && std::isfinite(cfg.load))) {
+        return "open-loop load must be finite and > 0";
+    }
+    return "";
+}
+
+NetworkConfig withSwitchQdisc(const RpcExperimentConfig& cfg) {
+    NetworkConfig netCfg = cfg.net;
+    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
+    return netCfg;
+}
+
+// What every mode shares: the network, oracle and one endpoint per host
+// (hosts [0, clients) are clients, the rest servers); the per-client
+// window tracker; one forked RNG stream and optional ON-OFF modulator per
+// client; the closed-loop (ON-OFF-gated) and open-loop issue schedules;
+// and the window tallies the run closes with. A mode adds its own
+// trackers, sets `issue`, starts its clients, then calls finish().
+// Scheduled events capture its address, so it neither copies nor moves.
+struct RpcRun {
+    explicit RpcRun(const RpcExperimentConfig& config)
+        : cfg(config),
+          // Transport factories key unscheduled-priority cutoffs off one
+          // size distribution. Serving uses the first tenant's (cutoff
+          // tuning, not correctness — every tenant's traffic still flows).
+          dist(workload(config.serving.enabled()
+                            ? config.serving.tenants[0].workload
+                            : config.workload)),
+          netCfg(withSwitchQdisc(config)),
+          net(netCfg, makeTransportFactory(config.proto, netCfg, &dist)),
+          oracle(netCfg),
+          clients(config.serving.enabled() ? config.serving.totalClients()
+                                           : config.clients),
+          servers(net.hostCount() - clients),
+          windowStart(static_cast<Time>(config.warmupFraction *
+                                        static_cast<double>(config.stop))) {
+        for (HostId h = 0; h < net.hostCount(); h++) {
+            endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
+        }
+        result.perClient =
+            std::make_unique<ClosedLoopTracker>(clients, windowStart, cfg.stop);
+        Rng master(cfg.seed);
+        for (int c = 0; c < clients; c++) rngs.push_back(master.fork());
+        // Modulator seeds draw from the master stream after the client
+        // forks, so enabling ON-OFF never perturbs the per-client RPC
+        // streams. Serving tenants carry no ON-OFF knob.
+        if (cfg.onOff.enabled && !cfg.serving.enabled()) {
+            mods.reserve(clients);
+            for (int c = 0; c < clients; c++) {
+                mods.emplace_back(cfg.onOff, /*start=*/0, master.next());
+            }
+        }
+    }
+    RpcRun(const RpcRun&) = delete;
+    RpcRun& operator=(const RpcRun&) = delete;
+
+    // Closed-loop issue point: waits out an OFF period before calling
+    // `issue`, and issues nothing once the window has closed.
+    void issueGated(int c) {
+        if (net.loop().now() >= cfg.stop) return;
+        if (!mods.empty()) {
+            const Time go = mods[c].gate(net.loop().now());
+            if (go > net.loop().now()) {
+                net.loop().at(go, [this, c] { issueGated(c); });
+                return;
+            }
+        }
+        issue(c);
+    }
+
+    // Prime client c's closed-loop window; a small stagger keeps
+    // clients * W calls from firing in lockstep at t=0 (ON-OFF gating then
+    // pushes gated slots to each client's first burst).
+    void primeWindow(int c, int window) {
+        for (int w = 0; w < window; w++) {
+            const Duration jitter = static_cast<Duration>(
+                rngs[c].uniform() * static_cast<double>(microseconds(5)));
+            net.loop().at(jitter, [this, c] { issueGated(c); });
+        }
+    }
+
+    // Closed loop: refill client c's freed slot after an exponential think
+    // time of mean `think` (1 ps when `think` <= 0).
+    void refill(int c, Duration think) {
+        const Duration gap =
+            think <= 0 ? 1 : exponentialDuration(rngs[c], toSeconds(think));
+        net.loop().after(gap, [this, c] { issueGated(c); });
+    }
+
+    // Open loop: schedule client c's next Poisson arrival at `meanGap`.
+    // With ON-OFF it runs on the client's ON-time clock at rate base/duty,
+    // mapped to wall clock by the modulator.
+    void scheduleArrival(int c, Duration meanGap) {
+        if (mods.empty()) {
+            const Duration gap =
+                exponentialDuration(rngs[c], toSeconds(meanGap));
+            net.loop().after(gap, [this, c] { issue(c); });
+            return;
+        }
+        const Duration onClock = exponentialDuration(
+            rngs[c], toSeconds(meanGap) * cfg.onOff.dutyCycle());
+        net.loop().at(mods[c].advance(onClock), [this, c] { issue(c); });
+    }
+
+    // Runs to stop + drainGrace, lets the mode close its own books, then
+    // tallies the window and the endpoints' retries.
+    RpcExperimentResult finish(const std::function<void()>& closeBooks = {}) {
+        // Single-shard (see RpcExperimentConfig::parallel); equivalent to
+        // net.loop().runUntil, routed through the engine entry for
+        // uniformity.
+        runNetworkUntil(net, cfg.stop + cfg.drainGrace);
+        if (closeBooks) closeBooks();
+        result.issued = issuedInWindow;
+        result.completed = completedInWindow;
+        for (const auto& ep : endpoints) {
+            result.retries += ep->stats().retries;
+            result.reexecutions += ep->stats().reexecutions;
+        }
+        result.keptUp = issuedInWindow > 0 &&
+                        static_cast<double>(completedInWindow) >=
+                            0.99 * static_cast<double>(issuedInWindow);
+        return std::move(result);
+    }
+
+    const RpcExperimentConfig& cfg;
+    const SizeDistribution& dist;
+    const NetworkConfig netCfg;
+    Network net;
+    Oracle oracle;
+    const int clients;
+    const int servers;
+    const Time windowStart;
+    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
+    RpcExperimentResult result;
+    std::vector<Rng> rngs;
+    std::vector<OnOffModulator> mods;
+    std::function<void(int)> issue;  // the mode's issue, past gating
+    uint64_t issuedInWindow = 0;
+    uint64_t completedInWindow = 0;
+};
 
 // Multi-tenant serving: tenants issue logical RPCs against replica groups
 // through a ReplicaSelector; groups may hedge (re-issue to a second
@@ -17,50 +179,27 @@ namespace {
 // lifecycle in the ServingStats ledgers so the invariant tests can prove
 // conservation: exactly one response consumed per logical RPC, every
 // issued byte consumed, refunded, or declared unresolved at run end.
-RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
+RpcExperimentResult runServing(RpcRun& run) {
+    const RpcExperimentConfig& cfg = run.cfg;
     const ServingConfig& sv = cfg.serving;
-    // Checked before anything is built, in every build type. A valid
-    // config leaves >= 1 server host and resolves its replica groups.
-    const std::string invalid = validateServingConfig(sv, cfg.net.hostCount());
-    if (!invalid.empty()) {
-        throw std::invalid_argument("runRpcExperiment: " + invalid);
-    }
-    NetworkConfig netCfg = cfg.net;
-    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
-    // Transport factories key unscheduled-priority cutoffs off one size
-    // distribution; use the first tenant's (cutoff tuning, not
-    // correctness — every tenant's traffic still flows).
-    const SizeDistribution& primaryDist = workload(sv.tenants[0].workload);
-    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &primaryDist));
-    Oracle oracle(netCfg);
-    const OracleFn echo = oracle.echoRpcFn();
+    EventLoop& loop = run.net.loop();
+    const OracleFn echo = run.oracle.echoRpcFn();
 
     const int nTenants = static_cast<int>(sv.tenants.size());
-    const int nClients = sv.totalClients();
-    const int servers = net.hostCount() - nClients;
+    const int nClients = run.clients;
 
     const std::vector<ReplicaGroupConfig> groups = sv.effectiveGroups();
     std::vector<ResolvedGroup> resolved;
-    resolveReplicaGroups(sv, servers, resolved, nullptr);
+    resolveReplicaGroups(sv, run.servers, resolved, nullptr);
 
-    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
-    }
-
-    RpcExperimentResult result;
-    const Time windowStart = static_cast<Time>(
-        cfg.warmupFraction * static_cast<double>(cfg.stop));
-    result.perClient = std::make_unique<ClosedLoopTracker>(
-        nClients, windowStart, cfg.stop);
-    result.tenants = std::make_unique<TenantTracker>(nTenants, windowStart,
+    RpcExperimentResult& result = run.result;
+    result.tenants = std::make_unique<TenantTracker>(nTenants, run.windowStart,
                                                      cfg.stop);
     ServingStats& led = result.serving;
 
-    // Per-tenant shape: owned client range, group, selector, arrival rate.
+    // Per-tenant shape: group, selector, arrival rate.
     struct TenantState {
         const SizeDistribution* dist = nullptr;
-        int firstClient = 0;
         int groupIdx = 0;
         uint64_t seq = 0;  // logical-RPC sequence; feeds the selector
         // Observed latencies arm the hedge delay (whole run, not
@@ -74,13 +213,12 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     std::vector<ReplicaSelector> selectors;
     selectors.reserve(static_cast<size_t>(nTenants));
     std::vector<int> clientTenant(static_cast<size_t>(nClients));
-    const double psPerByte = static_cast<double>(netCfg.hostLink.psPerByte);
+    const double psPerByte = static_cast<double>(run.netCfg.hostLink.psPerByte);
     {
         int nextClient = 0;
         for (int t = 0; t < nTenants; t++) {
             const TenantConfig& tc = sv.tenants[t];
             ts[t].dist = &workload(tc.workload);
-            ts[t].firstClient = nextClient;
             ts[t].groupIdx = tenantGroupIndex(sv, tc);
             assert(ts[t].groupIdx >= 0);
             if (tc.mode == ArrivalMode::Open) {
@@ -95,11 +233,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     }
 
     // Outstanding-call depth per server host, fed to power-of-two-choices.
-    std::vector<int> depth(static_cast<size_t>(net.hostCount()), 0);
-
-    Rng master(cfg.seed);
-    std::vector<Rng> rngs;
-    for (int c = 0; c < nClients; c++) rngs.push_back(master.fork());
+    std::vector<int> depth(static_cast<size_t>(run.net.hostCount()), 0);
 
     // One logical RPC: a primary call plus at most one hedge, first
     // response wins. Callbacks carry (logicalId, slot) by capture, so no
@@ -120,8 +254,6 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     };
     std::unordered_map<uint64_t, Logical> active;
     uint64_t nextLogical = 1;
-    uint64_t issuedInWindow = 0;
-    uint64_t completedInWindow = 0;
 
     auto hedgeArmed = [&](int t) -> bool {
         const ReplicaGroupConfig& g = groups[ts[t].groupIdx];
@@ -145,12 +277,11 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         return s.hedgeDelay;
     };
 
-    std::function<void(int)> issueNext;
     std::function<void(RpcId, uint64_t, int, uint32_t, Duration)> onResponse;
 
     auto issueCall = [&](uint64_t logicalId, int slot, HostId server) {
         Logical& lg = active[logicalId];
-        const RpcId id = endpoints[lg.client]->call(
+        const RpcId id = run.endpoints[lg.client]->call(
             server, lg.size,
             [&, logicalId, slot](RpcId rid, uint32_t, uint32_t respSize,
                                  Duration elapsed) {
@@ -167,7 +298,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         if (it == active.end()) return;  // already resolved; stale timer
         Logical& lg = it->second;
         if (lg.hedged) return;
-        if (net.loop().now() >= cfg.stop) return;  // no new work in drain
+        if (loop.now() >= cfg.stop) return;  // no new work in drain
         const int t = lg.tenant;
         const ResolvedGroup& rg = resolved[ts[t].groupIdx];
         const int primaryLocal =
@@ -189,7 +320,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         assert(it != active.end());
         Logical& lg = it->second;
         const int t = lg.tenant;
-        const Time now = net.loop().now();
+        const Time now = loop.now();
         lg.calls[slot].open = false;
         depth[lg.calls[slot].server]--;
         led.responsesConsumed++;
@@ -208,7 +339,7 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         if (lg.calls[other].open) {
             lg.calls[other].open = false;
             depth[lg.calls[other].server]--;
-            if (endpoints[lg.client]->cancel(lg.calls[other].id)) {
+            if (run.endpoints[lg.client]->cancel(lg.calls[other].id)) {
                 led.refundedBytes += 2 * static_cast<int64_t>(lg.size);
                 if (other == 1) {
                     led.hedgesCancelled++;
@@ -238,27 +369,20 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         result.perClient->record(lg.client,
                                  static_cast<int64_t>(lg.size) + respSize,
                                  logicalElapsed, now);
-        if (lg.inWindow) completedInWindow++;
+        if (lg.inWindow) run.completedInWindow++;
         const int client = lg.client;
         const bool closed = sv.tenants[t].mode == ArrivalMode::Closed;
         active.erase(it);
-        if (closed) {
-            const TenantConfig& tc = sv.tenants[t];
-            const Duration gap =
-                tc.think <= 0
-                    ? 1
-                    : exponentialDuration(rngs[client], toSeconds(tc.think));
-            net.loop().after(gap, [&, client] { issueNext(client); });
-        }
+        if (closed) run.refill(client, sv.tenants[t].think);
     };
 
-    issueNext = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
+    run.issue = [&](int c) {
+        if (loop.now() >= cfg.stop) return;
         const int t = clientTenant[c];
         TenantState& s = ts[t];
         const ResolvedGroup& rg = resolved[s.groupIdx];
         const uint64_t seq = s.seq++;
-        const uint32_t size = s.dist->sample(rngs[c]);
+        const uint32_t size = s.dist->sample(run.rngs[c]);
         const int replica = selectors[t].pick(seq, [&](int r) {
             return depth[static_cast<size_t>(nClients + rg.first + r)];
         });
@@ -269,21 +393,19 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
         lg.tenant = t;
         lg.client = c;
         lg.size = size;
-        lg.issuedAt = net.loop().now();
-        lg.inWindow = lg.issuedAt >= windowStart;
-        if (lg.inWindow) issuedInWindow++;
+        lg.issuedAt = loop.now();
+        lg.inWindow = lg.issuedAt >= run.windowStart;
+        if (lg.inWindow) run.issuedInWindow++;
         active.emplace(logicalId, lg);
         led.logicalIssued++;
         issueCall(logicalId, 0, server);
         if (hedgeArmed(t)) {
-            net.loop().after(hedgeDelayFor(t),
-                             [&, logicalId, seq] { issueHedge(logicalId, seq); });
+            loop.after(hedgeDelayFor(t),
+                       [&, logicalId, seq] { issueHedge(logicalId, seq); });
         }
 
         if (sv.tenants[t].mode == ArrivalMode::Open) {
-            const Duration gap =
-                exponentialDuration(rngs[c], toSeconds(s.meanGap));
-            net.loop().after(gap, [&, c] { issueNext(c); });
+            run.scheduleArrival(c, s.meanGap);
         }
         // Closed mode: onResponse refills the slot.
     };
@@ -291,49 +413,28 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
     for (int c = 0; c < nClients; c++) {
         const TenantConfig& tc = sv.tenants[clientTenant[c]];
         if (tc.mode == ArrivalMode::Closed) {
-            // Prime the window; jitter keeps clients * W calls from firing
-            // in lockstep at t=0.
-            for (int w = 0; w < tc.window; w++) {
-                const Duration jitter = static_cast<Duration>(
-                    rngs[c].uniform() * static_cast<double>(microseconds(5)));
-                net.loop().at(jitter, [&, c] { issueNext(c); });
-            }
+            run.primeWindow(c, tc.window);
         } else {
-            const Duration phase = exponentialDuration(
-                rngs[c], toSeconds(ts[clientTenant[c]].meanGap));
-            net.loop().at(phase, [&, c] { issueNext(c); });
+            run.scheduleArrival(c, ts[clientTenant[c]].meanGap);
         }
     }
-
-    // Single-shard (see RpcExperimentConfig::parallel); equivalent to
-    // net.loop().runUntil, routed through the engine entry for uniformity.
-    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
 
     // Close the ledgers: whatever is still active never resolved. Each of
     // its open calls parks its bytes in `unresolvedBytes`; an issued,
     // still-open hedge is a failed hedge (neither won nor cancelled).
-    for (auto& [id, lg] : active) {
-        (void)id;
-        for (int slot = 0; slot < 2; slot++) {
-            if (!lg.calls[slot].open) continue;
-            led.unresolvedBytes += 2 * static_cast<int64_t>(lg.size);
+    return run.finish([&] {
+        for (auto& [id, lg] : active) {
+            (void)id;
+            for (int slot = 0; slot < 2; slot++) {
+                if (!lg.calls[slot].open) continue;
+                led.unresolvedBytes += 2 * static_cast<int64_t>(lg.size);
+            }
+            if (lg.hedged && lg.calls[1].open) {
+                led.hedgesFailed++;
+                result.tenants->recordHedgeFailed(lg.tenant);
+            }
         }
-        if (lg.hedged && lg.calls[1].open) {
-            led.hedgesFailed++;
-            result.tenants->recordHedgeFailed(lg.tenant);
-        }
-    }
-
-    result.issued = issuedInWindow;
-    result.completed = completedInWindow;
-    for (const auto& ep : endpoints) {
-        result.retries += ep->stats().retries;
-        result.reexecutions += ep->stats().reexecutions;
-    }
-    result.keptUp = issuedInWindow > 0 &&
-                    static_cast<double>(completedInWindow) >=
-                        0.99 * static_cast<double>(issuedInWindow);
-    return result;
+    });
 }
 
 // Fan-out/fan-in trees as real RPCs: the coordinator (client) calls its
@@ -342,43 +443,13 @@ RpcExperimentResult runRpcServingExperiment(const RpcExperimentConfig& cfg) {
 // incast marks, and at-least-once re-execution all apply per edge. The
 // harness orchestrates centrally: it samples each tree up front, issues
 // every call itself, and maps request RpcIds back to tree nodes.
-RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
-    assert(validateDagConfig(cfg.dag) == nullptr);
-    const SizeDistribution& dist = workload(cfg.workload);
-
-    NetworkConfig netCfg = cfg.net;
-    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
-    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &dist));
-    Oracle oracle(netCfg);
-
-    const int servers = net.hostCount() - cfg.clients;
-    assert(servers >= (cfg.dag.depth >= 2 ? 2 : 1));
-
-    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
-    }
-
-    RpcExperimentResult result;
+RpcExperimentResult runDag(RpcRun& run) {
+    const RpcExperimentConfig& cfg = run.cfg;
+    EventLoop& loop = run.net.loop();
     // No slowdown tracker: per-edge RPCs are not echoes, so the echo
     // oracle has no meaningful denominator — `dag` carries the metrics.
-    const Time windowStart = static_cast<Time>(
-        cfg.warmupFraction * static_cast<double>(cfg.stop));
-    result.perClient = std::make_unique<ClosedLoopTracker>(
-        cfg.clients, windowStart, cfg.stop);
-    result.dag = std::make_unique<DagTracker>(cfg.clients, windowStart,
-                                              cfg.stop);
-
-    Rng master(cfg.seed);
-    std::vector<Rng> rngs;
-    for (int c = 0; c < cfg.clients; c++) rngs.push_back(master.fork());
-    std::vector<OnOffModulator> mods;
-    if (cfg.onOff.enabled) {
-        mods.reserve(cfg.clients);
-        for (int c = 0; c < cfg.clients; c++) {
-            mods.emplace_back(cfg.onOff, /*start=*/0, master.next());
-        }
-    }
+    run.result.dag = std::make_unique<DagTracker>(cfg.clients, run.windowStart,
+                                                  cfg.stop);
 
     struct NodeState {
         // Deferred answers, one per parent whose request arrived before
@@ -400,40 +471,35 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
     std::unordered_map<uint64_t, TreeRun> trees;
     std::unordered_map<RpcId, std::pair<uint64_t, int>> byRpc;
     uint64_t nextTree = 1;
-    uint64_t issuedInWindow = 0;
-    uint64_t completedInWindow = 0;
 
-    const DagCostFn cost = dagOracleCost(net, oracle);
+    const DagCostFn cost = dagOracleCost(run.net, run.oracle);
     // Node hosts come from the server pool, never the parent's own host
     // (siblings may repeat — that repetition *is* the incast).
     auto pickChild = [&](HostId parent, Rng& rng) -> HostId {
         if (parent < cfg.clients) {
-            return static_cast<HostId>(cfg.clients + rng.below(servers));
+            return static_cast<HostId>(cfg.clients + rng.below(run.servers));
         }
         return static_cast<HostId>(
-            cfg.clients + uniformHostExcept(servers, parent - cfg.clients, rng));
+            cfg.clients +
+            uniformHostExcept(run.servers, parent - cfg.clients, rng));
     };
 
     // Issue the request RPC for `node` on behalf of `parent` (its primary
     // parent, or a join edge's extra parent).
     std::function<void(uint64_t, int, int)> callNode;
-    std::function<void(int)> issueGated;
 
     auto completeTree = [&](uint64_t treeId, TreeRun& t) {
-        const Time now = net.loop().now();
+        const Time now = loop.now();
         const Duration elapsed = now - t.issued;
-        result.dag->record(t.client, static_cast<int>(t.spec.nodes.size()) - 1,
-                           t.bytes, elapsed,
-                           dagTreeIdeal(t.spec, cfg.dag.requestBytes, cost),
-                           now);
-        result.perClient->record(t.client, t.bytes, elapsed, now);
-        if (t.inWindow) completedInWindow++;
+        run.result.dag->record(
+            t.client, static_cast<int>(t.spec.nodes.size()) - 1, t.bytes,
+            elapsed, dagTreeIdeal(t.spec, cfg.dag.requestBytes, cost), now);
+        run.result.perClient->record(t.client, t.bytes, elapsed, now);
+        if (t.inWindow) run.completedInWindow++;
         const int c = t.client;
         for (RpcId id : t.rpcIds) byRpc.erase(id);
         trees.erase(treeId);
-        if (net.loop().now() < cfg.stop) {
-            net.loop().after(1, [&, c] { issueGated(c); });
-        }
+        if (loop.now() < cfg.stop) run.refill(c, 0);
     };
 
     // A child's response came back to `parent`: fan-in accounting there.
@@ -461,7 +527,7 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
         TreeRun& t = trees[treeId];
         const DagNodeSpec& n = t.spec.nodes[node];
         const HostId parentHost = t.spec.nodes[parent].host;
-        const RpcId id = endpoints[parentHost]->call(
+        const RpcId id = run.endpoints[parentHost]->call(
             n.host, cfg.dag.requestBytes,
             [&, treeId, parent](RpcId, uint32_t, uint32_t, Duration) {
                 onChildDone(treeId, parent);
@@ -472,8 +538,8 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
 
     // Every server runs the same deferred handler: leaves answer at once;
     // internal nodes fan out and answer when their last child returns.
-    for (HostId h = cfg.clients; h < net.hostCount(); h++) {
-        endpoints[h]->setAsyncHandler(
+    for (HostId h = cfg.clients; h < run.net.hostCount(); h++) {
+        run.endpoints[h]->setAsyncHandler(
             [&](const Message& req, RpcEndpoint::Responder respond) {
                 const auto it = byRpc.find(req.id);
                 if (it == byRpc.end()) {
@@ -512,14 +578,14 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
             });
     }
 
-    auto issueTree = [&](int c) {
+    run.issue = [&](int c) {
         const uint64_t treeId = nextTree++;
         TreeRun t;
         t.client = c;
-        t.issued = net.loop().now();
-        t.inWindow = t.issued >= windowStart;
-        if (t.inWindow) issuedInWindow++;
-        t.spec = sampleDagTree(cfg.dag, &dist, rngs[c],
+        t.issued = loop.now();
+        t.inWindow = t.issued >= run.windowStart;
+        if (t.inWindow) run.issuedInWindow++;
+        t.spec = sampleDagTree(cfg.dag, &run.dist, run.rngs[c],
                                static_cast<HostId>(c), pickChild);
         t.bytes = dagTreeBytes(cfg.dag, t.spec);
         t.state.resize(t.spec.nodes.size());
@@ -533,285 +599,78 @@ RpcExperimentResult runRpcDagExperiment(const RpcExperimentConfig& cfg) {
             callNode(treeId, root.firstChild + i, 0);
         }
     };
-    issueGated = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        if (!mods.empty()) {
-            const Time go = mods[c].gate(net.loop().now());
-            if (go > net.loop().now()) {
-                net.loop().at(go, [&, c] { issueGated(c); });
-                return;
-            }
-        }
-        issueTree(c);
+    for (int c = 0; c < cfg.clients; c++) run.primeWindow(c, cfg.dag.window);
+
+    return run.finish();
+}
+
+// Echo RPCs (§5.1): each client sends `size` bytes to a random server,
+// which returns them. Open loop is Poisson at `load`; closed loop keeps
+// `closedLoopWindow` RPCs in flight.
+RpcExperimentResult runEcho(RpcRun& run) {
+    const RpcExperimentConfig& cfg = run.cfg;
+    const SizeDistribution& dist = run.dist;
+    EventLoop& loop = run.net.loop();
+    run.result.slowdown =
+        std::make_unique<SlowdownTracker>(dist, run.oracle.echoRpcFn());
+
+    // Each client's uplink carries `load` of its bandwidth in requests (and
+    // symmetric responses on its downlink), matching §5.1's calibration.
+    const double psPerByte = static_cast<double>(run.netCfg.hostLink.psPerByte);
+    const Duration meanGap = static_cast<Duration>(
+        std::llround(dist.meanWireBytes() * psPerByte / cfg.load));
+    const bool closedLoop = cfg.closedLoopWindow > 0;
+
+    run.issue = [&](int c) {
+        if (loop.now() >= cfg.stop) return;
+        Rng& rng = run.rngs[c];
+        const uint32_t size = dist.sample(rng);
+        const HostId server =
+            static_cast<HostId>(cfg.clients + rng.below(run.servers));
+        const Time issuedAt = loop.now();
+        const bool inWindow = issuedAt >= run.windowStart;
+        if (inWindow) run.issuedInWindow++;
+        run.endpoints[c]->call(
+            server, size,
+            [&, c, inWindow](RpcId, uint32_t reqSize, uint32_t respSize,
+                             Duration elapsed) {
+                run.result.perClient->record(c, reqSize + respSize, elapsed,
+                                             loop.now());
+                if (inWindow) {
+                    run.completedInWindow++;
+                    run.result.slowdown->record(reqSize, elapsed);
+                }
+                // Refill the freed slot after the think time. (An RPC
+                // abort would leak a slot, but an abort takes ~500 ms of
+                // backed-off retries — beyond these runs.)
+                if (closedLoop) run.refill(c, cfg.thinkTime);
+            });
+        // Closed loop: the response callback drives the loop.
+        if (!closedLoop) run.scheduleArrival(c, meanGap);
     };
     for (int c = 0; c < cfg.clients; c++) {
-        for (int w = 0; w < cfg.dag.window; w++) {
-            const Duration jitter = static_cast<Duration>(
-                rngs[c].uniform() * static_cast<double>(microseconds(5)));
-            net.loop().at(jitter, [&, c] { issueGated(c); });
+        if (closedLoop) {
+            run.primeWindow(c, cfg.closedLoopWindow);
+        } else {
+            run.scheduleArrival(c, meanGap);
         }
     }
 
-    // Single-shard (see RpcExperimentConfig::parallel); equivalent to
-    // net.loop().runUntil, routed through the engine entry for uniformity.
-    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
-
-    result.issued = issuedInWindow;
-    result.completed = completedInWindow;
-    for (const auto& ep : endpoints) {
-        result.retries += ep->stats().retries;
-        result.reexecutions += ep->stats().reexecutions;
-    }
-    result.keptUp = issuedInWindow > 0 &&
-                    static_cast<double>(completedInWindow) >=
-                        0.99 * static_cast<double>(issuedInWindow);
-    return result;
+    return run.finish();
 }
 
 }  // namespace
 
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg) {
-    if (cfg.serving.enabled()) return runRpcServingExperiment(cfg);
-    if (cfg.dagMode) return runRpcDagExperiment(cfg);
-    const SizeDistribution& dist = workload(cfg.workload);
-
-    NetworkConfig netCfg = cfg.net;
-    if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
-    Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &dist));
-    Oracle oracle(netCfg);
-
-    std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        endpoints.push_back(std::make_unique<RpcEndpoint>(net, h));
+    // Checked before anything is built, in every build type.
+    const std::string invalid = rpcConfigError(cfg);
+    if (!invalid.empty()) {
+        throw std::invalid_argument("runRpcExperiment: " + invalid);
     }
-
-    RpcExperimentResult result;
-    result.slowdown = std::make_unique<SlowdownTracker>(dist, oracle.echoRpcFn());
-
-    const Time windowStart = static_cast<Time>(
-        cfg.warmupFraction * static_cast<double>(cfg.stop));
-
-    // Each client's uplink carries `load` of its bandwidth in requests (and
-    // symmetric responses on its downlink), matching §5.1's calibration.
-    const double psPerByte = static_cast<double>(netCfg.hostLink.psPerByte);
-    const Duration meanGap = static_cast<Duration>(
-        std::llround(dist.meanWireBytes() * psPerByte / cfg.load));
-
-    const int servers = net.hostCount() - cfg.clients;
-    assert(servers > 0);
-    const bool closedLoop = cfg.closedLoopWindow > 0;
-    Rng master(cfg.seed);
-    uint64_t issuedInWindow = 0;
-    uint64_t completedInWindow = 0;
-
-    struct ClientState {
-        Rng rng;
-        explicit ClientState(Rng r) : rng(r) {}
-    };
-    std::vector<ClientState> clients;
-    for (int c = 0; c < cfg.clients; c++) clients.emplace_back(master.fork());
-    // Modulator seeds draw from the master stream after the client forks,
-    // so enabling ON-OFF never perturbs the per-client RPC streams.
-    std::vector<OnOffModulator> mods;
-    if (cfg.onOff.enabled) {
-        mods.reserve(cfg.clients);
-        for (int c = 0; c < cfg.clients; c++) {
-            mods.emplace_back(cfg.onOff, /*start=*/0, master.next());
-        }
-    }
-    result.perClient = std::make_unique<ClosedLoopTracker>(
-        cfg.clients, windowStart, cfg.stop);
-
-    auto thinkGap = [&](ClientState& st) -> Duration {
-        if (cfg.thinkTime <= 0) return 1;
-        return exponentialDuration(st.rng, toSeconds(cfg.thinkTime));
-    };
-    // Open loop + ON-OFF: Poisson on the client's ON-time clock at rate
-    // base/duty, mapped to wall clock by the modulator.
-    auto onClockDelay = [&](ClientState& st) {
-        return exponentialDuration(
-            st.rng, toSeconds(meanGap) * cfg.onOff.dutyCycle());
-    };
-
-    std::function<void(int)> issueNext;  // issue one RPC now (past gating)
-    // Closed-loop issue point: waits out an OFF period before issuing.
-    std::function<void(int)> issueGated = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        if (!mods.empty()) {
-            const Time go = mods[c].gate(net.loop().now());
-            if (go > net.loop().now()) {
-                net.loop().at(go, [&, c] { issueGated(c); });
-                return;
-            }
-        }
-        issueNext(c);
-    };
-    issueNext = [&](int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        ClientState& st = clients[c];
-        const uint32_t size = dist.sample(st.rng);
-        const HostId server =
-            static_cast<HostId>(cfg.clients + st.rng.below(servers));
-        const Time issuedAt = net.loop().now();
-        const bool inWindow = issuedAt >= windowStart;
-        if (inWindow) issuedInWindow++;
-        endpoints[c]->call(
-            server, size,
-            [&, c, inWindow](RpcId, uint32_t reqSize, uint32_t respSize,
-                             Duration elapsed) {
-                result.perClient->record(c, reqSize + respSize, elapsed,
-                                         net.loop().now());
-                if (inWindow) {
-                    completedInWindow++;
-                    result.slowdown->record(reqSize, elapsed);
-                }
-                if (closedLoop) {
-                    // Refill the freed slot after the think time. (An RPC
-                    // abort would leak a slot, but an abort takes ~500 ms
-                    // of backed-off retries — beyond these runs.)
-                    net.loop().after(thinkGap(clients[c]),
-                                     [&, c] { issueGated(c); });
-                }
-            });
-        if (closedLoop) return;  // the response callback drives the loop
-        if (!mods.empty()) {
-            net.loop().at(mods[c].advance(onClockDelay(st)),
-                          [&, c] { issueNext(c); });
-            return;
-        }
-        const Duration gap = exponentialDuration(st.rng, toSeconds(meanGap));
-        net.loop().after(gap, [&, c] { issueNext(c); });
-    };
-    for (int c = 0; c < cfg.clients; c++) {
-        if (closedLoop) {
-            // Prime the window; a small stagger keeps clients * W calls
-            // from firing in lockstep at t=0 (ON-OFF gating then pushes
-            // gated slots to each client's first burst).
-            for (int w = 0; w < cfg.closedLoopWindow; w++) {
-                const Duration jitter = static_cast<Duration>(
-                    clients[c].rng.uniform() *
-                    static_cast<double>(microseconds(5)));
-                net.loop().at(jitter, [&, c] { issueGated(c); });
-            }
-        } else if (!mods.empty()) {
-            net.loop().at(mods[c].advance(onClockDelay(clients[c])),
-                          [&, c] { issueNext(c); });
-        } else {
-            const Duration phase =
-                exponentialDuration(clients[c].rng, toSeconds(meanGap));
-            net.loop().at(phase, [&, c] { issueNext(c); });
-        }
-    }
-
-    // Single-shard (see RpcExperimentConfig::parallel); equivalent to
-    // net.loop().runUntil, routed through the engine entry for uniformity.
-    runNetworkUntil(net, cfg.stop + cfg.drainGrace);
-
-    result.issued = issuedInWindow;
-    result.completed = completedInWindow;
-    for (const auto& ep : endpoints) {
-        result.retries += ep->stats().retries;
-        result.reexecutions += ep->stats().reexecutions;
-    }
-    result.keptUp = issuedInWindow > 0 &&
-                    static_cast<double>(completedInWindow) >=
-                        0.99 * static_cast<double>(issuedInWindow);
-    return result;
-}
-
-namespace {
-
-void appendNum(std::string& s, const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%a;", key, v);
-    s += buf;
-}
-
-void appendInt(std::string& s, const char* key, uint64_t v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%llu;",
-                  key, static_cast<unsigned long long>(v));
-    s += buf;
-}
-
-}  // namespace
-
-std::string resultFingerprint(const RpcExperimentResult& r) {
-    std::string s;
-    appendInt(s, "issued", r.issued);
-    appendInt(s, "completed", r.completed);
-    appendInt(s, "retries", r.retries);
-    appendInt(s, "reexecutions", r.reexecutions);
-    appendInt(s, "keptUp", r.keptUp ? 1 : 0);
-    if (r.slowdown) {
-        appendNum(s, "p50", r.slowdown->overallPercentile(0.50));
-        appendNum(s, "p99", r.slowdown->overallPercentile(0.99));
-        for (const SlowdownRow& row : r.slowdown->rows()) {
-            appendInt(s, "bucketCount", row.count);
-            appendNum(s, "bucketMedian", row.median);
-            appendNum(s, "bucketP99", row.p99);
-            appendNum(s, "bucketMean", row.mean);
-        }
-    }
-    if (r.perClient) {
-        appendInt(s, "clCompleted", r.perClient->totalCompleted());
-        appendInt(s, "clMaxClient", r.perClient->maxClientCompleted());
-        appendInt(s, "clMinClient", r.perClient->minClientCompleted());
-        appendNum(s, "clOpsPerSec", r.perClient->aggregateOpsPerSec());
-        appendNum(s, "clGbps", r.perClient->aggregateGbps());
-        appendNum(s, "clLatP50", r.perClient->latencyPercentileUs(0.50));
-        appendNum(s, "clLatP99", r.perClient->latencyPercentileUs(0.99));
-    }
-    if (r.dag) {
-        appendInt(s, "dagTrees", r.dag->trees());
-        appendInt(s, "dagNodes", r.dag->totalNodes());
-        appendInt(s, "dagBytes", static_cast<uint64_t>(r.dag->totalBytes()));
-        appendInt(s, "dagMaxRoot", r.dag->maxRootTrees());
-        appendInt(s, "dagMinRoot", r.dag->minRootTrees());
-        appendNum(s, "dagTreesPerSec", r.dag->treesPerSec());
-        appendNum(s, "dagCompP50", r.dag->completionPercentileUs(0.50));
-        appendNum(s, "dagCompP99", r.dag->completionPercentileUs(0.99));
-        appendNum(s, "dagSlowP50", r.dag->slowdownPercentile(0.50));
-        appendNum(s, "dagSlowP99", r.dag->slowdownPercentile(0.99));
-    }
-    if (r.tenants) {
-        // Serving block only: non-serving fingerprints are byte-identical
-        // to the pre-serving format (the no-tenants golden relies on it).
-        appendInt(s, "tnTenants", static_cast<uint64_t>(r.tenants->tenants()));
-        for (int t = 0; t < r.tenants->tenants(); t++) {
-            appendInt(s, "tnCompleted", r.tenants->completed(t));
-            appendNum(s, "tnOpsPerSec", r.tenants->opsPerSec(t));
-            appendNum(s, "tnGbps", r.tenants->gbps(t));
-            appendNum(s, "tnLatP50", r.tenants->latencyPercentileUs(t, 0.50));
-            appendNum(s, "tnLatP99", r.tenants->latencyPercentileUs(t, 0.99));
-            appendNum(s, "tnLatMean", r.tenants->latencyMeanUs(t));
-            appendNum(s, "tnSlowP50", r.tenants->slowdownPercentile(t, 0.50));
-            appendNum(s, "tnSlowP99", r.tenants->slowdownPercentile(t, 0.99));
-            const TenantHedgeStats& h = r.tenants->hedges(t);
-            appendInt(s, "tnHedgeIssued", h.issued);
-            appendInt(s, "tnHedgeWon", h.won);
-            appendInt(s, "tnHedgeCancelled", h.cancelled);
-            appendInt(s, "tnHedgeFailed", h.failed);
-        }
-        appendInt(s, "svLogicalIssued", r.serving.logicalIssued);
-        appendInt(s, "svLogicalCompleted", r.serving.logicalCompleted);
-        appendInt(s, "svCallsIssued", r.serving.callsIssued);
-        appendInt(s, "svResponsesConsumed", r.serving.responsesConsumed);
-        appendInt(s, "svHedgesIssued", r.serving.hedgesIssued);
-        appendInt(s, "svHedgesWon", r.serving.hedgesWon);
-        appendInt(s, "svHedgesCancelled", r.serving.hedgesCancelled);
-        appendInt(s, "svHedgesFailed", r.serving.hedgesFailed);
-        appendInt(s, "svPrimariesCancelled", r.serving.primariesCancelled);
-        appendInt(s, "svIssuedBytes",
-                  static_cast<uint64_t>(r.serving.issuedBytes));
-        appendInt(s, "svConsumedBytes",
-                  static_cast<uint64_t>(r.serving.consumedBytes));
-        appendInt(s, "svRefundedBytes",
-                  static_cast<uint64_t>(r.serving.refundedBytes));
-        appendInt(s, "svUnresolvedBytes",
-                  static_cast<uint64_t>(r.serving.unresolvedBytes));
-    }
-    return s;
+    RpcRun run(cfg);
+    if (cfg.serving.enabled()) return runServing(run);
+    if (cfg.dagMode) return runDag(run);
+    return runEcho(run);
 }
 
 IncastResult runIncastExperiment(int concurrent, bool incastControl,

@@ -1,17 +1,25 @@
-// Echo-RPC experiment harness — the implementation measurements of §5.1.
+// RPC experiment harness — the implementation measurements of §5.1.
 //
-// Mirrors the paper's CloudLab setup: a single-switch cluster where client
-// hosts issue echo RPCs (send `size` bytes, the server returns them) to
-// random servers, with RPC sizes drawn from a workload. Slowdown is
-// measured against the best-case RPC time on an unloaded network.
-//
-// Two issue modes: open loop (the default — Poisson arrivals calibrated
-// to `load`) and closed loop (`closedLoopWindow` > 0 — each client keeps
-// that many RPCs in flight and issues the next only when a response
-// returns, after an optional think time). Either mode composes with
-// ON-OFF burst/idle modulation (`onOff`): open-loop arrivals run on the
-// client's ON-time clock at a boosted rate, closed-loop clients pause
-// issuing during idle periods and refill their window at burst start.
+// Mirrors the paper's CloudLab setup: a single-switch cluster whose hosts
+// [0, clients) are clients and the rest servers. runRpcExperiment runs
+// one of three modes on one shared harness (network and endpoints,
+// per-client RNG streams, ON-OFF-gated issue schedules, run and close):
+//  * Echo RPCs (default): clients send `size` bytes to random servers,
+//    which return them. Slowdown is measured against the best-case RPC
+//    time on an unloaded network. Open loop issues Poisson arrivals
+//    calibrated to `load`; closed loop (`closedLoopWindow` > 0) keeps that
+//    many RPCs in flight per client, each refilled after an optional think
+//    time. Either composes with ON-OFF burst/idle modulation (`onOff`):
+//    open-loop arrivals run on the client's ON-time clock at a boosted
+//    rate, closed-loop clients pause during idle periods and refill their
+//    window at burst start.
+//  * Fan-out/fan-in trees of real RPCs (`dagMode`).
+//  * Multi-tenant serving against replica groups (`serving.tenants`).
+// It checks the config before building anything, in every build type, and
+// throws std::invalid_argument("runRpcExperiment: <reason>") on a bad
+// topology, serving or DAG config; `dagMode` with serving tenants; no
+// client or no server host (a DAG deeper than 1 needs two servers); and an
+// open-loop echo `load` that is not finite and > 0.
 #pragma once
 
 #include <memory>
@@ -123,8 +131,8 @@ struct RpcExperimentResult {
     bool keptUp = false;
 };
 
-/// Throws std::invalid_argument carrying validateServingConfig's reason
-/// when a serving config does not fit the topology.
+/// Throws std::invalid_argument on a config it cannot run (see the file
+/// comment); a serving config's reason is validateServingConfig's.
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg);
 
 /// Canonical serialization of everything an RpcExperimentResult measures,

@@ -64,12 +64,47 @@ std::vector<uint64_t> shardPointIndices(const ShardSpec& s,
 
 namespace {
 
-/// Shared parallel section of run()/runShard(): fan `points` across a
-/// pool, collecting results into slots[i] (input order). Returns
+// Seed derivation and the sim-thread override, shared by every sweep.
+uint64_t& pointSeed(ExperimentConfig& p) { return p.traffic.seed; }
+uint64_t& pointSeed(RpcExperimentConfig& p) { return p.seed; }
+
+template <typename Config>
+void applySweepOptions(std::vector<Config>& points, const SweepOptions& opts) {
+    if (opts.deriveSeeds) {
+        for (size_t i = 0; i < points.size(); i++) {
+            pointSeed(points[i]) = deriveSweepSeed(opts.baseSeed, i);
+        }
+    }
+    if (opts.simThreads > 0) {
+        for (Config& p : points) p.parallel.threads = opts.simThreads;
+    }
+}
+
+// Pre-build the workload caches a point reads. Serving points may touch
+// several distributions, one per tenant.
+void prewarm(const ExperimentConfig& p) {
+    workload(p.traffic.workload).meanWireBytes();
+}
+void prewarm(const RpcExperimentConfig& p) {
+    workload(p.workload).meanWireBytes();
+    for (const TenantConfig& t : p.serving.tenants) {
+        workload(t.workload).meanWireBytes();
+    }
+}
+
+ExperimentResult runPoint(const ExperimentConfig& p) {
+    return runExperiment(p);
+}
+RpcExperimentResult runPoint(const RpcExperimentConfig& p) {
+    return runRpcExperiment(p);
+}
+
+/// Shared parallel section of every sweep: fan `points` across a pool,
+/// collecting results into slots[i] (input order). Returns
 /// (threadsUsed, wallSeconds).
-std::pair<int, double> fanOut(const std::vector<ExperimentConfig>& points,
-                              std::vector<ExperimentResult>& slots,
-                              int threads) {
+template <typename Config, typename Result>
+std::pair<int, double> fanOut(const std::vector<Config>& points,
+                              std::vector<Result>& slots, int threads) {
     if (threads <= 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
         if (threads <= 0) threads = 1;
@@ -82,16 +117,14 @@ std::pair<int, double> fanOut(const std::vector<ExperimentConfig>& points,
     // Pre-build the workload caches once, serially: worker threads then
     // only read them (call_once makes the lazy path safe anyway, but this
     // keeps the first point's wall time honest).
-    for (const ExperimentConfig& p : points) {
-        workload(p.traffic.workload).meanWireBytes();
-    }
+    for (const Config& p : points) prewarm(p);
 
     std::atomic<size_t> next{0};
     auto worker = [&] {
         for (;;) {
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= points.size()) return;
-            slots[i] = runExperiment(points[i]);
+            slots[i] = runPoint(points[i]);
         }
     };
     if (threads == 1) {
@@ -108,18 +141,24 @@ std::pair<int, double> fanOut(const std::vector<ExperimentConfig>& points,
     return {threads, wall};
 }
 
+void appendNum(std::string& s, const char* key, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s=%a;", key, v);
+    s += buf;
+}
+
+void appendInt(std::string& s, const char* key, uint64_t v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%s=%llu;",
+                  key, static_cast<unsigned long long>(v));
+    s += buf;
+}
+
 }  // namespace
 
 SweepOutcome SweepRunner::run(std::vector<ExperimentConfig> points) const {
     SweepOutcome out;
-    if (opts_.deriveSeeds) {
-        for (size_t i = 0; i < points.size(); i++) {
-            points[i].traffic.seed = deriveSweepSeed(opts_.baseSeed, i);
-        }
-    }
-    if (opts_.simThreads > 0) {
-        for (ExperimentConfig& p : points) p.parallel.threads = opts_.simThreads;
-    }
+    applySweepOptions(points, opts_);
     std::tie(out.threadsUsed, out.wallSeconds) =
         fanOut(points, out.results, opts_.threads);
     return out;
@@ -131,14 +170,7 @@ ShardOutcome SweepRunner::runShard(std::vector<ExperimentConfig> points,
     out.totalPoints = points.size();
     // Seed derivation over *global* indices, before slicing: point i gets
     // the exact seed it would get in a single-machine run.
-    if (opts_.deriveSeeds) {
-        for (size_t i = 0; i < points.size(); i++) {
-            points[i].traffic.seed = deriveSweepSeed(opts_.baseSeed, i);
-        }
-    }
-    if (opts_.simThreads > 0) {
-        for (ExperimentConfig& p : points) p.parallel.threads = opts_.simThreads;
-    }
+    applySweepOptions(points, opts_);
     out.indices = shardPointIndices(shard, points.size());
     std::vector<ExperimentConfig> slice;
     slice.reserve(out.indices.size());
@@ -155,73 +187,11 @@ ShardOutcome SweepRunner::runShard(std::vector<ExperimentConfig> points,
 RpcSweepOutcome runRpcSweep(std::vector<RpcExperimentConfig> points,
                             const SweepOptions& opts) {
     RpcSweepOutcome out;
-    if (opts.deriveSeeds) {
-        for (size_t i = 0; i < points.size(); i++) {
-            points[i].seed = deriveSweepSeed(opts.baseSeed, i);
-        }
-    }
-    if (opts.simThreads > 0) {
-        for (RpcExperimentConfig& p : points) {
-            p.parallel.threads = opts.simThreads;
-        }
-    }
-    int threads = opts.threads;
-    if (threads <= 0) {
-        threads = static_cast<int>(std::thread::hardware_concurrency());
-        if (threads <= 0) threads = 1;
-    }
-    threads = std::min<int>(threads, static_cast<int>(points.size()));
-    threads = std::max(threads, 1);
-    out.results.resize(points.size());
-
-    const auto t0 = std::chrono::steady_clock::now();
-    // Pre-build the workload caches serially (see fanOut): serving points
-    // may touch several distributions, one per tenant.
-    for (const RpcExperimentConfig& p : points) {
-        workload(p.workload).meanWireBytes();
-        for (const TenantConfig& t : p.serving.tenants) {
-            workload(t.workload).meanWireBytes();
-        }
-    }
-    std::atomic<size_t> next{0};
-    auto worker = [&] {
-        for (;;) {
-            const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size()) return;
-            out.results[i] = runRpcExperiment(points[i]);
-        }
-    };
-    if (threads == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (int t = 0; t < threads; t++) pool.emplace_back(worker);
-        for (auto& t : pool) t.join();
-    }
-    out.threadsUsed = threads;
-    out.wallSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    applySweepOptions(points, opts);
+    std::tie(out.threadsUsed, out.wallSeconds) =
+        fanOut(points, out.results, opts.threads);
     return out;
 }
-
-namespace {
-
-void appendNum(std::string& s, const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%a;", key, v);
-    s += buf;
-}
-
-void appendInt(std::string& s, const char* key, uint64_t v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s=%llu;",
-                  key, static_cast<unsigned long long>(v));
-    s += buf;
-}
-
-}  // namespace
 
 std::string resultFingerprint(const ExperimentResult& r) {
     std::string s;
@@ -317,6 +287,84 @@ std::string resultFingerprint(const ExperimentResult& r) {
             appendNum(s, "bucketP99", row.p99);
             appendNum(s, "bucketMean", row.mean);
         }
+    }
+    return s;
+}
+
+std::string resultFingerprint(const RpcExperimentResult& r) {
+    std::string s;
+    appendInt(s, "issued", r.issued);
+    appendInt(s, "completed", r.completed);
+    appendInt(s, "retries", r.retries);
+    appendInt(s, "reexecutions", r.reexecutions);
+    appendInt(s, "keptUp", r.keptUp ? 1 : 0);
+    if (r.slowdown) {
+        appendNum(s, "p50", r.slowdown->overallPercentile(0.50));
+        appendNum(s, "p99", r.slowdown->overallPercentile(0.99));
+        for (const SlowdownRow& row : r.slowdown->rows()) {
+            appendInt(s, "bucketCount", row.count);
+            appendNum(s, "bucketMedian", row.median);
+            appendNum(s, "bucketP99", row.p99);
+            appendNum(s, "bucketMean", row.mean);
+        }
+    }
+    if (r.perClient) {
+        appendInt(s, "clCompleted", r.perClient->totalCompleted());
+        appendInt(s, "clMaxClient", r.perClient->maxClientCompleted());
+        appendInt(s, "clMinClient", r.perClient->minClientCompleted());
+        appendNum(s, "clOpsPerSec", r.perClient->aggregateOpsPerSec());
+        appendNum(s, "clGbps", r.perClient->aggregateGbps());
+        appendNum(s, "clLatP50", r.perClient->latencyPercentileUs(0.50));
+        appendNum(s, "clLatP99", r.perClient->latencyPercentileUs(0.99));
+    }
+    if (r.dag) {
+        appendInt(s, "dagTrees", r.dag->trees());
+        appendInt(s, "dagNodes", r.dag->totalNodes());
+        appendInt(s, "dagBytes", static_cast<uint64_t>(r.dag->totalBytes()));
+        appendInt(s, "dagMaxRoot", r.dag->maxRootTrees());
+        appendInt(s, "dagMinRoot", r.dag->minRootTrees());
+        appendNum(s, "dagTreesPerSec", r.dag->treesPerSec());
+        appendNum(s, "dagCompP50", r.dag->completionPercentileUs(0.50));
+        appendNum(s, "dagCompP99", r.dag->completionPercentileUs(0.99));
+        appendNum(s, "dagSlowP50", r.dag->slowdownPercentile(0.50));
+        appendNum(s, "dagSlowP99", r.dag->slowdownPercentile(0.99));
+    }
+    if (r.tenants) {
+        // Serving block only: non-serving fingerprints are byte-identical
+        // to the pre-serving format (the no-tenants golden relies on it).
+        appendInt(s, "tnTenants", static_cast<uint64_t>(r.tenants->tenants()));
+        for (int t = 0; t < r.tenants->tenants(); t++) {
+            appendInt(s, "tnCompleted", r.tenants->completed(t));
+            appendNum(s, "tnOpsPerSec", r.tenants->opsPerSec(t));
+            appendNum(s, "tnGbps", r.tenants->gbps(t));
+            appendNum(s, "tnLatP50", r.tenants->latencyPercentileUs(t, 0.50));
+            appendNum(s, "tnLatP99", r.tenants->latencyPercentileUs(t, 0.99));
+            appendNum(s, "tnLatMean", r.tenants->latencyMeanUs(t));
+            appendNum(s, "tnSlowP50", r.tenants->slowdownPercentile(t, 0.50));
+            appendNum(s, "tnSlowP99", r.tenants->slowdownPercentile(t, 0.99));
+            const TenantHedgeStats& h = r.tenants->hedges(t);
+            appendInt(s, "tnHedgeIssued", h.issued);
+            appendInt(s, "tnHedgeWon", h.won);
+            appendInt(s, "tnHedgeCancelled", h.cancelled);
+            appendInt(s, "tnHedgeFailed", h.failed);
+        }
+        appendInt(s, "svLogicalIssued", r.serving.logicalIssued);
+        appendInt(s, "svLogicalCompleted", r.serving.logicalCompleted);
+        appendInt(s, "svCallsIssued", r.serving.callsIssued);
+        appendInt(s, "svResponsesConsumed", r.serving.responsesConsumed);
+        appendInt(s, "svHedgesIssued", r.serving.hedgesIssued);
+        appendInt(s, "svHedgesWon", r.serving.hedgesWon);
+        appendInt(s, "svHedgesCancelled", r.serving.hedgesCancelled);
+        appendInt(s, "svHedgesFailed", r.serving.hedgesFailed);
+        appendInt(s, "svPrimariesCancelled", r.serving.primariesCancelled);
+        appendInt(s, "svIssuedBytes",
+                  static_cast<uint64_t>(r.serving.issuedBytes));
+        appendInt(s, "svConsumedBytes",
+                  static_cast<uint64_t>(r.serving.consumedBytes));
+        appendInt(s, "svRefundedBytes",
+                  static_cast<uint64_t>(r.serving.refundedBytes));
+        appendInt(s, "svUnresolvedBytes",
+                  static_cast<uint64_t>(r.serving.unresolvedBytes));
     }
     return s;
 }

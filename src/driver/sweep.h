@@ -121,10 +121,10 @@ private:
 };
 
 /// RPC-harness sweep: the serving/dag/echo sibling of SweepRunner::run,
-/// with the same contract — results[i] corresponds to points[i] whatever
-/// the thread count, and SweepOptions::deriveSeeds overwrites point i's
-/// `seed` with deriveSweepSeed(baseSeed, i) so a width-N sweep runs the
-/// exact experiments N width-1 sweeps would.
+/// on the same pool with the same contract — results[i] corresponds to
+/// points[i] whatever the thread count, and SweepOptions::deriveSeeds
+/// overwrites point i's `seed` with deriveSweepSeed(baseSeed, i) so a
+/// width-N sweep runs the exact experiments N width-1 sweeps would.
 struct RpcSweepOutcome {
     std::vector<RpcExperimentResult> results;
     double wallSeconds = 0;

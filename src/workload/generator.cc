@@ -36,7 +36,6 @@ TrafficGenerator::TrafficGenerator(Network& net, TrafficConfig cfg,
         assert(cfg_.scenario.closedLoopWindow >= 1);
         outstanding_.assign(net_.hostCount(), 0);
     } else if (dagMode()) {
-        assert(validateDagConfig(cfg_.scenario.dag) == nullptr);
         dagRoots_ = dagRootCount(cfg_.scenario.dag, net_.hostCount());
         outstanding_.assign(dagRoots_, 0);
         dag_ = std::make_unique<DagEngine>(

@@ -5,6 +5,8 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace homa {
 
@@ -276,8 +278,12 @@ DagEngine::DagEngine(const DagConfig& cfg, const SizeDistribution* sizes,
       loop_(loop),
       allocId_(std::move(allocId)),
       emit_(std::move(emit)) {
-    assert(validateDagConfig(cfg_) == nullptr);
-    assert(hostCount_ >= 2);
+    if (const char* why = validateDagConfig(cfg_)) {
+        throw std::invalid_argument(std::string("DagEngine: ") + why);
+    }
+    if (hostCount_ < 2) {
+        throw std::invalid_argument("DagEngine: needs at least two hosts");
+    }
     assert(allocId_ && emit_);
 }
 

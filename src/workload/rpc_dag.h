@@ -198,7 +198,9 @@ public:
 
     /// `sizes` may be null when cfg.stageResponseBytes is non-empty.
     /// Ids come from `allocId` *before* the message reaches `emit`, so an
-    /// emit-side observer can already resolve roleOf(m.id).
+    /// emit-side observer can already resolve roleOf(m.id). Throws
+    /// std::invalid_argument when validateDagConfig rejects `cfg` or the
+    /// cluster has fewer than two hosts.
     DagEngine(const DagConfig& cfg, const SizeDistribution* sizes,
               int hostCount, EventLoop& loop, AllocIdFn allocId, EmitFn emit);
 

@@ -579,6 +579,94 @@ TEST(ServingDeterminism, HedgedHomaGoldenFingerprint) {
     EXPECT_EQ(fp.size(), 1112u);
 }
 
+// One row per RPC-harness mode and issue path: open and closed echo, with
+// and without ON-OFF gating, a sender-driven baseline, staged and sampled
+// DAG trees (with joins), and serving with think time, random selection
+// and NDP. The echo, DAG and serving runners share one set-up, issue gate,
+// priming and close, so any reorder of an RNG draw or a same-instant event
+// there moves a row. Each row must also be inert to parallel.threads.
+TEST(RpcHarnessDeterminism, ModeGoldenFingerprints) {
+    struct Row {
+        const char* name;
+        RpcExperimentConfig cfg;
+        uint64_t hash;
+        size_t length;
+    };
+    RpcExperimentConfig base;
+    base.stop = milliseconds(3);
+    std::vector<Row> rows;
+
+    RpcExperimentConfig echoOpen = base;
+    echoOpen.workload = WorkloadId::W1;
+    echoOpen.load = 0.5;
+    rows.push_back({"echo open", echoOpen, 0x23f12d5a27fa7fcfull, 1424});
+
+    RpcExperimentConfig echoThink = base;
+    echoThink.workload = WorkloadId::W1;
+    echoThink.closedLoopWindow = 2;
+    echoThink.thinkTime = microseconds(5);
+    rows.push_back({"echo closed + think", echoThink, 0xb8fe1f4bd2a461fcull,
+                    1257});
+
+    RpcExperimentConfig echoClosedOnOff = echoThink;
+    echoClosedOnOff.onOff.enabled = true;
+    rows.push_back({"echo closed + ON-OFF", echoClosedOnOff,
+                    0x5e4cf58bf98ce095ull, 1255});
+
+    RpcExperimentConfig echoOpenOnOff = base;
+    echoOpenOnOff.workload = WorkloadId::W1;
+    echoOpenOnOff.load = 0.4;
+    echoOpenOnOff.onOff.enabled = true;
+    echoOpenOnOff.onOff.onMean = microseconds(50);
+    echoOpenOnOff.onOff.offMean = microseconds(150);
+    rows.push_back({"echo open + ON-OFF", echoOpenOnOff,
+                    0x648d84c596b928f3ull, 1426});
+
+    RpcExperimentConfig echoPFabric = base;
+    echoPFabric.workload = WorkloadId::W3;
+    echoPFabric.load = 0.6;
+    echoPFabric.proto.kind = Protocol::PFabric;
+    rows.push_back({"echo open pFabric", echoPFabric, 0x3f3b27cb104403b0ull,
+                    1411});
+
+    RpcExperimentConfig dagStaged = base;
+    dagStaged.workload = WorkloadId::W1;
+    dagStaged.dagMode = true;
+    dagStaged.dag.fanout = 4;
+    dagStaged.dag.depth = 2;
+    dagStaged.dag.stageResponseBytes = {2000, 500};
+    rows.push_back({"DAG staged", dagStaged, 0xe4988c189d385872ull, 448});
+
+    RpcExperimentConfig dagJoins = base;
+    dagJoins.workload = WorkloadId::W1;
+    dagJoins.dagMode = true;
+    dagJoins.dag.fanout = 3;
+    dagJoins.dag.depth = 2;
+    dagJoins.dag.window = 2;
+    dagJoins.dag.joinFraction = 0.5;
+    dagJoins.onOff.enabled = true;
+    rows.push_back({"DAG joins + ON-OFF, sampled sizes", dagJoins,
+                    0x0f3e9710c8a7894dull, 465});
+
+    RpcExperimentConfig serving = servingConfig();
+    serving.serving.tenants[1].think = microseconds(5);
+    serving.serving.groups[0].policy = LbPolicy::Random;
+    serving.proto.kind = Protocol::Ndp;
+    rows.push_back({"serving think + random + NDP", serving,
+                    0x5f549e93861bdea6ull, 1116});
+
+    for (Row& row : rows) {
+        const std::string fp = resultFingerprint(runRpcExperiment(row.cfg));
+        EXPECT_EQ(fnv1a(fp), row.hash)
+            << row.name << std::hex << ": hash 0x" << fnv1a(fp) << std::dec
+            << " live fingerprint:\n" << fp;
+        EXPECT_EQ(fp.size(), row.length) << row.name;
+        row.cfg.parallel.threads = 4;
+        EXPECT_EQ(resultFingerprint(runRpcExperiment(row.cfg)), fp)
+            << row.name;
+    }
+}
+
 // A small fat tree whose aggr0 runs at 2% speed and drops 2% of packets
 // for 4 ms. Data queued there outlives the RESEND timeout, so receivers
 // RESEND and senders retransmit; whichever copy loses the race arrives

@@ -2,6 +2,7 @@
 // measurement windows, utilization accounting, overload detection.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 
 #include "driver/experiment.h"
@@ -142,6 +143,52 @@ TEST(RpcExperiment, HomaBeatsStreamingTail) {
               stream.slowdown->overallPercentile(0.99));
 }
 
+TEST(RpcExperiment, CallerMisuseThrows) {
+    // Checked before anything is built, in every build type. Unchecked,
+    // each would crash (an empty server pool divides by zero in
+    // Rng::below), never return (an open loop at load 0), run silently
+    // empty, or run serving and ignore dagMode.
+    struct Case {
+        const char* expect;
+        std::function<void(RpcExperimentConfig&)> mutate;
+    };
+    const Case cases[] = {
+        {"no server host", [](RpcExperimentConfig& c) { c.clients = 16; }},
+        {"at least two server hosts",
+         [](RpcExperimentConfig& c) {
+             c.dagMode = true;
+             c.dag.depth = 2;
+             c.clients = 15;
+         }},
+        {"fanout must be >= 1",
+         [](RpcExperimentConfig& c) {
+             c.dagMode = true;
+             c.dag.fanout = 0;
+         }},
+        {"load must be finite and > 0",
+         [](RpcExperimentConfig& c) { c.load = 0; }},
+        {"clients must be >= 1", [](RpcExperimentConfig& c) { c.clients = 0; }},
+        {"dagMode and serving tenants are exclusive",
+         [](RpcExperimentConfig& c) {
+             c.dagMode = true;
+             c.serving.tenants.emplace_back();
+         }},
+    };
+    for (const Case& c : cases) {
+        RpcExperimentConfig cfg;
+        c.mutate(cfg);
+        EXPECT_THROW((void)runRpcExperiment(cfg), std::invalid_argument)
+            << c.expect;
+        try {
+            (void)runRpcExperiment(cfg);
+        } catch (const std::invalid_argument& e) {
+            const std::string why = e.what();
+            EXPECT_EQ(why.rfind("runRpcExperiment: ", 0), 0u) << why;
+            EXPECT_NE(why.find(c.expect), std::string::npos) << why;
+        }
+    }
+}
+
 TEST(ExperimentDriver, WarmupZeroCountsEveryMessage) {
     ExperimentConfig cfg = smallConfig(WorkloadId::W2, 0.4);
     cfg.warmupFraction = 0.0;
@@ -246,6 +293,15 @@ TEST(ExperimentDriver, CallerMisuseThrows) {
     fluidFaults.fluidThresholdBytes = 20000;
     fluidFaults.traffic.scenario.faults.emplace_back();
     EXPECT_THROW((void)runExperiment(fluidFaults), std::invalid_argument);
+    // A DAG shape set directly on the config bypasses the spec parser;
+    // DagEngine rejects it rather than run with nothing generated.
+    ExperimentConfig noFanout = smallConfig(WorkloadId::W3, 0.5);
+    noFanout.traffic.scenario.kind = TrafficPatternKind::Dag;
+    ExperimentConfig noDepth = noFanout;
+    noFanout.traffic.scenario.dag.fanout = 0;
+    noDepth.traffic.scenario.dag.depth = 0;
+    EXPECT_THROW((void)runExperiment(noFanout), std::invalid_argument);
+    EXPECT_THROW((void)runExperiment(noDepth), std::invalid_argument);
 }
 
 TEST(FindMaxLoad, DetectsACapForPHost) {
