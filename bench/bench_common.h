@@ -27,20 +27,15 @@ inline bool fullScale() {
 /// "<pattern>" or "<pattern>+on-off" (uniform|permutation|rack-skew|
 /// incast|pareto|closed-loop|dag); dag also takes parameters
 /// ("dag:fanout=40,depth=2"), every other pattern keeps its
-/// ScenarioConfig defaults. Trace replay needs an explicit schedule, so
-/// it is driven via example_run_experiment --trace instead.
+/// ScenarioConfig defaults. Trace replay needs an explicit schedule, which
+/// the spec grammar cannot carry (the parser rejects it), so it is driven
+/// via example_run_experiment --trace instead.
 inline ScenarioConfig scenarioFromEnv() {
     ScenarioConfig s;
     const char* env = std::getenv("HOMA_SCENARIO");
-    if (env != nullptr && !scenarioFromSpec(env, s)) {
-        std::fprintf(stderr, "HOMA_SCENARIO: unknown scenario spec '%s'\n",
-                     env);
-        std::exit(2);
-    }
-    if (s.kind == TrafficPatternKind::TraceReplay) {
-        std::fprintf(stderr,
-                     "HOMA_SCENARIO=trace needs a schedule; use "
-                     "example_run_experiment --trace FILE\n");
+    std::string err;
+    if (env != nullptr && !scenarioFromSpec(env, s, &err)) {
+        std::fprintf(stderr, "HOMA_SCENARIO '%s': %s\n", env, err.c_str());
         std::exit(2);
     }
     if (s.serving.enabled()) {

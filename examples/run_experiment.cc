@@ -13,8 +13,15 @@
 // priority usage for any protocol/workload/parameter combination — every
 // figure in bench/ is a scripted set of these runs.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdarg>
 #include <cstring>
+#include <iterator>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "driver/experiment.h"
 #include "driver/rpc_experiment.h"
@@ -110,453 +117,358 @@ namespace {
     std::exit(2);
 }
 
-// Strict numeric parsing for the --dag-* flags (range checks happen once
-// on the assembled config via validateDagConfig): a typo gets the usage
-// message, not an uncaught std::stoi exception.
-void dagInt(const std::string& flag, const std::string& val, int& out) {
-    if (!parseDagInt(val, out)) {
-        std::fprintf(stderr, "%s: expected an integer, got '%s'\n",
-                     flag.c_str(), val.c_str());
-        usage();
-    }
-}
-
-void dagDouble(const std::string& flag, const std::string& val, double& out) {
-    if (!parseDagDouble(val, out)) {
-        std::fprintf(stderr, "%s: expected a number, got '%s'\n",
-                     flag.c_str(), val.c_str());
-        usage();
-    }
-}
-
-Protocol parseProtocol(const std::string& s) {
-    for (Protocol p : {Protocol::Homa, Protocol::Basic, Protocol::PHost,
-                       Protocol::Pias, Protocol::PFabric, Protocol::Ndp,
-                       Protocol::StreamSC, Protocol::StreamMC}) {
-        if (s == protocolName(p)) return p;
-    }
-    std::fprintf(stderr, "unknown protocol: %s\n", s.c_str());
+[[noreturn]] __attribute__((format(printf, 1, 2))) void fail(
+    const char* fmt, ...) {
+    va_list args;
+    va_start(args, fmt);
+    std::vfprintf(stderr, fmt, args);
+    va_end(args);
+    std::fputc('\n', stderr);
     usage();
 }
+
+// The one parser of every number on the command line: the whole token must
+// parse, integers must fit `T`, doubles must be finite, and unsigned types
+// take no sign. Returns why not, or "" after storing the value.
+template <typename T>
+std::string number(const std::string& text, T& out) {
+    T v{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end) {
+        if constexpr (std::is_floating_point_v<T>) return "expected a number";
+        return std::is_unsigned_v<T>
+                   ? "expected a non-negative integer in range"
+                   : "expected an integer in range";
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v)) return "expected a finite number";
+    }
+    out = v;
+    return "";
+}
+
+// A duration given as a (possibly fractional) count of `unit`s.
+std::string duration(const std::string& text, Duration unit, Duration& out) {
+    double count = 0;
+    std::string why = number(text, count);
+    const double ps = count * static_cast<double>(unit);
+    if (why.empty() && !(std::fabs(ps) < 9e18)) why = "duration out of range";
+    if (why.empty()) out = static_cast<Duration>(ps);
+    return why;
+}
+
+// What the flags set; main() hands it to the runner that fits.
+struct Cli {
+    ExperimentConfig cfg;
+    ServingConfig serving;
+    int sched = 0, unsched = 0;
+
+    ScenarioConfig& sc() { return cfg.traffic.scenario; }
+    DagConfig& dag() { return cfg.traffic.scenario.dag; }
+    HomaConfig& homa() { return cfg.proto.homa; }
+};
+
+using Arg = const std::string&;
+
+// One row per flag. `owner` is the pattern (e.g. "incast") or switch
+// (e.g. "--on-off") the flag is a knob of: without it the flag would do
+// nothing, so it is rejected. `withTenants`, when set, rejects the flag in
+// serving mode (a printf format; %s is the final pattern's name). `set`
+// parses the value strictly and returns why it cannot, or "" (main()
+// exits on a reason, so a failed `set` may leave the Cli half-written);
+// switches take no value and `toggle` instead. Rules about the values
+// themselves live in the library (experimentConfigError,
+// rpcExperimentConfigError).
+struct Flag {
+    const char* name;
+    const char* owner;
+    const char* withTenants;
+    std::string (*set)(Cli&, Arg);
+    void (*toggle)(Cli&) = nullptr;
+};
+
+constexpr const char* kClosedLoopWithTenants =
+    "--window/--think-us do not apply to --tenants: use per-tenant "
+    "'mode=closed,window=N,think_us=F' in the tenant spec";
+constexpr const char* kDagWithTenants =
+    "--tenants contradicts --dag-*/--pattern dag: serving mode and dag mode "
+    "are separate RPC harnesses — pick one";
+constexpr const char* kOnOffWithTenants =
+    "--on-off does not compose with --tenants: each tenant carries its own "
+    "arrival mode";
+
+const Flag kFlags[] = {
+    {"--workload", nullptr,
+     "--workload does not apply to --tenants: each tenant names its own "
+     "(wl=W1..W5)",
+     [](Cli& c, Arg v) -> std::string {
+         try {
+             c.cfg.traffic.workload = workloadFromName(v);
+         } catch (const std::invalid_argument&) {
+             return "expected W1..W5";
+         }
+         return "";
+     }},
+    {"--protocol", nullptr, nullptr,
+     [](Cli& c, Arg v) -> std::string {
+         for (Protocol p : {Protocol::Homa, Protocol::Basic, Protocol::PHost,
+                            Protocol::Pias, Protocol::PFabric, Protocol::Ndp,
+                            Protocol::StreamSC, Protocol::StreamMC}) {
+             if (v == protocolName(p)) {
+                 c.cfg.proto.kind = p;
+                 return "";
+             }
+         }
+         return "unknown protocol (names are case-sensitive, e.g. Homa)";
+     }},
+    {"--load", nullptr,
+     "--load does not apply to --tenants: each tenant sets its own (load=F)",
+     [](Cli& c, Arg v) { return number(v, c.cfg.traffic.load); }},
+    {"--window-ms", nullptr, nullptr,
+     [](Cli& c, Arg v) {
+         return duration(v, kMillisecond, c.cfg.traffic.stop);
+     }},
+    {"--seed", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.cfg.traffic.seed); }},
+    {"--sim-threads", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.cfg.parallel.threads); }},
+    {"--single-rack", nullptr, nullptr, nullptr,
+     [](Cli& c) { c.cfg.net = NetworkConfig::singleRack16(); }},
+    {"--topo", nullptr, nullptr,
+     [](Cli& c, Arg v) {
+         std::string err;
+         parseTopoSpec(v, c.cfg.net, &err);
+         return err;
+     }},
+    {"--pattern", nullptr,
+     "--tenants contradicts --pattern %s: tenant configs own destination "
+     "choice and arrival modes",
+     [](Cli& c, Arg v) -> std::string {
+         return patternFromName(v, c.sc().kind) ? "" : "unknown pattern";
+     }},
+    {"--hotspots", "incast", nullptr,
+     [](Cli& c, Arg v) { return number(v, c.sc().hotspots); }},
+    {"--hotspot-degree", "incast", nullptr,
+     [](Cli& c, Arg v) { return number(v, c.sc().hotspotDegree); }},
+    {"--hotspot-fraction", "incast", nullptr,
+     [](Cli& c, Arg v) { return number(v, c.sc().hotspotFraction); }},
+    {"--rack-local", "rack-skew", nullptr,
+     [](Cli& c, Arg v) { return number(v, c.sc().rackLocalFraction); }},
+    {"--pareto-alpha", "pareto", nullptr,
+     [](Cli& c, Arg v) { return number(v, c.sc().paretoAlpha); }},
+    // Selects the trace pattern unless --pattern names another (main()).
+    {"--trace", nullptr,
+     "--tenants contradicts --trace: tenants issue their own RPCs, a "
+     "replayed schedule cannot — pick one",
+     [](Cli& c, Arg v) {
+         c.sc().tracePath = v;
+         return std::string();
+     }},
+    {"--window", "closed-loop", kClosedLoopWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.sc().closedLoopWindow); }},
+    {"--think-us", "closed-loop", kClosedLoopWithTenants,
+     [](Cli& c, Arg v) { return duration(v, kMicrosecond, c.sc().thinkTime); }},
+    {"--dag-fanout", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().fanout); }},
+    {"--dag-depth", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().depth); }},
+    {"--dag-window", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().window); }},
+    {"--dag-roots", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().roots); }},
+    {"--dag-req", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().requestBytes); }},
+    {"--dag-stage-sizes", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) {
+         c.dag().stageResponseBytes.clear();
+         std::string why;
+         for (size_t pos = 0; why.empty() && pos <= v.size();) {
+             const size_t comma = std::min(v.find(',', pos), v.size());
+             why = number(v.substr(pos, comma - pos),
+                          c.dag().stageResponseBytes.emplace_back());
+             pos = comma + 1;
+         }
+         return why;
+     }},
+    {"--dag-join", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().joinFraction); }},
+    {"--dag-straggler", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().stragglerFraction); }},
+    {"--dag-straggler-factor", "dag", kDagWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.dag().stragglerFactor); }},
+    {"--on-off", nullptr, kOnOffWithTenants, nullptr,
+     [](Cli& c) { c.sc().onOff.enabled = true; }},
+    {"--on-us", "--on-off", kOnOffWithTenants,
+     [](Cli& c, Arg v) {
+         return duration(v, kMicrosecond, c.sc().onOff.onMean);
+     }},
+    {"--off-us", "--on-off", kOnOffWithTenants,
+     [](Cli& c, Arg v) {
+         return duration(v, kMicrosecond, c.sc().onOff.offMean);
+     }},
+    {"--on-off-dist", "--on-off", kOnOffWithTenants,
+     [](Cli& c, Arg v) -> std::string {
+         if (onOffDistFromName(v, c.sc().onOff.dist)) return "";
+         return "expected exp or pareto";
+     }},
+    {"--on-off-shape", "--on-off", kOnOffWithTenants,
+     [](Cli& c, Arg v) { return number(v, c.sc().onOff.paretoShape); }},
+    {"--fault", nullptr,
+     "--tenants does not compose with --fault: the serving harness's call "
+     "ledgers assume a fault-free fabric",
+     [](Cli& c, Arg v) {
+         std::string err;
+         parseFaultSpec(v, c.sc().faults.emplace_back(), &err);
+         return err;
+     }},
+    {"--ecmp", nullptr,
+     "--ecmp does not apply to --tenants: the RPC harness runs the paper's "
+     "per-packet spraying",
+     nullptr, [](Cli& c) { c.sc().ecmpUplinks = true; }},
+    {"--fluid", nullptr,
+     "--tenants does not compose with --fluid: serving runs account per RPC "
+     "on the packet engine",
+     [](Cli& c, Arg v) {
+         std::string why = number(v, c.cfg.fluidThresholdBytes);
+         if (why.empty() && c.cfg.fluidThresholdBytes < 0) {
+             why = "expected a non-negative byte threshold";
+         }
+         return why;
+     }},
+    {"--tenants", nullptr, nullptr,
+     [](Cli& c, Arg v) {
+         std::string err;
+         parseTenantsSpec(v, c.serving.tenants, &err);
+         return err;
+     }},
+    {"--replicas", nullptr, nullptr,
+     [](Cli& c, Arg v) {
+         std::string err;
+         parseReplicasSpec(v, c.serving.groups, &err);
+         return err;
+     }},
+    {"--wire-priorities", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.homa().wirePriorities); }},
+    {"--sched", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.sched); }},
+    {"--unsched", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.unsched); }},
+    {"--cutoff", nullptr, nullptr,
+     [](Cli& c, Arg v) {
+         return number(v, c.homa().explicitCutoffs.emplace_back());
+     }},
+    {"--unsched-bytes", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.homa().unschedBytesLimit); }},
+    {"--reservation", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.homa().oldestReservation); }},
+    {"--overcommit", nullptr, nullptr,
+     [](Cli& c, Arg v) { return number(v, c.homa().overcommitDegree); }},
+    {"--grant-policy", nullptr, nullptr,
+     [](Cli& c, Arg v) -> std::string {
+         for (GrantPolicy p : {GrantPolicy::Srpt, GrantPolicy::Fifo,
+                               GrantPolicy::RoundRobin,
+                               GrantPolicy::Unlimited}) {
+             if (v == grantPolicyName(p)) {
+                 c.homa().grantPolicy = p;
+                 return "";
+             }
+         }
+         return "expected srpt, fifo, rr or unlimited";
+     }},
+    {"--no-incast-control", nullptr, nullptr, nullptr,
+     [](Cli& c) { c.homa().incastControl = false; }},
+    {"--wasted-bw", nullptr,
+     "--wasted-bw does not apply to --tenants: the wasted-bandwidth probe "
+     "is message-level",
+     nullptr, [](Cli& c) { c.cfg.measureWastedBandwidth = true; }},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    ExperimentConfig cfg;
-    cfg.traffic.stop = milliseconds(10);
+    Cli cli;
+    ExperimentConfig& cfg = cli.cfg;
+    ScenarioConfig& sc = cli.sc();
 
-    int sched = 0, unsched = 0;
-    bool closedLoopFlagSeen = false, onOffKnobSeen = false;
-    bool dagFlagSeen = false, traceSeen = false, patternSeen = false;
-    bool singleRackSeen = false;
-    bool tenantsSeen = false, replicasSeen = false;
-    ServingConfig servingCfg;
-    std::string topoSpec;
-    TrafficPatternKind explicitPattern = TrafficPatternKind::Uniform;
+    std::vector<const Flag*> given;  // in command-line order
     for (int i = 1; i < argc; i++) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) usage();
-            return argv[++i];
-        };
-        if (arg == "--workload") {
-            cfg.traffic.workload = workloadFromName(next());
-        } else if (arg == "--protocol") {
-            cfg.proto.kind = parseProtocol(next());
-        } else if (arg == "--load") {
-            cfg.traffic.load = std::stod(next());
-        } else if (arg == "--window-ms") {
-            cfg.traffic.stop = milliseconds(std::stol(next()));
-        } else if (arg == "--seed") {
-            cfg.traffic.seed = std::stoull(next());
-        } else if (arg == "--sim-threads") {
-            cfg.parallel.threads = std::stoi(next());
-        } else if (arg == "--single-rack") {
-            cfg.net = NetworkConfig::singleRack16();
-            singleRackSeen = true;
-        } else if (arg == "--topo") {
-            topoSpec = next();
-        } else if (arg == "--pattern") {
-            const std::string name = next();
-            if (!patternFromName(name, cfg.traffic.scenario.kind)) {
-                std::fprintf(stderr, "unknown pattern: %s\n", name.c_str());
-                usage();
-            }
-            patternSeen = true;
-            explicitPattern = cfg.traffic.scenario.kind;
-        } else if (arg == "--hotspots") {
-            cfg.traffic.scenario.hotspots = std::stoi(next());
-        } else if (arg == "--hotspot-degree") {
-            cfg.traffic.scenario.hotspotDegree = std::stoi(next());
-        } else if (arg == "--hotspot-fraction") {
-            cfg.traffic.scenario.hotspotFraction = std::stod(next());
-        } else if (arg == "--rack-local") {
-            cfg.traffic.scenario.rackLocalFraction = std::stod(next());
-        } else if (arg == "--pareto-alpha") {
-            cfg.traffic.scenario.paretoAlpha = std::stod(next());
-        } else if (arg == "--trace") {
-            cfg.traffic.scenario.kind = TrafficPatternKind::TraceReplay;
-            cfg.traffic.scenario.tracePath = next();
-            traceSeen = true;
-        } else if (arg == "--dag-fanout") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.fanout);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-depth") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.depth);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-window") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.window);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-roots") {
-            dagInt(arg, next(), cfg.traffic.scenario.dag.roots);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-req") {
-            const std::string val = next();
-            if (!parseDagBytes(val, cfg.traffic.scenario.dag.requestBytes)) {
-                std::fprintf(stderr,
-                             "--dag-req: expected bytes in [1, 2^32), got "
-                             "'%s'\n", val.c_str());
-                usage();
-            }
-            dagFlagSeen = true;
-        } else if (arg == "--dag-stage-sizes") {
-            // "16000,2000" is the spec grammar's resp=16000/2000; reuse
-            // its validating parser instead of hand-rolling one.
-            std::string list = next();
-            for (char& c : list) {
-                if (c == ',') c = '/';
-            }
-            DagConfig parsed;
-            if (!parseDagSpec("resp=" + list, parsed)) {
-                std::fprintf(stderr,
-                             "--dag-stage-sizes: expected a comma-"
-                             "separated byte list (each in [1, 2^32)), "
-                             "got '%s'\n", list.c_str());
-                usage();
-            }
-            cfg.traffic.scenario.dag.stageResponseBytes =
-                std::move(parsed.stageResponseBytes);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-join") {
-            dagDouble(arg, next(), cfg.traffic.scenario.dag.joinFraction);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-straggler") {
-            dagDouble(arg, next(),
-                      cfg.traffic.scenario.dag.stragglerFraction);
-            dagFlagSeen = true;
-        } else if (arg == "--dag-straggler-factor") {
-            dagDouble(arg, next(), cfg.traffic.scenario.dag.stragglerFactor);
-            dagFlagSeen = true;
-        } else if (arg == "--window") {
-            cfg.traffic.scenario.closedLoopWindow = std::stoi(next());
-            closedLoopFlagSeen = true;
-        } else if (arg == "--think-us") {
-            cfg.traffic.scenario.thinkTime = static_cast<Duration>(
-                std::stod(next()) * static_cast<double>(kMicrosecond));
-            closedLoopFlagSeen = true;
-        } else if (arg == "--on-off") {
-            cfg.traffic.scenario.onOff.enabled = true;
-        } else if (arg == "--on-us") {
-            cfg.traffic.scenario.onOff.onMean = static_cast<Duration>(
-                std::stod(next()) * static_cast<double>(kMicrosecond));
-            onOffKnobSeen = true;
-        } else if (arg == "--off-us") {
-            cfg.traffic.scenario.onOff.offMean = static_cast<Duration>(
-                std::stod(next()) * static_cast<double>(kMicrosecond));
-            onOffKnobSeen = true;
-        } else if (arg == "--on-off-dist") {
-            const std::string name = next();
-            if (!onOffDistFromName(name, cfg.traffic.scenario.onOff.dist)) {
-                std::fprintf(stderr, "unknown on-off dist: %s\n", name.c_str());
-                usage();
-            }
-            onOffKnobSeen = true;
-        } else if (arg == "--on-off-shape") {
-            cfg.traffic.scenario.onOff.paretoShape = std::stod(next());
-            onOffKnobSeen = true;
-        } else if (arg == "--fault") {
-            const std::string spec = next();
-            FaultSpec fault;
-            std::string err;
-            if (!parseFaultSpec(spec, fault, &err)) {
-                std::fprintf(stderr, "--fault '%s': %s\n", spec.c_str(),
-                             err.c_str());
-                usage();
-            }
-            cfg.traffic.scenario.faults.push_back(fault);
-        } else if (arg == "--ecmp") {
-            cfg.traffic.scenario.ecmpUplinks = true;
-        } else if (arg == "--fluid") {
-            const std::string val = next();
-            if (val.empty() ||
-                val.find_first_not_of("0123456789") != std::string::npos) {
-                std::fprintf(stderr,
-                             "--fluid: expected a non-negative byte "
-                             "threshold, got '%s'\n", val.c_str());
-                usage();
-            }
-            cfg.fluidThresholdBytes = std::stoll(val);
-        } else if (arg == "--tenants") {
-            const std::string spec = next();
-            std::string terr;
-            if (!parseTenantsSpec(spec, servingCfg.tenants, &terr)) {
-                std::fprintf(stderr, "--tenants '%s': %s\n", spec.c_str(),
-                             terr.c_str());
-                usage();
-            }
-            tenantsSeen = true;
-        } else if (arg == "--replicas") {
-            const std::string spec = next();
-            std::string rerr;
-            if (!parseReplicasSpec(spec, servingCfg.groups, &rerr)) {
-                std::fprintf(stderr, "--replicas '%s': %s\n", spec.c_str(),
-                             rerr.c_str());
-                usage();
-            }
-            replicasSeen = true;
-        } else if (arg == "--wire-priorities") {
-            cfg.proto.homa.wirePriorities = std::stoi(next());
-        } else if (arg == "--sched") {
-            sched = std::stoi(next());
-        } else if (arg == "--unsched") {
-            unsched = std::stoi(next());
-        } else if (arg == "--cutoff") {
-            cfg.proto.homa.explicitCutoffs.push_back(
-                static_cast<uint32_t>(std::stoul(next())));
-        } else if (arg == "--unsched-bytes") {
-            cfg.proto.homa.unschedBytesLimit = std::stoll(next());
-        } else if (arg == "--reservation") {
-            cfg.proto.homa.oldestReservation = std::stod(next());
-        } else if (arg == "--overcommit") {
-            cfg.proto.homa.overcommitDegree = std::stoi(next());
-        } else if (arg == "--grant-policy") {
-            const std::string name = next();
-            bool found = false;
-            for (GrantPolicy p : {GrantPolicy::Srpt, GrantPolicy::Fifo,
-                                  GrantPolicy::RoundRobin,
-                                  GrantPolicy::Unlimited}) {
-                if (name == grantPolicyName(p)) {
-                    cfg.proto.homa.grantPolicy = p;
-                    found = true;
-                }
-            }
-            if (!found) {
-                std::fprintf(stderr, "unknown grant policy: %s\n", name.c_str());
-                usage();
-            }
-        } else if (arg == "--no-incast-control") {
-            cfg.proto.homa.incastControl = false;
-        } else if (arg == "--wasted-bw") {
-            cfg.measureWastedBandwidth = true;
+        const Flag* flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [&](const Flag& f) { return std::strcmp(f.name, argv[i]) == 0; });
+        if (flag == std::end(kFlags)) usage();
+        if (flag->toggle != nullptr) {
+            flag->toggle(cli);
         } else {
-            usage();
+            if (i + 1 >= argc) usage();
+            const std::string why = flag->set(cli, argv[++i]);
+            if (!why.empty()) {
+                fail("%s '%s': %s", flag->name, argv[i], why.c_str());
+            }
+        }
+        given.push_back(flag);
+    }
+    auto has = [&given](const char* name) {
+        return std::any_of(given.begin(), given.end(), [name](const Flag* f) {
+            return std::strcmp(f->name, name) == 0;
+        });
+    };
+
+    // Rules about the flags themselves; the config's own rules follow in
+    // experimentConfigError / rpcExperimentConfigError.
+    if (has("--trace")) {
+        if (has("--pattern") && sc.kind != TrafficPatternKind::TraceReplay) {
+            fail("--trace contradicts --pattern %s: the replayed schedule "
+                 "dictates the traffic — drop one", patternName(sc.kind));
+        }
+        sc.kind = TrafficPatternKind::TraceReplay;
+    }
+    const bool tenants = has("--tenants");
+    if (has("--replicas") && !tenants) {
+        fail("--replicas needs --tenants: replica groups without tenants "
+             "serve nobody");
+    }
+    if (has("--topo") && has("--single-rack")) {
+        fail("--topo contradicts --single-rack: pick one way to name the "
+             "topology");
+    }
+    for (const Flag* f : given) {
+        if (tenants && f->withTenants != nullptr) {
+            fail(f->withTenants, patternName(sc.kind));
+        }
+        if (f->owner == nullptr) continue;
+        if (f->owner[0] == '-') {
+            if (!has(f->owner)) fail("%s needs %s", f->name, f->owner);
+        } else if (std::strcmp(f->owner, patternName(sc.kind)) != 0) {
+            fail("%s needs --pattern %s (current pattern: %s)", f->name,
+                 f->owner, patternName(sc.kind));
         }
     }
-    const bool dagMode = cfg.traffic.scenario.kind == TrafficPatternKind::Dag;
-    if (replicasSeen && !tenantsSeen) {
-        std::fprintf(stderr,
-                     "--replicas needs --tenants: replica groups without "
-                     "tenants serve nobody\n");
-        usage();
-    }
-    if (tenantsSeen) {
-        // Serving mode runs the RPC harness: tenants own the arrival
-        // processes and destinations, so every message-level traffic
-        // shaping flag would be silently ignored — reject instead.
-        if (traceSeen) {
-            std::fprintf(stderr,
-                         "--tenants contradicts --trace: tenants issue "
-                         "their own RPCs, a replayed schedule cannot — "
-                         "pick one\n");
-            usage();
-        }
-        if (dagMode || dagFlagSeen) {
-            std::fprintf(stderr,
-                         "--tenants contradicts --dag-*/--pattern dag: "
-                         "serving mode and dag mode are separate RPC "
-                         "harnesses — pick one\n");
-            usage();
-        }
-        if (patternSeen) {
-            std::fprintf(stderr,
-                         "--tenants contradicts --pattern %s: tenant "
-                         "configs own destination choice and arrival "
-                         "modes\n",
-                         patternName(explicitPattern));
-            usage();
-        }
-        if (closedLoopFlagSeen) {
-            std::fprintf(stderr,
-                         "--window/--think-us do not apply to --tenants: "
-                         "use per-tenant 'mode=closed,window=N,think_us=F' "
-                         "in the tenant spec\n");
-            usage();
-        }
-        if (cfg.traffic.scenario.onOff.enabled || onOffKnobSeen) {
-            std::fprintf(stderr,
-                         "--on-off does not compose with --tenants: each "
-                         "tenant carries its own arrival mode\n");
-            usage();
-        }
-        if (!cfg.traffic.scenario.faults.empty()) {
-            std::fprintf(stderr,
-                         "--tenants does not compose with --fault: the "
-                         "serving harness's call ledgers assume a "
-                         "fault-free fabric\n");
-            usage();
-        }
-        if (cfg.fluidThresholdBytes >= 0) {
-            std::fprintf(stderr,
-                         "--tenants does not compose with --fluid: serving "
-                         "runs account per RPC on the packet engine\n");
-            usage();
-        }
-        if (cfg.traffic.scenario.ecmpUplinks) {
-            std::fprintf(stderr,
-                         "--ecmp does not apply to --tenants: the RPC "
-                         "harness runs the paper's per-packet spraying\n");
-            usage();
-        }
-        if (cfg.measureWastedBandwidth) {
-            std::fprintf(stderr,
-                         "--wasted-bw does not apply to --tenants: the "
-                         "wasted-bandwidth probe is message-level\n");
-            usage();
-        }
-    }
-    if (cfg.traffic.scenario.kind == TrafficPatternKind::TraceReplay &&
-        cfg.traffic.scenario.tracePath.empty()) {
-        std::fprintf(stderr,
-                     "pattern 'trace' needs a schedule: use --trace FILE\n");
-        usage();
-    }
-    if (cfg.traffic.scenario.kind == TrafficPatternKind::TraceReplay &&
-        cfg.traffic.scenario.onOff.enabled) {
-        std::fprintf(stderr,
-                     "--on-off does not compose with trace replay (the "
-                     "trace carries its own timing)\n");
-        usage();
-    }
-    if (traceSeen && (dagMode || dagFlagSeen)) {
-        std::fprintf(stderr,
-                     "--dag-* flags contradict --trace: a replayed "
-                     "schedule has no request trees — pick one\n");
-        usage();
-    }
-    if (traceSeen && patternSeen &&
-        explicitPattern != TrafficPatternKind::TraceReplay) {
-        std::fprintf(stderr,
-                     "--trace contradicts --pattern %s: the replayed "
-                     "schedule dictates the traffic — drop one\n",
-                     patternName(explicitPattern));
-        usage();
-    }
-    if (dagFlagSeen && !dagMode) {
-        std::fprintf(stderr,
-                     "--dag-* flags need --pattern dag (current pattern: "
-                     "%s)\n", patternName(cfg.traffic.scenario.kind));
-        usage();
-    }
-    if (cfg.traffic.scenario.closedLoopWindow < 1) {
-        std::fprintf(stderr, "--window must be >= 1\n");
-        usage();
-    }
-    if (closedLoopFlagSeen &&
-        cfg.traffic.scenario.kind != TrafficPatternKind::ClosedLoop) {
-        std::fprintf(stderr,
-                     dagMode ? "--window/--think-us only apply to "
-                               "--pattern closed-loop; dag trees are "
-                               "windowed with --dag-window\n"
-                             : "--window/--think-us only apply to "
-                               "--pattern closed-loop\n");
-        usage();
-    }
-    if (dagMode) {
-        if (const char* err = validateDagConfig(cfg.traffic.scenario.dag)) {
-            std::fprintf(stderr, "bad dag config: %s\n", err);
-            usage();
-        }
-    }
-    if (!topoSpec.empty()) {
-        if (singleRackSeen) {
-            std::fprintf(stderr,
-                         "--topo contradicts --single-rack: pick one way to "
-                         "name the topology\n");
-            usage();
-        }
-        std::string terr;
-        if (!parseTopoSpec(topoSpec, cfg.net, &terr)) {
-            std::fprintf(stderr, "--topo '%s': %s\n", topoSpec.c_str(),
-                         terr.c_str());
-            usage();
-        }
-    }
-    // Fault targets check against the *final* topology (--single-rack or
-    // --topo may come before or after --fault on the command line).
-    for (const FaultSpec& fault : cfg.traffic.scenario.faults) {
-        const std::string err = validateFaultSpec(fault, cfg.net);
-        if (!err.empty()) {
-            std::fprintf(stderr, "--fault '%s': %s\n",
-                         faultSpecToString(fault).c_str(), err.c_str());
-            usage();
-        }
-    }
-    if (cfg.fluidThresholdBytes >= 0 && !cfg.traffic.scenario.faults.empty()) {
-        std::fprintf(stderr,
-                     "--fluid contradicts --fault: fluid flows bypass the "
-                     "switches faults act on — pick one\n");
-        usage();
-    }
-    if (cfg.traffic.scenario.ecmpUplinks && cfg.net.singleRack()) {
-        std::fprintf(stderr,
-                     "--ecmp contradicts --single-rack: a single rack has "
-                     "no uplinks to hash across\n");
-        usage();
-    }
-    if (onOffKnobSeen && !cfg.traffic.scenario.onOff.enabled) {
-        std::fprintf(stderr,
-                     "--on-us/--off-us/--on-off-dist/--on-off-shape need "
-                     "--on-off\n");
-        usage();
-    }
-    if (cfg.traffic.scenario.onOff.enabled &&
-        (cfg.traffic.scenario.onOff.onMean <= 0 ||
-         cfg.traffic.scenario.onOff.offMean < 0 ||
-         (cfg.traffic.scenario.onOff.dist == OnOffDist::Pareto &&
-          cfg.traffic.scenario.onOff.paretoShape <= 1.0))) {
-        std::fprintf(stderr,
-                     "--on-us must be > 0, --off-us >= 0, and the pareto "
-                     "shape > 1\n");
-        usage();
-    }
-    if (unsched > 0) cfg.proto.homa.unschedPriorities = unsched;
-    if (sched > 0) {
+
+    if (cli.unsched > 0) cfg.proto.homa.unschedPriorities = cli.unsched;
+    if (cli.sched > 0) {
         cfg.proto.homa.logicalPriorities =
-            sched + std::max(1, cfg.proto.homa.unschedPriorities);
+            cli.sched + std::max(1, cfg.proto.homa.unschedPriorities);
         if (cfg.proto.homa.unschedPriorities == 0) {
             cfg.proto.homa.unschedPriorities = 1;
-            cfg.proto.homa.logicalPriorities = sched + 1;
+            cfg.proto.homa.logicalPriorities = cli.sched + 1;
         }
     }
 
-    if (tenantsSeen) {
+    if (tenants) {
         RpcExperimentConfig rc;
         // The RPC harness defaults to the paper's single-switch cluster
         // (§5.1); --topo / --single-rack override it like everywhere else.
-        rc.net = (singleRackSeen || !topoSpec.empty())
+        rc.net = (has("--single-rack") || has("--topo"))
                      ? cfg.net
                      : NetworkConfig::singleRack16();
         rc.proto = cfg.proto;
         rc.seed = cfg.traffic.seed;
         rc.stop = cfg.traffic.stop;
         rc.parallel = cfg.parallel;
-        rc.serving = servingCfg;
-        const std::string why =
-            validateServingConfig(rc.serving, rc.net.hostCount());
-        if (!why.empty()) {
-            std::fprintf(stderr, "bad serving config: %s\n", why.c_str());
-            usage();
-        }
+        rc.serving = cli.serving;
+        const std::string why = rpcExperimentConfigError(rc);
+        if (!why.empty()) fail("bad serving config: %s", why.c_str());
         const auto groups = rc.serving.effectiveGroups();
         std::printf(
             "%s on %s, serving %zu tenants (%d clients), window %.0f ms, "
@@ -621,7 +533,10 @@ int main(int argc, char** argv) {
         return 0;
     }
 
+    const std::string why = experimentConfigError(cfg);
+    if (!why.empty()) fail("bad config: %s", why.c_str());
     const SizeDistribution& dist = workload(cfg.traffic.workload);
+    const bool dagMode = sc.kind == TrafficPatternKind::Dag;
     // Trace replay and closed loop ignore --load (the schedule or the
     // window sets the rate itself).
     std::string loadStr = "load n/a (trace-driven)";

@@ -143,6 +143,14 @@ int64_t effectiveFluidThreshold(const ExperimentConfig& cfg) {
                : cfg.fluidThresholdBytes;
 }
 
+/// Poisson arrivals at `load`; closed-loop, dag and trace runs set their
+/// own rate.
+bool openLoop(const ScenarioConfig& sc) {
+    return sc.kind != TrafficPatternKind::ClosedLoop &&
+           sc.kind != TrafficPatternKind::Dag &&
+           sc.kind != TrafficPatternKind::TraceReplay;
+}
+
 /// Shards to request from the Network. Closed-loop and DAG scenarios have
 /// zero-lookahead feedback (a delivery on the destination's shard refills
 /// the source's window at the same instant), the wasted-bandwidth
@@ -160,29 +168,66 @@ int requestedShards(const ExperimentConfig& cfg) {
 
 }  // namespace
 
+std::string experimentConfigError(const ExperimentConfig& cfg) {
+    const ScenarioConfig& sc = cfg.traffic.scenario;
+    // Silently running the uniform placeholder pattern would measure
+    // nothing a serving spec asked for.
+    if (sc.serving.enabled()) {
+        return "serving scenarios (tenants) must run through "
+               "runRpcExperiment";
+    }
+    const std::string scenario = scenarioError(sc);
+    if (!scenario.empty()) return scenario;
+    // The scenario's topology ("topo:..." modifier) applies over the
+    // configured base; if the two fight, refuse rather than run the wrong
+    // topology. Faults and ECMP check against the result.
+    NetworkConfig net = cfg.net;
+    std::string topo;
+    if (!sc.topoSpec.empty() && !parseTopoSpec(sc.topoSpec, net, &topo)) {
+        return "bad topo spec '" + sc.topoSpec + "': " + topo;
+    }
+    topo = validateTopoConfig(net);
+    if (!topo.empty()) return topo;
+    // Fluid flows bypass the switches faults act on; a hybrid fault run
+    // would silently break conservation.
+    if (effectiveFluidThreshold(cfg) >= 0 && !sc.faults.empty()) {
+        return "fluid does not compose with fault injection: fluid flows "
+               "bypass the switches faults act on";
+    }
+    for (const FaultSpec& fault : sc.faults) {
+        const std::string why = validateFaultSpec(fault, net);
+        if (!why.empty()) {
+            return "fault '" + faultSpecToString(fault) + "': " + why;
+        }
+    }
+    if (sc.ecmpUplinks && net.singleRack()) {
+        return "ecmp needs uplinks: a single rack has none to hash across";
+    }
+    // Above 1 is deliberate overload; 0, negative or NaN would never
+    // generate.
+    if (openLoop(sc) && !(cfg.traffic.load > 0 && cfg.traffic.load <= 1.5)) {
+        return "open-loop load must be in (0, 1.5]";
+    }
+    if (cfg.traffic.stop <= cfg.traffic.start) {
+        return "traffic.stop must be after traffic.start";
+    }
+    if (!(cfg.warmupFraction >= 0 && cfg.warmupFraction <= 1)) {
+        return "warmupFraction must be in [0, 1]";
+    }
+    return "";
+}
+
 ExperimentResult runExperiment(const ExperimentConfig& cfg) {
-    if (cfg.traffic.scenario.serving.enabled()) {
-        // Serving scenarios run through runRpcExperiment; silently running
-        // the uniform placeholder pattern here would measure nothing the
-        // spec asked for.
-        throw std::invalid_argument(
-            "runExperiment: serving scenarios (tenants) must run through "
-            "runRpcExperiment");
+    const std::string invalid = experimentConfigError(cfg);
+    if (!invalid.empty()) {
+        throw std::invalid_argument("runExperiment: " + invalid);
     }
     const SizeDistribution& dist = workload(cfg.traffic.workload);
 
     NetworkConfig netCfg = cfg.net;
     if (!cfg.traffic.scenario.topoSpec.empty()) {
-        // Scenario-carried topology ("topo:..." modifier), applied over the
-        // configured base. The spec was validated at parse time; a failure
-        // here means the base config fought the spec (or the spec was set
-        // directly) — refuse rather than run the wrong topology.
-        std::string terr;
-        if (!parseTopoSpec(cfg.traffic.scenario.topoSpec, netCfg, &terr)) {
-            throw std::invalid_argument("runExperiment: bad topo spec '" +
-                                        cfg.traffic.scenario.topoSpec +
-                                        "': " + terr);
-        }
+        // experimentConfigError has checked that it applies.
+        parseTopoSpec(cfg.traffic.scenario.topoSpec, netCfg);
     }
     if (!netCfg.switchQdisc) netCfg.switchQdisc = switchQdiscFor(cfg.proto);
     if (cfg.traffic.scenario.ecmpUplinks) {
@@ -190,15 +235,6 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     }
 
     const int64_t fluidThreshold = effectiveFluidThreshold(cfg);
-    if (fluidThreshold >= 0 && !cfg.traffic.scenario.faults.empty()) {
-        // Fluid flows bypass the switches faults act on; a hybrid fault
-        // run would silently break conservation. The spec parser rejects
-        // the combination too — reaching here means API-level misuse.
-        throw std::invalid_argument(
-            "runExperiment: fluidThresholdBytes does not compose with fault "
-            "injection");
-    }
-
     Network net(netCfg, makeTransportFactory(cfg.proto, netCfg, &dist),
                 requestedShards(cfg));
     Oracle oracle(netCfg);
@@ -211,13 +247,9 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     // endogenous, and their fluid capacity stays unscaled).
     std::unique_ptr<FluidEngine> fluidEngine;
     if (fluidThreshold >= 0) {
-        const TrafficPatternKind kind = cfg.traffic.scenario.kind;
-        const bool openLoop = kind != TrafficPatternKind::ClosedLoop &&
-                              kind != TrafficPatternKind::Dag &&
-                              kind != TrafficPatternKind::TraceReplay;
         FluidConfig fc;
         fc.thresholdBytes = fluidThreshold;
-        if (openLoop && fluidThreshold > 0) {
+        if (openLoop(cfg.traffic.scenario) && fluidThreshold > 0) {
             fc.reservedFraction =
                 cfg.traffic.load *
                 dist.byteWeightedCdf(static_cast<double>(fluidThreshold));

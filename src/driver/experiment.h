@@ -138,9 +138,17 @@ struct ExperimentResult {
     bool keptUp = false;
 };
 
-/// Throws std::invalid_argument on caller misuse: a serving scenario
-/// (those run through runRpcExperiment), a `topoSpec` that does not apply,
-/// or a fluid threshold combined with fault injection.
+/// Why `cfg` cannot run, or "" when it can — the one validation point the
+/// CLI, the sweeps and runExperiment share: a serving scenario (those run
+/// through runRpcExperiment), anything scenarioError rejects, a `topoSpec`
+/// that does not apply to `net`, fault targets missing from the final
+/// topology, ECMP without uplinks, a fluid threshold combined with fault
+/// injection, an open-loop `load` outside (0, 1.5], `traffic.stop` not
+/// after `traffic.start`, and `warmupFraction` outside [0, 1].
+std::string experimentConfigError(const ExperimentConfig& cfg);
+
+/// Throws std::invalid_argument("runExperiment: <reason>") before building
+/// anything when experimentConfigError rejects `cfg`.
 ExperimentResult runExperiment(const ExperimentConfig& cfg);
 
 /// Per-edge unloaded cost for DAG tree slowdown: Oracle::bestOneWay with

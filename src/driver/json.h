@@ -1,13 +1,16 @@
-// Tiny JSON reader shared by the bench tooling (bench_compare,
-// bench_trajectory). Just enough of RFC 8259 for the BENCH_*.json
-// artifacts: objects, arrays, strings (no \u escapes beyond
-// pass-through), numbers, booleans, null.
+// Tiny JSON reader: just enough of RFC 8259 for the files this repo
+// writes and reads (sweep shard and manifest files, BENCH_*.json
+// artifacts): objects, arrays, strings (with \uXXXX decoding, no
+// surrogate pairs), numbers, booleans, null.
 //
-// Standard library only — these tools must build with a bare g++ in CI.
+// Header-only and standard library only, so the bench tools
+// (bench_compare, bench_trajectory) include it by relative path and still
+// build with a bare g++, without the homa library.
 #pragma once
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -15,7 +18,7 @@
 #include <string>
 #include <vector>
 
-namespace benchjson {
+namespace homa::json {
 
 struct Json {
     enum Kind { Null, Bool, Number, String, Array, Object } kind = Null;
@@ -36,6 +39,10 @@ struct Json {
     std::string str(const std::string& key) const {
         const Json* v = get(key);
         return v != nullptr && v->kind == String ? v->text : std::string();
+    }
+    bool boolean_(const std::string& key, bool fallback) const {
+        const Json* v = get(key);
+        return v != nullptr && v->kind == Bool ? v->boolean : fallback;
     }
 };
 
@@ -130,7 +137,35 @@ private:
                     case 'r': c = '\r'; break;
                     case 'b': c = '\b'; break;
                     case 'f': c = '\f'; break;
-                    default: c = esc; break;  // '"', '\\', '/', lax \u
+                    case 'u': {
+                        // Decode \uXXXX (the writer emits these for
+                        // control characters); UTF-8-encode the code
+                        // point. No surrogate-pair handling — the
+                        // writer never emits any.
+                        if (pos_ + 4 > s_.size()) return false;
+                        unsigned cp = 0;
+                        for (int k = 0; k < 4; k++) {
+                            const char h = s_[pos_ + k];
+                            cp <<= 4;
+                            if (h >= '0' && h <= '9') cp |= h - '0';
+                            else if (h >= 'a' && h <= 'f') cp |= h - 'a' + 10;
+                            else if (h >= 'A' && h <= 'F') cp |= h - 'A' + 10;
+                            else return false;
+                        }
+                        pos_ += 4;
+                        if (cp < 0x80) {
+                            out += static_cast<char>(cp);
+                        } else if (cp < 0x800) {
+                            out += static_cast<char>(0xC0 | (cp >> 6));
+                            out += static_cast<char>(0x80 | (cp & 0x3F));
+                        } else {
+                            out += static_cast<char>(0xE0 | (cp >> 12));
+                            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+                            out += static_cast<char>(0x80 | (cp & 0x3F));
+                        }
+                        continue;
+                    }
+                    default: c = esc; break;  // '"', '\\', '/'
                 }
             }
             out += c;
@@ -168,4 +203,4 @@ inline bool loadJson(const std::string& path, Json& out) {
     return true;
 }
 
-}  // namespace benchjson
+}  // namespace homa::json

@@ -7,11 +7,9 @@
 
 namespace homa {
 
-namespace {
-
-// Why `cfg` cannot run, or "" when it can. Unchecked, these configs crash
-// (an empty server pool reaches Rng::below(0)), hang or run empty.
-std::string rpcConfigError(const RpcExperimentConfig& cfg) {
+// Unchecked, these configs crash (an empty server pool reaches
+// Rng::below(0)), hang (a Pareto ON-OFF shape <= 1) or run empty.
+std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg) {
     const std::string topo = validateTopoConfig(cfg.net);
     if (!topo.empty()) return topo;
     const int hosts = cfg.net.hostCount();
@@ -34,8 +32,10 @@ std::string rpcConfigError(const RpcExperimentConfig& cfg) {
                !(cfg.load > 0 && std::isfinite(cfg.load))) {
         return "open-loop load must be finite and > 0";
     }
-    return "";
+    return onOffError(cfg.onOff);
 }
+
+namespace {
 
 NetworkConfig withSwitchQdisc(const RpcExperimentConfig& cfg) {
     NetworkConfig netCfg = cfg.net;
@@ -663,7 +663,7 @@ RpcExperimentResult runEcho(RpcRun& run) {
 
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg) {
     // Checked before anything is built, in every build type.
-    const std::string invalid = rpcConfigError(cfg);
+    const std::string invalid = rpcExperimentConfigError(cfg);
     if (!invalid.empty()) {
         throw std::invalid_argument("runRpcExperiment: " + invalid);
     }

@@ -16,10 +16,8 @@
 //  * Fan-out/fan-in trees of real RPCs (`dagMode`).
 //  * Multi-tenant serving against replica groups (`serving.tenants`).
 // It checks the config before building anything, in every build type, and
-// throws std::invalid_argument("runRpcExperiment: <reason>") on a bad
-// topology, serving or DAG config; `dagMode` with serving tenants; no
-// client or no server host (a DAG deeper than 1 needs two servers); and an
-// open-loop echo `load` that is not finite and > 0.
+// throws std::invalid_argument("runRpcExperiment: <reason>") when
+// rpcExperimentConfigError rejects it.
 #pragma once
 
 #include <memory>
@@ -131,8 +129,15 @@ struct RpcExperimentResult {
     bool keptUp = false;
 };
 
-/// Throws std::invalid_argument on a config it cannot run (see the file
-/// comment); a serving config's reason is validateServingConfig's.
+/// Why `cfg` cannot run, or "" when it can: a bad topology, serving or DAG
+/// config (a serving config's reason is validateServingConfig's); `dagMode`
+/// with serving tenants; no client or no server host (a DAG deeper than 1
+/// needs two servers); an open-loop echo `load` that is not finite and
+/// > 0; and, outside serving mode, ON-OFF periods onOffError rejects.
+std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg);
+
+/// Throws std::invalid_argument on a config it cannot run (see
+/// rpcExperimentConfigError).
 RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg);
 
 /// Canonical serialization of everything an RpcExperimentResult measures,

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -99,12 +100,27 @@ RpcExperimentResult runPoint(const RpcExperimentConfig& p) {
     return runRpcExperiment(p);
 }
 
+std::string configError(const ExperimentConfig& p) {
+    return experimentConfigError(p);
+}
+std::string configError(const RpcExperimentConfig& p) {
+    return rpcExperimentConfigError(p);
+}
+
 /// Shared parallel section of every sweep: fan `points` across a pool,
 /// collecting results into slots[i] (input order). Returns
-/// (threadsUsed, wallSeconds).
+/// (threadsUsed, wallSeconds). Every point is checked first, on the
+/// caller's thread: an exception escaping a worker would std::terminate.
 template <typename Config, typename Result>
 std::pair<int, double> fanOut(const std::vector<Config>& points,
                               std::vector<Result>& slots, int threads) {
+    for (size_t i = 0; i < points.size(); i++) {
+        const std::string why = configError(points[i]);
+        if (!why.empty()) {
+            throw std::invalid_argument("sweep point " + std::to_string(i) +
+                                        ": " + why);
+        }
+    }
     if (threads <= 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
         if (threads <= 0) threads = 1;

@@ -98,7 +98,10 @@ struct ShardOutcome {
 
 /// Fans a vector of experiment points across a thread pool; results are
 /// byte-identical whatever the thread count (see the file comment for the
-/// contract that makes this trustworthy).
+/// contract that makes this trustworthy). Every sweep entry point checks
+/// all its points before running any and throws std::invalid_argument
+/// ("sweep point <i>: <reason>", i indexing the points it runs) on the
+/// caller's thread.
 class SweepRunner {
 public:
     explicit SweepRunner(SweepOptions opts = {}) : opts_(opts) {}

@@ -57,6 +57,9 @@ bool parseDagInt(const std::string& v, int& out) {
     return true;
 }
 
+namespace {
+
+// Like parseDagInt, for byte counts in [1, 2^32).
 bool parseDagBytes(const std::string& v, uint32_t& out) {
     if (v.empty()) return false;
     // strtoull accepts a leading '-' and wraps; reject signs explicitly.
@@ -67,6 +70,8 @@ bool parseDagBytes(const std::string& v, uint32_t& out) {
     out = static_cast<uint32_t>(n);
     return true;
 }
+
+}  // namespace
 
 bool parseDagDouble(const std::string& v, double& out) {
     if (v.empty()) return false;

@@ -94,13 +94,10 @@ inline HostId uniformHostExcept(int hostCount, HostId exclude, Rng& rng) {
     return h;
 }
 
-/// Strict single-field parsers behind the spec grammar, shared with the
-/// CLI so `--dag-fanout abc` errors instead of throwing: whole-string
-/// numeric format checks (parseDagBytes additionally enforces
-/// [1, 2^32)), no cross-field validation — run validateDagConfig on the
-/// assembled config for that.
+/// Strict single-field parsers behind the dag and serving spec grammars:
+/// whole-string numeric format checks, no cross-field validation — run
+/// validateDagConfig on the assembled config for that.
 bool parseDagInt(const std::string& text, int& out);
-bool parseDagBytes(const std::string& text, uint32_t& out);
 bool parseDagDouble(const std::string& text, double& out);
 
 /// Parses the body of a "dag:<body>" scenario spec — comma-separated

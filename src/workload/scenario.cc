@@ -187,45 +187,79 @@ bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
                         "fault:..., tenants:..., or replicas:...)");
         }
     }
-    if (parsed.fluidThresholdBytes >= 0 && !parsed.faults.empty()) {
-        return fail("fluid does not compose with fault injection: fluid "
-                    "flows bypass the switches faults act on");
+    const std::string why = scenarioError(parsed);
+    if (!why.empty()) return fail(why);
+    out = parsed;
+    return true;
+}
+
+std::string onOffError(const OnOffConfig& cfg) {
+    if (!cfg.enabled) return "";
+    if (cfg.onMean <= 0) return "on-off onMean must be > 0";
+    if (cfg.offMean < 0) return "on-off offMean must be >= 0";
+    if (cfg.dist == OnOffDist::Pareto && !(cfg.paretoShape > 1.0)) {
+        return "on-off pareto shape must be > 1";
     }
-    if (!parsed.serving.groups.empty() && parsed.serving.tenants.empty()) {
-        return fail("a replicas: segment requires a tenants: segment "
-                    "(groups without tenants serve nobody)");
+    return "";
+}
+
+std::string scenarioError(const ScenarioConfig& cfg) {
+    if (cfg.fluidThresholdBytes >= 0 && !cfg.faults.empty()) {
+        return "fluid does not compose with fault injection: fluid flows "
+               "bypass the switches faults act on";
     }
-    if (parsed.serving.enabled()) {
-        if (parsed.kind != TrafficPatternKind::Uniform) {
-            return fail("tenants require the 'uniform' pattern placeholder: "
-                        "tenant configs own destination choice and arrival "
-                        "modes, so '" + std::string(patternName(parsed.kind)) +
-                        "' would be ignored");
+    if (!cfg.serving.groups.empty() && cfg.serving.tenants.empty()) {
+        return "a replicas: segment requires a tenants: segment (groups "
+               "without tenants serve nobody)";
+    }
+    if (cfg.serving.enabled()) {
+        if (cfg.kind != TrafficPatternKind::Uniform) {
+            return "tenants require the 'uniform' pattern placeholder: "
+                   "tenant configs own destination choice and arrival "
+                   "modes, so '" + std::string(patternName(cfg.kind)) +
+                   "' would be ignored";
         }
-        if (parsed.onOff.enabled) {
-            return fail("tenants do not compose with on-off: each tenant "
-                        "carries its own arrival mode");
+        if (cfg.onOff.enabled) {
+            return "tenants do not compose with on-off: each tenant "
+                   "carries its own arrival mode";
         }
-        if (!parsed.faults.empty()) {
-            return fail("tenants do not compose with fault injection: the "
-                        "serving harness's call ledgers assume a fault-free "
-                        "fabric");
+        if (!cfg.faults.empty()) {
+            return "tenants do not compose with fault injection: the "
+                   "serving harness's call ledgers assume a fault-free "
+                   "fabric";
         }
-        if (parsed.fluidThresholdBytes >= 0) {
-            return fail("tenants do not compose with fluid: serving runs "
-                        "account per RPC on the packet engine");
+        if (cfg.fluidThresholdBytes >= 0) {
+            return "tenants do not compose with fluid: serving runs "
+                   "account per RPC on the packet engine";
         }
-        // Validate group references eagerly (host counts are checked at
-        // run time against the actual topology).
-        for (const TenantConfig& t : parsed.serving.tenants) {
-            if (tenantGroupIndex(parsed.serving, t) < 0) {
-                return fail("tenant '" + t.name + "' references unknown "
-                            "replica group '" + t.group + "'");
+        // Host counts are checked by the runner against the actual
+        // topology (validateServingConfig).
+        for (const TenantConfig& t : cfg.serving.tenants) {
+            if (tenantGroupIndex(cfg.serving, t) < 0) {
+                return "tenant '" + t.name + "' references unknown "
+                       "replica group '" + t.group + "'";
             }
         }
     }
-    out = parsed;
-    return true;
+    const bool trace = cfg.kind == TrafficPatternKind::TraceReplay;
+    if (trace && cfg.tracePath.empty() && cfg.traceText.empty()) {
+        return "pattern 'trace' needs a schedule (a trace file or trace "
+               "text)";
+    }
+    if (trace && cfg.onOff.enabled) {
+        return "on-off does not compose with trace replay (the trace "
+               "carries its own timing)";
+    }
+    if (cfg.kind == TrafficPatternKind::ClosedLoop &&
+        cfg.closedLoopWindow < 1) {
+        return "closed-loop window must be >= 1";
+    }
+    if (cfg.kind == TrafficPatternKind::Dag) {
+        if (const char* why = validateDagConfig(cfg.dag)) {
+            return std::string("dag: ") + why;
+        }
+    }
+    return onOffError(cfg.onOff);
 }
 
 OnOffModulator::OnOffModulator(const OnOffConfig& cfg, Time start,

@@ -75,6 +75,11 @@ struct OnOffConfig {
     }
 };
 
+/// Why `cfg`'s periods cannot run, or "" when they can (or when ON-OFF is
+/// off): onMean > 0, offMean >= 0, and a Pareto shape > 1 (at shape <= 1
+/// the mean period is infinite and a host never leaves its first burst).
+std::string onOffError(const OnOffConfig& cfg);
+
 struct ScenarioConfig {
     TrafficPatternKind kind = TrafficPatternKind::Uniform;
 
@@ -150,7 +155,7 @@ struct ScenarioConfig {
     // defers to ExperimentConfig::fluidThresholdBytes (itself -1 =
     // disabled). Does not compose with fault injection: fluid flows never
     // touch the switches faults act on, so a hybrid fault run would break
-    // conservation silently — the spec parser rejects the combination.
+    // conservation silently — scenarioError rejects the combination.
     int64_t fluidThresholdBytes = -1;
 };
 
@@ -166,11 +171,22 @@ struct ScenarioConfig {
 /// (parseTenantsSpec; at most one, pattern must be "uniform", not
 /// combinable with on-off/fluid/fault) and "replicas:<body>"
 /// (parseReplicasSpec; requires a tenants segment).
-/// Returns false and leaves `out` untouched on malformed specs, with a
-/// human-readable reason in *err (if given). This is the syntax the
-/// figure benches accept via HOMA_SCENARIO.
+/// Returns false and leaves `out` untouched on malformed specs or on a
+/// config scenarioError rejects, with a human-readable reason in *err (if
+/// given). This is the syntax the figure benches accept via HOMA_SCENARIO.
 bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
                       std::string* err = nullptr);
+
+/// Why `cfg` cannot run, or "" when it can: the one place the scenario's
+/// cross-field rules live, shared by scenarioFromSpec, runExperiment (via
+/// experimentConfigError) and the CLI. Fluid excludes faults; replica
+/// groups need tenants, and tenants need the uniform placeholder pattern,
+/// no on-off, faults or fluid, and resolvable group names; trace replay
+/// needs a schedule (tracePath or traceText) and excludes on-off;
+/// closed loop needs a window >= 1; dag needs a valid DagConfig; on-off
+/// needs valid periods (onOffError). Topology-dependent checks (fault
+/// targets, ECMP uplinks, serving host counts) belong to the runners.
+std::string scenarioError(const ScenarioConfig& cfg);
 
 /// One trace-replay record; `at` is an offset from TrafficConfig::start.
 struct TraceRecord {
@@ -180,8 +196,8 @@ struct TraceRecord {
     uint32_t size = 0;
 };
 
-/// Parses trace text. Aborts (assert/fprintf+exit) on malformed lines or
-/// out-of-range hosts when `hostCount` > 0.
+/// Parses trace text. Exits with status 2 (after printing the line) on
+/// malformed lines or out-of-range hosts when `hostCount` > 0.
 std::vector<TraceRecord> parseTrace(const std::string& text,
                                     int hostCount = 0);
 std::vector<TraceRecord> loadTraceFile(const std::string& path,

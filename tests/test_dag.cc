@@ -680,6 +680,21 @@ TEST(RunExperimentCli, RejectsContradictoryFlagCombinations) {
     EXPECT_EQ(runCli("--pattern dag --dag-join abc"), 2);
     EXPECT_EQ(runCli("--window 3"), 2);                   // pre-existing rule
     EXPECT_EQ(runCli("--on-us 5"), 2);
+    // Every number parses whole and in range (not a crash or a wrap).
+    EXPECT_EQ(runCli("--load abc"), 2);
+    EXPECT_EQ(runCli("--window-ms x"), 2);
+    EXPECT_EQ(runCli("--sim-threads q"), 2);
+    EXPECT_EQ(runCli("--pattern incast --hotspots z"), 2);
+    EXPECT_EQ(runCli("--workload W9"), 2);
+    EXPECT_EQ(runCli("--cutoff -5"), 2);
+    EXPECT_EQ(runCli("--seed -1"), 2);
+    // Values the library rejects (not an empty run).
+    EXPECT_EQ(runCli("--load 0"), 2);
+    EXPECT_EQ(runCli("--window-ms -3"), 2);
+    // Pattern knobs without their pattern (not silently ignored).
+    EXPECT_EQ(runCli("--hotspots 4"), 2);
+    EXPECT_EQ(runCli("--rack-local 0.9"), 2);
+    EXPECT_EQ(runCli("--pareto-alpha 2"), 2);
 }
 
 TEST(RunExperimentCli, RunsAValidDagPoint) {

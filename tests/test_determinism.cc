@@ -5,7 +5,9 @@
 // SweepRunner thread counts; different seeds => different results.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <stdexcept>
 
 #include "driver/rpc_experiment.h"
 #include "driver/sweep.h"
@@ -421,6 +423,39 @@ TEST(SweepRunner, DerivedSeedsDifferPerPointAndReproduce) {
     cfg.traffic.seed = deriveSweepSeed(opts.baseSeed, 1);
     EXPECT_EQ(resultFingerprint(runExperiment(cfg)),
               resultFingerprint(out.results[1]));
+}
+
+TEST(SweepRunner, InvalidPointThrowsBeforeRunningAny) {
+    // One bad point fails the sweep on the caller's thread before any
+    // point is built (thrown from a worker, it would std::terminate).
+    std::atomic<bool> built{false};
+    ExperimentConfig good = smallConfig(WorkloadId::W1, 0.5);
+    good.net.switchQdisc = [&built] {
+        built = true;
+        return std::make_unique<StrictPriorityQdisc>();
+    };
+    ExperimentConfig serving = smallConfig(WorkloadId::W1, 0.5);
+    serving.traffic.scenario.serving.tenants.emplace_back();
+    SweepOptions opts;
+    opts.threads = 2;
+    try {
+        (void)SweepRunner(opts).run({good, serving});
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("sweep point 1: serving", 0), 0u)
+            << e.what();
+    }
+    EXPECT_FALSE(built);
+
+    RpcExperimentConfig noServer;
+    noServer.clients = 16;
+    try {
+        (void)runRpcSweep({RpcExperimentConfig{}, noServer}, opts);
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "sweep point 1: clients leave no server host");
+    }
 }
 
 // --------------------------------------------------- serving goldens

@@ -2,6 +2,7 @@
 // measurement windows, utilization accounting, overload detection.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -173,6 +174,20 @@ TEST(RpcExperiment, CallerMisuseThrows) {
              c.dagMode = true;
              c.serving.tenants.emplace_back();
          }},
+        // Unchecked, never returns: a Pareto period of shape 1 has an
+        // infinite mean.
+        {"on-off pareto shape must be > 1",
+         [](RpcExperimentConfig& c) {
+             c.onOff.enabled = true;
+             c.onOff.dist = OnOffDist::Pareto;
+             c.onOff.paretoShape = 1.0;
+         }},
+        // Unchecked, runs a handful of RPCs in zero-length bursts.
+        {"on-off onMean must be > 0",
+         [](RpcExperimentConfig& c) {
+             c.onOff.enabled = true;
+             c.onOff.onMean = 0;
+         }},
     };
     for (const Case& c : cases) {
         RpcExperimentConfig cfg;
@@ -280,28 +295,100 @@ TEST(ExperimentDriver, GenerousBuffersAbsorbTheSameIncast) {
 }
 
 TEST(ExperimentDriver, CallerMisuseThrows) {
-    // Serving scenarios belong to runRpcExperiment.
-    ExperimentConfig serving = smallConfig(WorkloadId::W3, 0.5);
-    serving.traffic.scenario.serving.tenants.emplace_back();
-    EXPECT_THROW((void)runExperiment(serving), std::invalid_argument);
-    // A topo spec set directly on the config bypasses parse-time checks.
-    ExperimentConfig badTopo = smallConfig(WorkloadId::W3, 0.5);
-    badTopo.traffic.scenario.topoSpec = "racks=0";
-    EXPECT_THROW((void)runExperiment(badTopo), std::invalid_argument);
-    // Fluid flows bypass the switches faults act on.
-    ExperimentConfig fluidFaults = smallConfig(WorkloadId::W3, 0.5);
-    fluidFaults.fluidThresholdBytes = 20000;
-    fluidFaults.traffic.scenario.faults.emplace_back();
-    EXPECT_THROW((void)runExperiment(fluidFaults), std::invalid_argument);
-    // A DAG shape set directly on the config bypasses the spec parser;
-    // DagEngine rejects it rather than run with nothing generated.
-    ExperimentConfig noFanout = smallConfig(WorkloadId::W3, 0.5);
-    noFanout.traffic.scenario.kind = TrafficPatternKind::Dag;
-    ExperimentConfig noDepth = noFanout;
-    noFanout.traffic.scenario.dag.fanout = 0;
-    noDepth.traffic.scenario.dag.depth = 0;
-    EXPECT_THROW((void)runExperiment(noFanout), std::invalid_argument);
-    EXPECT_THROW((void)runExperiment(noDepth), std::invalid_argument);
+    // Checked before anything is built, in every build type. Unchecked,
+    // these would run silently empty (load 0, stop == start, warm-up 2,
+    // window 0), exit or abort inside the library (a trace without a
+    // schedule, an out-of-range fault target), ignore a knob (on-off over
+    // a trace, ECMP on one rack), or never return (Pareto shape 1).
+    struct Case {
+        const char* expect;
+        std::function<void(ExperimentConfig&)> mutate;
+    };
+    auto onOff = [](ExperimentConfig& c) -> OnOffConfig& {
+        c.traffic.scenario.onOff.enabled = true;
+        return c.traffic.scenario.onOff;
+    };
+    const Case cases[] = {
+        // Serving scenarios belong to runRpcExperiment.
+        {"must run through runRpcExperiment",
+         [](ExperimentConfig& c) {
+             c.traffic.scenario.serving.tenants.emplace_back();
+         }},
+        // A topo spec set directly on the config bypasses parse-time checks.
+        {"bad topo spec 'racks=0'",
+         [](ExperimentConfig& c) { c.traffic.scenario.topoSpec = "racks=0"; }},
+        // Fluid flows bypass the switches faults act on.
+        {"fluid does not compose with fault injection",
+         [](ExperimentConfig& c) {
+             c.fluidThresholdBytes = 20000;
+             c.traffic.scenario.faults.emplace_back();
+         }},
+        // A DAG shape set directly on the config bypasses the spec parser.
+        {"dag: fanout must be >= 1",
+         [](ExperimentConfig& c) {
+             c.traffic.scenario.kind = TrafficPatternKind::Dag;
+             c.traffic.scenario.dag.fanout = 0;
+         }},
+        {"dag: depth must be >= 1",
+         [](ExperimentConfig& c) {
+             c.traffic.scenario.kind = TrafficPatternKind::Dag;
+             c.traffic.scenario.dag.depth = 0;
+         }},
+        {"open-loop load must be in (0, 1.5]",
+         [](ExperimentConfig& c) { c.traffic.load = 0; }},
+        {"open-loop load must be in (0, 1.5]",
+         [](ExperimentConfig& c) { c.traffic.load = -1; }},
+        {"open-loop load must be in (0, 1.5]",
+         [](ExperimentConfig& c) { c.traffic.load = std::nan(""); }},
+        {"traffic.stop must be after traffic.start",
+         [](ExperimentConfig& c) { c.traffic.stop = c.traffic.start; }},
+        {"warmupFraction must be in [0, 1]",
+         [](ExperimentConfig& c) { c.warmupFraction = 2; }},
+        {"closed-loop window must be >= 1",
+         [](ExperimentConfig& c) {
+             c.traffic.scenario.kind = TrafficPatternKind::ClosedLoop;
+             c.traffic.scenario.closedLoopWindow = 0;
+         }},
+        {"pattern 'trace' needs a schedule",
+         [](ExperimentConfig& c) {
+             c.traffic.scenario.kind = TrafficPatternKind::TraceReplay;
+         }},
+        {"on-off does not compose with trace replay",
+         [&onOff](ExperimentConfig& c) {
+             c.traffic.scenario.kind = TrafficPatternKind::TraceReplay;
+             c.traffic.scenario.traceText = "10 1 2 1000\n";
+             onOff(c);
+         }},
+        {"on-off onMean must be > 0",
+         [&onOff](ExperimentConfig& c) { onOff(c).onMean = 0; }},
+        {"on-off pareto shape must be > 1",
+         [&onOff](ExperimentConfig& c) {
+             onOff(c).dist = OnOffDist::Pareto;
+             onOff(c).paretoShape = 1.0;
+         }},
+        {"tor fault target index 5 out of range",
+         [](ExperimentConfig& c) {
+             FaultSpec kill;
+             ASSERT_TRUE(parseFaultSpec("kill=tor5,at=1ms", kill));
+             c.traffic.scenario.faults.push_back(kill);
+         }},
+        {"ecmp needs uplinks",
+         [](ExperimentConfig& c) { c.traffic.scenario.ecmpUplinks = true; }},
+    };
+    for (const Case& c : cases) {
+        ExperimentConfig cfg = smallConfig(WorkloadId::W1, 0.5);
+        cfg.net = NetworkConfig::singleRack16();
+        cfg.traffic.stop = milliseconds(1);
+        c.mutate(cfg);
+        try {
+            (void)runExperiment(cfg);
+            ADD_FAILURE() << "no throw: " << c.expect;
+        } catch (const std::invalid_argument& e) {
+            const std::string why = e.what();
+            EXPECT_EQ(why.rfind("runExperiment: ", 0), 0u) << why;
+            EXPECT_NE(why.find(c.expect), std::string::npos) << why;
+        }
+    }
 }
 
 TEST(FindMaxLoad, DetectsACapForPHost) {

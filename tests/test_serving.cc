@@ -661,6 +661,10 @@ TEST(ServingCli, RejectsContradictoryFlagsWithTargetedErrors) {
          "--ecmp does not apply to --tenants"},
         {std::string(kTenants) + " --wasted-bw",
          "--wasted-bw does not apply to --tenants"},
+        {std::string(kTenants) + " --workload W2",
+         "--workload does not apply to --tenants"},
+        {std::string(kTenants) + " --load 0.5",
+         "--load does not apply to --tenants"},
     };
     for (const Case& c : cases) {
         EXPECT_EQ(runCli(c.args), 2) << c.args;

@@ -320,6 +320,10 @@ TEST(OnOffArrivals, SpecParsing) {
     EXPECT_FALSE(scenarioFromSpec("", untouched));
     EXPECT_FALSE(scenarioFromSpec("dag:fanout=0", untouched));
     EXPECT_FALSE(scenarioFromSpec("uniform:fanout=2", untouched));
+    // A spec cannot carry a trace schedule, so scenarioError rejects it.
+    std::string err;
+    EXPECT_FALSE(scenarioFromSpec("trace", untouched, &err));
+    EXPECT_NE(err.find("needs a schedule"), std::string::npos) << err;
     EXPECT_EQ(untouched.kind, TrafficPatternKind::RackSkew);
 }
 

@@ -74,12 +74,12 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
+#include "../src/driver/json.h"
 
 namespace {
 
-using benchjson::Json;
-using benchjson::loadJson;
+using homa::json::Json;
+using homa::json::loadJson;
 
 // ------------------------------------------------------------ comparing
 

@@ -32,11 +32,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
+#include "../src/driver/json.h"
 
 namespace fs = std::filesystem;
-using benchjson::Json;
-using benchjson::loadJson;
+using homa::json::Json;
+using homa::json::loadJson;
 
 namespace {
 
