@@ -13,18 +13,16 @@
 // priority usage for any protocol/workload/parameter combination — every
 // figure in bench/ is a scripted set of these runs.
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdarg>
 #include <cstring>
 #include <iterator>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "driver/experiment.h"
 #include "driver/rpc_experiment.h"
+#include "sim/parse.h"
 #include "stats/report.h"
 
 using namespace homa;
@@ -109,7 +107,8 @@ namespace {
         "                          (rr|random|p2c), hedge (off|pNN),\n"
         "                          hedge_floor_us, hedge_min\n"
         "                          (see docs/SCENARIOS.md)\n"
-        "  Homa knobs: --wire-priorities N, --sched N, --unsched N,\n"
+        "  Homa knobs (need --protocol Homa, the default):\n"
+        "              --wire-priorities N, --sched N, --unsched N,\n"
         "              --cutoff BYTES, --unsched-bytes N, --reservation F,\n"
         "              --overcommit N, --no-incast-control,\n"
         "              --grant-policy srpt|fifo|rr|unlimited\n"
@@ -127,42 +126,11 @@ namespace {
     usage();
 }
 
-// The one parser of every number on the command line: the whole token must
-// parse, integers must fit `T`, doubles must be finite, and unsigned types
-// take no sign. Returns why not, or "" after storing the value.
-template <typename T>
-std::string number(const std::string& text, T& out) {
-    T v{};
-    const char* end = text.data() + text.size();
-    const auto [stop, ec] = std::from_chars(text.data(), end, v);
-    if (ec != std::errc() || stop != end) {
-        if constexpr (std::is_floating_point_v<T>) return "expected a number";
-        return std::is_unsigned_v<T>
-                   ? "expected a non-negative integer in range"
-                   : "expected an integer in range";
-    }
-    if constexpr (std::is_floating_point_v<T>) {
-        if (!std::isfinite(v)) return "expected a finite number";
-    }
-    out = v;
-    return "";
-}
-
-// A duration given as a (possibly fractional) count of `unit`s.
-std::string duration(const std::string& text, Duration unit, Duration& out) {
-    double count = 0;
-    std::string why = number(text, count);
-    const double ps = count * static_cast<double>(unit);
-    if (why.empty() && !(std::fabs(ps) < 9e18)) why = "duration out of range";
-    if (why.empty()) out = static_cast<Duration>(ps);
-    return why;
-}
-
 // What the flags set; main() hands it to the runner that fits.
 struct Cli {
     ExperimentConfig cfg;
     ServingConfig serving;
-    int sched = 0, unsched = 0;
+    int sched = 0, unsched = 0;  // priority levels; 0 = not given
 
     ScenarioConfig& sc() { return cfg.traffic.scenario; }
     DagConfig& dag() { return cfg.traffic.scenario.dag; }
@@ -171,14 +139,33 @@ struct Cli {
 
 using Arg = const std::string&;
 
-// One row per flag. `owner` is the pattern (e.g. "incast") or switch
-// (e.g. "--on-off") the flag is a knob of: without it the flag would do
-// nothing, so it is rejected. `withTenants`, when set, rejects the flag in
-// serving mode (a printf format; %s is the final pattern's name). `set`
-// parses the value strictly and returns why it cannot, or "" (main()
-// exits on a reason, so a failed `set` may leave the Cli half-written);
-// switches take no value and `toggle` instead. Rules about the values
-// themselves live in the library (experimentConfigError,
+const Protocol kProtocols[] = {Protocol::Homa,     Protocol::Basic,
+                               Protocol::PHost,    Protocol::Pias,
+                               Protocol::PFabric,  Protocol::Ndp,
+                               Protocol::StreamSC, Protocol::StreamMC};
+
+bool isProtocolName(const char* name) {
+    return std::any_of(
+        std::begin(kProtocols), std::end(kProtocols),
+        [name](Protocol p) { return std::strcmp(name, protocolName(p)) == 0; });
+}
+
+// --sched and --unsched count priority levels. They exist only here (main()
+// turns them into HomaConfig's level counts), so their rule does too.
+std::string levels(Arg v, int& out) {
+    std::string why = number(v, out);
+    if (why.empty() && out < 1) why = "expected at least 1 level";
+    return why;
+}
+
+// One row per flag. `owner` is the protocol (e.g. "Homa"), pattern (e.g.
+// "incast") or switch (e.g. "--on-off") the flag is a knob of: without it
+// the flag would do nothing, so it is rejected. `withTenants`, when set,
+// rejects the flag in serving mode (a printf format; %s is the final
+// pattern's name). `set` parses the value strictly and returns why it
+// cannot, or "" (main() exits on a reason, so a failed `set` may leave the
+// Cli half-written); switches take no value and `toggle` instead. Rules
+// about the values themselves live in the library (experimentConfigError,
 // rpcExperimentConfigError).
 struct Flag {
     const char* name;
@@ -197,6 +184,8 @@ constexpr const char* kDagWithTenants =
 constexpr const char* kOnOffWithTenants =
     "--on-off does not compose with --tenants: each tenant carries its own "
     "arrival mode";
+// Only Homa reads these knobs (Basic takes just rttBytes from its config).
+constexpr const char* kHoma = "Homa";
 
 const Flag kFlags[] = {
     {"--workload", nullptr,
@@ -212,9 +201,7 @@ const Flag kFlags[] = {
      }},
     {"--protocol", nullptr, nullptr,
      [](Cli& c, Arg v) -> std::string {
-         for (Protocol p : {Protocol::Homa, Protocol::Basic, Protocol::PHost,
-                            Protocol::Pias, Protocol::PFabric, Protocol::Ndp,
-                            Protocol::StreamSC, Protocol::StreamMC}) {
+         for (Protocol p : kProtocols) {
              if (v == protocolName(p)) {
                  c.cfg.proto.kind = p;
                  return "";
@@ -348,23 +335,23 @@ const Flag kFlags[] = {
          parseReplicasSpec(v, c.serving.groups, &err);
          return err;
      }},
-    {"--wire-priorities", nullptr, nullptr,
+    {"--wire-priorities", kHoma, nullptr,
      [](Cli& c, Arg v) { return number(v, c.homa().wirePriorities); }},
-    {"--sched", nullptr, nullptr,
-     [](Cli& c, Arg v) { return number(v, c.sched); }},
-    {"--unsched", nullptr, nullptr,
-     [](Cli& c, Arg v) { return number(v, c.unsched); }},
-    {"--cutoff", nullptr, nullptr,
+    {"--sched", kHoma, nullptr,
+     [](Cli& c, Arg v) { return levels(v, c.sched); }},
+    {"--unsched", kHoma, nullptr,
+     [](Cli& c, Arg v) { return levels(v, c.unsched); }},
+    {"--cutoff", kHoma, nullptr,
      [](Cli& c, Arg v) {
          return number(v, c.homa().explicitCutoffs.emplace_back());
      }},
-    {"--unsched-bytes", nullptr, nullptr,
+    {"--unsched-bytes", kHoma, nullptr,
      [](Cli& c, Arg v) { return number(v, c.homa().unschedBytesLimit); }},
-    {"--reservation", nullptr, nullptr,
+    {"--reservation", kHoma, nullptr,
      [](Cli& c, Arg v) { return number(v, c.homa().oldestReservation); }},
-    {"--overcommit", nullptr, nullptr,
+    {"--overcommit", kHoma, nullptr,
      [](Cli& c, Arg v) { return number(v, c.homa().overcommitDegree); }},
-    {"--grant-policy", nullptr, nullptr,
+    {"--grant-policy", kHoma, nullptr,
      [](Cli& c, Arg v) -> std::string {
          for (GrantPolicy p : {GrantPolicy::Srpt, GrantPolicy::Fifo,
                                GrantPolicy::RoundRobin,
@@ -376,7 +363,7 @@ const Flag kFlags[] = {
          }
          return "expected srpt, fifo, rr or unlimited";
      }},
-    {"--no-incast-control", nullptr, nullptr, nullptr,
+    {"--no-incast-control", kHoma, nullptr, nullptr,
      [](Cli& c) { c.homa().incastControl = false; }},
     {"--wasted-bw", nullptr,
      "--wasted-bw does not apply to --tenants: the wasted-bandwidth probe "
@@ -439,6 +426,11 @@ int main(int argc, char** argv) {
         if (f->owner == nullptr) continue;
         if (f->owner[0] == '-') {
             if (!has(f->owner)) fail("%s needs %s", f->name, f->owner);
+        } else if (isProtocolName(f->owner)) {
+            if (std::strcmp(f->owner, protocolName(cfg.proto.kind)) != 0) {
+                fail("%s needs --protocol %s (current protocol: %s)", f->name,
+                     f->owner, protocolName(cfg.proto.kind));
+            }
         } else if (std::strcmp(f->owner, patternName(sc.kind)) != 0) {
             fail("%s needs --pattern %s (current pattern: %s)", f->name,
                  f->owner, patternName(sc.kind));

@@ -13,18 +13,9 @@ NdpTransport::NdpTransport(HostServices& host, NdpConfig cfg, Duration packetTim
 
 void NdpTransport::sendChunk(const Message& msg, uint32_t offset, uint32_t len,
                              bool retransmit) {
-    Packet p;
-    p.type = PacketType::Data;
-    p.dst = msg.dst;
-    p.msg = msg.id;
-    p.created = msg.created;
-    p.offset = offset;
-    p.length = len;
-    p.messageLength = msg.length;
-    p.flags = msg.flags;
+    Packet p = dataPacket(msg, offset, len);
     if (retransmit) p.setFlag(kFlagRetransmit);
-    if (offset + len >= msg.length) p.setFlag(kFlagLast);
-    p.priority = 0;  // all NDP data at one level; trimmed headers get P7
+    // All NDP data stays at priority 0; trimmed headers get P7.
     host_.pushPacket(p);  // FIFO NIC: no sender-side reordering
 }
 
@@ -112,17 +103,9 @@ void NdpTransport::handlePacket(const Packet& p) {
                 return;  // duplicate retransmission after completion
             }
             if (it == in_.end()) {
-                Message meta;
-                meta.id = p.msg;
-                meta.src = p.src;
-                meta.dst = p.dst;
-                meta.length = p.messageLength;
-                meta.flags = p.flags;
-                meta.created = p.created;
-                InMessage im(meta, p.messageLength);
-                im.pulledTo = std::min<int64_t>(cfg_.initialWindow,
-                                                p.messageLength);
-                it = in_.emplace(p.msg, std::move(im)).first;
+                it = in_.try_emplace(p.msg, p).first;
+                it->second.pulledTo = std::min<int64_t>(cfg_.initialWindow,
+                                                        p.messageLength);
             }
             InMessage& im = it->second;
             if (p.hasFlag(kFlagTrimmed)) {
@@ -130,18 +113,14 @@ void NdpTransport::handlePacket(const Packet& p) {
                 // offset for a retransmission pull.
                 if (!im.reasm.complete()) im.trimmed.insert(p.offset);
             } else {
-                im.reasm.addRange(p.offset, p.length);
-                im.acc.packetsReceived++;
-                im.acc.queueingDelay += p.queueingDelay;
-                im.acc.preemptionLag += p.preemptionLag;
+                im.add(p);
             }
             if (im.reasm.complete()) {
-                Message meta = im.meta;
-                DeliveryInfo acc = im.acc;
-                acc.completed = host_.loop().now();
+                const Message meta = im.meta;
+                const DeliveryInfo info = im.delivered(host_.loop().now());
                 pullRing_.erase(meta.id);
                 in_.erase(it);
-                notifyDelivered(meta, acc);
+                notifyDelivered(meta, info);
             } else {
                 syncPull(im);
                 if (!pacerRunning_) {

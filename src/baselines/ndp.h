@@ -46,13 +46,10 @@ private:
         int64_t sentTo = 0;  // fresh bytes handed to the NIC
     };
 
-    struct InMessage {
-        Message meta;
-        Reassembly reasm;
-        DeliveryInfo acc;
+    struct InMessage : Inbound {
         std::set<uint32_t> trimmed;   // offsets needing retransmission
         int64_t pulledTo = 0;         // fresh bytes requested beyond window
-        InMessage(Message m, uint32_t len) : meta(m), reasm(len) {}
+        using Inbound::Inbound;
         bool wantsPull(int64_t window) const {
             if (!trimmed.empty()) return true;
             // Pulls are clocked against arrivals: cap requested-but-unseen

@@ -47,22 +47,12 @@ std::optional<Packet> PFabricTransport::pullPacket() {
         best->inFlight += chunk;
     }
 
-    Packet p;
-    p.type = PacketType::Data;
-    p.dst = best->msg.dst;
-    p.msg = best->msg.id;
-    p.created = best->msg.created;
-    p.offset = offset;
-    p.length = chunk;
-    p.messageLength = best->msg.length;
-    p.flags = best->msg.flags;
+    Packet p = dataPacket(best->msg, offset, chunk);
     if (retrans) p.setFlag(kFlagRetransmit);
-    if (offset + chunk >= best->msg.length) p.setFlag(kFlagLast);
     // pFabric's entire scheduling story: the packet carries the remaining
     // message size; switches sort by it. The 8-level `priority` field is
-    // irrelevant here (PFabricQdisc ignores it for data).
+    // irrelevant here (PFabricQdisc ignores it for data) and stays 0.
     p.remaining = static_cast<uint32_t>(std::max<int64_t>(0, best->remaining()));
-    p.priority = 0;
     syncSendable(*best);
     return p;
 }
@@ -97,28 +87,14 @@ void PFabricTransport::handlePacket(const Packet& p) {
     ack.priority = kHighestPriority;
     host_.pushPacket(ack);
 
-    auto it = in_.find(p.msg);
-    if (it == in_.end()) {
-        Message meta;
-        meta.id = p.msg;
-        meta.src = p.src;
-        meta.dst = p.dst;
-        meta.length = p.messageLength;
-        meta.flags = p.flags;
-        meta.created = p.created;
-        it = in_.emplace(p.msg, InMessage(meta, p.messageLength)).first;
-    }
-    InMessage& im = it->second;
-    im.reasm.addRange(p.offset, p.length);
-    im.acc.packetsReceived++;
-    im.acc.queueingDelay += p.queueingDelay;
-    im.acc.preemptionLag += p.preemptionLag;
+    auto it = in_.try_emplace(p.msg, p).first;
+    Inbound& im = it->second;
+    im.add(p);
     if (im.reasm.complete()) {
-        Message meta = im.meta;
-        DeliveryInfo acc = im.acc;
-        acc.completed = host_.loop().now();
+        const Message meta = im.meta;
+        const DeliveryInfo info = im.delivered(host_.loop().now());
         in_.erase(it);
-        notifyDelivered(meta, acc);
+        notifyDelivered(meta, info);
     }
 }
 

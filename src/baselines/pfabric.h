@@ -59,20 +59,13 @@ private:
         }
     };
 
-    struct InMessage {
-        Message meta;
-        Reassembly reasm;
-        DeliveryInfo acc;
-        InMessage(Message m, uint32_t len) : meta(m), reasm(len) {}
-    };
-
     void checkTimeouts();
     void syncSendable(const OutMessage& om);
 
     HostServices& host_;
     PFabricConfig cfg_;
     std::map<MsgId, OutMessage> out_;
-    std::map<MsgId, InMessage> in_;
+    std::map<MsgId, Inbound> in_;
     // SRPT order over the sendable subset of out_, keyed by remaining().
     SrptIndex<MsgId> sendable_;
     Timer rtoScan_;

@@ -52,20 +52,12 @@ std::optional<Packet> PHostTransport::pullPacket() {
     const uint32_t chunk = static_cast<uint32_t>(
         std::min<int64_t>(kMaxPayload, limit - best->nextOffset));
 
-    Packet p;
-    p.type = PacketType::Data;
-    p.dst = best->msg.dst;
-    p.msg = best->msg.id;
-    p.created = best->msg.created;
-    p.offset = static_cast<uint32_t>(best->nextOffset);
-    p.length = chunk;
-    p.messageLength = best->msg.length;
-    p.flags = best->msg.flags;
+    Packet p =
+        dataPacket(best->msg, static_cast<uint32_t>(best->nextOffset), chunk);
     p.priority = unscheduled ? cfg_.unschedPriority : cfg_.schedPriority;
     best->nextOffset += chunk;
     if (!unscheduled) best->tokens.pop_front();
     if (best->nextOffset >= best->msg.length) {
-        p.setFlag(kFlagLast);
         sendable_.erase(best->msg.id);
         out_.erase(best->msg.id);
     } else if (best->sendable()) {
@@ -161,33 +153,22 @@ void PHostTransport::handlePacket(const Packet& p) {
             return;
         }
         case PacketType::Data: {
-            auto it = in_.find(p.msg);
-            if (it == in_.end()) {
-                Message meta;
-                meta.id = p.msg;
-                meta.src = p.src;
-                meta.dst = p.dst;
-                meta.length = p.messageLength;
-                meta.flags = p.flags;
-                meta.created = p.created;
-                InMessage im(meta, p.messageLength);
-                im.tokensSent = std::min<int64_t>(cfg_.rttBytes, p.messageLength);
-                it = in_.emplace(p.msg, std::move(im)).first;
-            }
+            auto [it, first] = in_.try_emplace(p.msg, p);
             InMessage& im = it->second;
-            im.lastData = host_.loop().now();
+            if (first) {
+                im.tokensSent =
+                    std::min<int64_t>(cfg_.rttBytes, p.messageLength);
+            }
+            const Time now = host_.loop().now();
+            im.lastData = now;
             im.demoted = false;
-            im.reasm.addRange(p.offset, p.length);
-            im.acc.packetsReceived++;
-            im.acc.queueingDelay += p.queueingDelay;
-            im.acc.preemptionLag += p.preemptionLag;
+            im.add(p);
             if (im.reasm.complete()) {
-                Message meta = im.meta;
-                DeliveryInfo acc = im.acc;
-                acc.completed = host_.loop().now();
+                const Message meta = im.meta;
+                const DeliveryInfo info = im.delivered(now);
                 dropGrantee(im);
                 in_.erase(it);
-                notifyDelivered(meta, acc);
+                notifyDelivered(meta, info);
             } else {
                 syncGrantee(im);
             }

@@ -64,19 +64,12 @@ private:
         }
     };
 
-    struct InMessage {
-        Message meta;
-        Reassembly reasm;
-        DeliveryInfo acc;
+    struct InMessage : Inbound {
         int64_t tokensSent = 0;     // scheduled bytes requested so far
         Time lastData = 0;
         Time indexedLastData = -1;  // key under which staleness_ holds us
         bool demoted = false;       // free-token timeout hit; skip until data
-        InMessage(Message m, uint32_t len) : meta(m), reasm(len) {}
-        int64_t remaining() const {
-            return static_cast<int64_t>(reasm.messageLength()) -
-                   reasm.receivedBytes();
-        }
+        using Inbound::Inbound;
         bool needsTokens() const {
             return tokensSent < static_cast<int64_t>(reasm.messageLength());
         }

@@ -93,18 +93,9 @@ std::optional<Packet> PiasTransport::pullPacket() {
 
     const uint32_t chunk = static_cast<uint32_t>(std::min<int64_t>(
         kMaxPayload, om.msg.length - om.nextOffset));
-    Packet p;
-    p.type = PacketType::Data;
-    p.dst = om.msg.dst;
-    p.msg = om.msg.id;
-    p.created = om.msg.created;
-    p.offset = static_cast<uint32_t>(om.nextOffset);
-    p.length = chunk;
-    p.messageLength = om.msg.length;
-    p.flags = om.msg.flags;
+    Packet p = dataPacket(om.msg, static_cast<uint32_t>(om.nextOffset), chunk);
     p.priority = priorityForBytesSent(om.nextOffset);
     om.nextOffset += chunk;
-    if (om.nextOffset >= om.msg.length) p.setFlag(kFlagLast);
     syncSend(om);
     return p;
 }
@@ -161,28 +152,14 @@ void PiasTransport::handlePacket(const Packet& p) {
     if (p.hasFlag(kFlagEcn)) ack.setFlag(kFlagEcn);
     host_.pushPacket(ack);
 
-    auto it = in_.find(p.msg);
-    if (it == in_.end()) {
-        Message meta;
-        meta.id = p.msg;
-        meta.src = p.src;
-        meta.dst = p.dst;
-        meta.length = p.messageLength;
-        meta.flags = p.flags;
-        meta.created = p.created;
-        it = in_.emplace(p.msg, InMessage(meta, p.messageLength)).first;
-    }
-    InMessage& im = it->second;
-    im.reasm.addRange(p.offset, p.length);
-    im.acc.packetsReceived++;
-    im.acc.queueingDelay += p.queueingDelay;
-    im.acc.preemptionLag += p.preemptionLag;
+    auto it = in_.try_emplace(p.msg, p).first;
+    Inbound& im = it->second;
+    im.add(p);
     if (im.reasm.complete()) {
-        Message meta = im.meta;
-        DeliveryInfo acc = im.acc;
-        acc.completed = host_.loop().now();
+        const Message meta = im.meta;
+        const DeliveryInfo info = im.delivered(host_.loop().now());
         in_.erase(it);
-        notifyDelivered(meta, acc);
+        notifyDelivered(meta, info);
     }
 }
 

@@ -68,13 +68,6 @@ private:
         }
     };
 
-    struct InMessage {
-        Message meta;
-        Reassembly reasm;
-        DeliveryInfo acc;
-        InMessage(Message m, uint32_t len) : meta(m), reasm(len) {}
-    };
-
     uint8_t priorityForBytesSent(int64_t bytesSent) const;
     void onAck(const Packet& p);
     void syncSend(const OutMessage& om);
@@ -82,7 +75,7 @@ private:
     HostServices& host_;
     PiasConfig cfg_;
     std::map<MsgId, OutMessage> out_;
-    std::map<MsgId, InMessage> in_;
+    std::map<MsgId, Inbound> in_;
     // Fair round-robin over exactly the windowed (sendable) flows;
     // replaces an O(n) cursor scan of out_ per pulled packet.
     RoundRobinSet<MsgId> sendRing_;

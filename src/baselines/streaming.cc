@@ -62,21 +62,12 @@ std::optional<Packet> StreamingTransport::pullPacket() {
         static_cast<uint32_t>(std::min<int64_t>(kMaxPayload, budget));
     assert(chunk > 0);
 
-    Packet p;
-    p.type = PacketType::Data;
-    p.dst = head.dst;
-    p.msg = head.id;
-    p.created = head.created;
+    // Streams do not use network priorities: data stays at priority 0.
+    Packet p = dataPacket(head, static_cast<uint32_t>(c->headSent), chunk);
     p.stream = static_cast<uint32_t>(c->connId);
-    p.offset = static_cast<uint32_t>(c->headSent);
-    p.length = chunk;
-    p.messageLength = head.length;
-    p.flags = head.flags;
-    p.priority = 0;  // streams do not use network priorities
     c->headSent += chunk;
     c->inFlight += chunk;
     if (c->headSent >= head.length) {
-        p.setFlag(kFlagLast);
         c->sendQueue.pop_front();
         c->headSent = 0;
     }
@@ -107,53 +98,30 @@ void StreamingTransport::handlePacket(const Packet& p) {
         host_.pushPacket(ack);
     }
 
-    InboundStream& s = inbound_[{p.src, p.stream}];
-    InboundMessage* im = nullptr;
-    for (auto& cand : s.messages) {
-        if (cand.meta.id == p.msg) {
-            im = &cand;
-            break;
-        }
-    }
-    if (im == nullptr) {
-        Message meta;
-        meta.id = p.msg;
-        meta.src = p.src;
-        meta.dst = p.dst;
-        meta.length = p.messageLength;
-        meta.flags = p.flags;
-        meta.created = p.created;
-        s.messages.emplace_back(meta, p.messageLength);
-        im = &s.messages.back();
-    }
-    im->reasm.addRange(p.offset, p.length);
-    im->acc.packetsReceived++;
-    im->acc.queueingDelay += p.queueingDelay;
-    im->acc.preemptionLag += p.preemptionLag;
-    tryDeliver(s);
+    const auto stream = inbound_.try_emplace({p.src, p.stream}).first;
+    std::deque<Inbound>& messages = stream->second;
+    auto im = std::find_if(
+        messages.begin(), messages.end(),
+        [&p](const Inbound& m) { return m.meta.id == p.msg; });
+    if (im == messages.end()) im = messages.emplace(messages.end(), p);
+    im->add(p);
+    tryDeliver(stream);
 }
 
-void StreamingTransport::tryDeliver(InboundStream& s) {
+void StreamingTransport::tryDeliver(InboundStreams::iterator stream) {
     // Byte streams deliver strictly in order: only the head message can
     // complete (the stream HOL-blocking the paper measures).
-    while (!s.messages.empty() && s.messages.front().reasm.complete()) {
-        InboundMessage& im = s.messages.front();
-        im.acc.completed = host_.loop().now();
-        Message meta = im.meta;
-        DeliveryInfo acc = im.acc;
-        s.messages.pop_front();
-        notifyDelivered(meta, acc);
+    std::deque<Inbound>& messages = stream->second;
+    while (!messages.empty() && messages.front().reasm.complete()) {
+        const Message meta = messages.front().meta;
+        const DeliveryInfo info =
+            messages.front().delivered(host_.loop().now());
+        messages.pop_front();
+        notifyDelivered(meta, info);
     }
-    if (s.messages.empty()) {
-        // Drop empty stream state (essential in multi-connection mode where
-        // every message brings a fresh stream id).
-        for (auto it = inbound_.begin(); it != inbound_.end(); ++it) {
-            if (&it->second == &s) {
-                inbound_.erase(it);
-                break;
-            }
-        }
-    }
+    // Drop empty stream state (essential in multi-connection mode where
+    // every message brings a fresh stream id).
+    if (messages.empty()) inbound_.erase(stream);
 }
 
 TransportFactory StreamingTransport::factory(StreamingConfig cfg) {

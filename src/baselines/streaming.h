@@ -48,27 +48,20 @@ private:
         int64_t inFlight = 0;    // unacked bytes (windowed mode)
     };
 
-    // Receiver side: per-connection in-order delivery.
-    struct InboundMessage {
-        Message meta;
-        Reassembly reasm;
-        DeliveryInfo acc;
-        InboundMessage(Message m, uint32_t len) : meta(m), reasm(len) {}
-    };
-    struct InboundStream {
-        std::deque<InboundMessage> messages;
-    };
+    // Receiver side: per-connection in-order delivery. Each stream, keyed
+    // by (source host, connection id), holds its messages in send order.
+    using InboundStreams =
+        std::map<std::pair<HostId, uint32_t>, std::deque<Inbound>>;
 
     Connection* pickConnection();
-    void tryDeliver(InboundStream& s);
+    void tryDeliver(InboundStreams::iterator stream);
 
     HostServices& host_;
     StreamingConfig cfg_;
     std::vector<Connection> connections_;
     size_t rrCursor_ = 0;
     uint32_t nextConn_ = 1;
-    // Receiver streams keyed by (source host, connection id).
-    std::map<std::pair<HostId, uint32_t>, InboundStream> inbound_;
+    InboundStreams inbound_;
 };
 
 }  // namespace homa

@@ -76,37 +76,24 @@ void HomaReceiver::handleData(const Packet& p) {
         return;
     }
 
-    auto it = in_.find(p.msg);
-    if (it == in_.end()) {
-        Message meta;
-        meta.id = p.msg;
-        meta.src = p.src;
-        meta.dst = p.dst;
-        meta.length = p.messageLength;
-        meta.flags = p.flags;
-        meta.created = p.created;  // stamped by the sending host
-        InMessage im(meta, p.messageLength);
+    auto [it, first] = in_.try_emplace(p.msg, p);
+    if (first) {
         // The sender transmitted its unscheduled region blindly; those
         // bytes count as already granted.
-        im.grantedTo = ctx_.unschedLimitFor(p.messageLength, p.flags);
-        it = in_.emplace(p.msg, std::move(im)).first;
+        it->second.grantedTo = ctx_.unschedLimitFor(p.messageLength, p.flags);
         if (!it->second.fullyGranted()) {
-            sched_->add(p.msg, it->second.remaining(), meta.created);
+            sched_->add(p.msg, it->second.remaining(), p.created);
         }
     }
 
     InMessage& im = it->second;
-    im.lastActivity = ctx_.host.loop().now();
-    const uint32_t fresh = im.reasm.addRange(p.offset, p.length);
-    im.acc.packetsReceived++;
-    im.acc.duplicateBytes += p.length - fresh;
-    im.acc.queueingDelay += p.queueingDelay;
-    im.acc.preemptionLag += p.preemptionLag;
+    const Time now = ctx_.host.loop().now();
+    im.lastActivity = now;
+    im.add(p);
 
     if (im.reasm.complete()) {
-        Message meta = im.meta;
-        DeliveryInfo info = im.acc;
-        info.completed = ctx_.host.loop().now();
+        const Message meta = im.meta;
+        const DeliveryInfo info = im.delivered(now);
         completed_.note(p.msg);
         sched_->remove(p.msg);
         in_.erase(it);

@@ -45,20 +45,13 @@ public:
     const GrantScheduler& scheduler() const { return *sched_; }
 
 private:
-    struct InMessage {
-        Message meta;
-        Reassembly reasm;
+    struct InMessage : Inbound {
         int64_t grantedTo = 0;
         int lastGrantPriority = -1;  // last scheduled level announced
         Time lastActivity = 0;
         int resends = 0;
-        DeliveryInfo acc;
 
-        InMessage(Message m, uint32_t len) : meta(m), reasm(len) {}
-        int64_t remaining() const {
-            return static_cast<int64_t>(reasm.messageLength()) -
-                   reasm.receivedBytes();
-        }
+        using Inbound::Inbound;
         bool fullyGranted() const {
             return grantedTo >= static_cast<int64_t>(reasm.messageLength());
         }

@@ -83,17 +83,8 @@ void HomaSender::handleResend(const Packet& p) {
 
 Packet HomaSender::makeDataPacket(OutMessage& om, uint32_t offset, uint32_t len,
                                   bool retransmit) const {
-    Packet p;
-    p.type = PacketType::Data;
-    p.dst = om.msg.dst;
-    p.msg = om.msg.id;
-    p.created = om.msg.created;
-    p.offset = offset;
-    p.length = len;
-    p.messageLength = om.msg.length;
-    p.flags = om.msg.flags;
+    Packet p = dataPacket(om.msg, offset, len);
     if (retransmit) p.setFlag(kFlagRetransmit);
-    if (offset + len >= om.msg.length) p.setFlag(kFlagLast);
 
     const bool unscheduled = offset < om.unschedLimit;
     const int logical = unscheduled

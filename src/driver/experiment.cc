@@ -203,6 +203,15 @@ std::string experimentConfigError(const ExperimentConfig& cfg) {
     if (sc.ecmpUplinks && net.singleRack()) {
         return "ecmp needs uplinks: a single rack has none to hash across";
     }
+    // An unreadable trace is found here, before anything is built, so no
+    // caller (a sweep's worker thread included) meets it mid-run.
+    if (sc.kind == TrafficPatternKind::TraceReplay) {
+        try {
+            loadTrace(sc, net.hostCount());
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+    }
     // Above 1 is deliberate overload; 0, negative or NaN would never
     // generate.
     if (openLoop(sc) && !(cfg.traffic.load > 0 && cfg.traffic.load <= 1.5)) {

@@ -1,12 +1,13 @@
 #include "sim/fault.h"
 
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "sim/network.h"
+#include "sim/parse.h"
 
 namespace homa {
 
@@ -54,10 +55,8 @@ bool parseTarget(const std::string& v, FaultSpec& out, std::string* err) {
         }
         return false;
     }
-    const std::string idx = v.substr(prefix);
-    char* end = nullptr;
-    const long n = std::strtol(idx.c_str(), &end, 10);
-    if (idx.empty() || *end != '\0' || n < 0) {
+    int index = 0;
+    if (!number(v.substr(prefix), index).empty() || index < 0) {
         if (err) {
             *err = "bad fault target index in '" + v +
                    "' (expected aggr<k>, core<c>, tor<r>, or host<h>)";
@@ -65,39 +64,43 @@ bool parseTarget(const std::string& v, FaultSpec& out, std::string* err) {
         return false;
     }
     out.targetKind = kind;
-    out.targetIndex = static_cast<int>(n);
+    out.targetIndex = index;
     return true;
 }
 
-// "50ms", "10us", "250ns", "0.5s" — a number with a required unit suffix.
+// "50ms", "10us", "250ns", "0.5s": a non-negative number with a required
+// unit suffix, read by the checked readers once the suffix is off. The
+// count is scaled to seconds first, the product specs have always used,
+// so a given spec keeps its exact picosecond (100us is 99,999,999 ps).
 bool parseFaultDuration(const std::string& v, Duration& out,
                         std::string* err) {
-    char* end = nullptr;
-    const double n = std::strtod(v.c_str(), &end);
-    double unit = 0;
-    if (std::strcmp(end, "ns") == 0) unit = 1e-9;
-    else if (std::strcmp(end, "us") == 0) unit = 1e-6;
-    else if (std::strcmp(end, "ms") == 0) unit = 1e-3;
-    else if (std::strcmp(end, "s") == 0) unit = 1.0;
-    if (end == v.c_str() || unit == 0 || !std::isfinite(n) || n < 0) {
-        if (err) {
-            *err = "bad duration '" + v + "' (a number with ns/us/ms/s)";
+    static constexpr std::pair<const char*, double> kUnits[] = {
+        {"ns", 1e-9}, {"us", 1e-6}, {"ms", 1e-3},
+        {"s", 1.0}};  // "s" last: "ms", "us" and "ns" end in it too
+    std::string why = "expected a number with ns/us/ms/s";
+    for (const auto& [suffix, seconds] : kUnits) {
+        const size_t n = std::strlen(suffix);
+        if (v.size() > n && v.compare(v.size() - n, n, suffix) == 0) {
+            double count = 0;
+            why = number(v.substr(0, v.size() - n), count);
+            if (why.empty()) why = duration(count * seconds, kSecond, out);
+            if (why.empty() && out < 0) {
+                why = "expected a non-negative duration";
+            }
+            break;
         }
-        return false;
     }
-    out = static_cast<Duration>(n * unit * static_cast<double>(kSecond));
-    return true;
+    if (!why.empty() && err) *err = "bad duration '" + v + "': " + why;
+    return why.empty();
 }
 
-bool parseFaultDouble(const std::string& v, double& out, std::string* err) {
-    char* end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (v.empty() || *end != '\0' || !std::isfinite(d)) {
-        if (err) *err = "bad number '" + v + "'";
-        return false;
-    }
-    out = d;
-    return true;
+// One checked number for fault key `key`.
+template <typename T>
+bool parseFaultNumber(const std::string& key, const std::string& v, T& out,
+                      std::string* err) {
+    const std::string why = number(v, out);
+    if (!why.empty() && err) *err = "bad " + key + " '" + v + "': " + why;
+    return why.empty();
 }
 
 }  // namespace
@@ -144,18 +147,16 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
             if (!parseFaultDuration(val, spec.duration, err)) return false;
             haveFor = true;
         } else if (key == "bw") {
-            if (!parseFaultDouble(val, spec.bwFactor, err)) return false;
+            if (!parseFaultNumber(key, val, spec.bwFactor, err)) return false;
             haveBw = true;
         } else if (key == "delay") {
             if (!parseFaultDuration(val, spec.extraDelay, err)) return false;
             haveDelay = true;
         } else if (key == "drop") {
-            if (!parseFaultDouble(val, spec.dropProb, err)) return false;
+            if (!parseFaultNumber(key, val, spec.dropProb, err)) return false;
             haveDrop = true;
         } else if (key == "count") {
-            double n = 0;
-            if (!parseFaultDouble(val, n, err)) return false;
-            spec.count = static_cast<int>(n);
+            if (!parseFaultNumber(key, val, spec.count, err)) return false;
             haveCount = true;
         } else if (key == "gap") {
             if (!parseFaultDuration(val, spec.gap, err)) return false;

@@ -51,10 +51,7 @@ void EgressPort::faultLinkDown() {
 void EgressPort::faultLinkUp() {
     if (downCount_ > 0) downCount_--;
     if (!linkUp()) return;
-    // Canonical enqueue-before-dequeue: route everything due at the owning
-    // switch before this port picks its next packet (see DueRouter).
-    if (owner_ != nullptr) owner_->routeDue();
-    tryTransmit();
+    routeDueThenTransmit();
 }
 
 void EgressPort::faultKill() {
@@ -102,8 +99,19 @@ uint64_t EgressPort::dropAllQueued() {
     return n;
 }
 
+void EgressPort::routeDueThenTransmit() {
+    // Queue the owning switch's whole same-instant batch before this port
+    // picks its next packet (see DueRouter).
+    if (owner_ != nullptr) {
+        routing_ = true;
+        owner_->routeDue();
+        routing_ = false;
+    }
+    tryTransmit();
+}
+
 void EgressPort::tryTransmit() {
-    if (busy_ || !linkUp()) return;
+    if (busy_ || routing_ || !linkUp()) return;
     noteQueueChange();
     std::optional<Packet> next = qdisc_->dequeue();
     noteQueueChange();
@@ -181,10 +189,7 @@ void EgressPort::finishTransmission() {
         done.hops++;
         peer_->deliver(std::move(done));
     }
-    // Canonical enqueue-before-dequeue: apply all due routings at the
-    // owning switch before this port picks its next packet.
-    if (owner_ != nullptr) owner_->routeDue();
-    tryTransmit();
+    routeDueThenTransmit();
 }
 
 }  // namespace homa

@@ -41,12 +41,17 @@ public:
 
 /// Implemented by store-and-forward switches: route every transit packet
 /// whose internal delay has expired, in the switch's canonical order (see
-/// Switch::routeDue). An EgressPort calls its owning switch's routeDue() at
-/// every transmission boundary *before* dequeuing, so a same-instant
-/// "routing enqueues" / "port dequeues" pair always resolves enqueue-first.
-/// That structural rule — shared by the serial and parallel engines — is
-/// what removes the one same-instant tie whose resolution could differ
-/// between event orders (it changes which packet a priority qdisc yields).
+/// Switch::routeDue).
+///
+/// The rule: no port transmits while its owner routes a same-instant
+/// batch. At each transmission boundary (a packet finished, the link back
+/// up) an EgressPort flushes its owner's routeDue() with picking held off,
+/// then picks once from everything queued. So the pick is the same whether
+/// the switch's routing kick for that instant ran before the boundary or
+/// after it, which is an accident of event order (the parallel engine runs
+/// a cross-shard kick at the window barrier). Without the hold, the first
+/// packet the flush routed took the idle port ahead of the rest of the
+/// batch, higher priorities included.
 class DueRouter {
 public:
     virtual ~DueRouter() = default;
@@ -154,6 +159,8 @@ public:
     int64_t backlogBytes() const { return qdisc_->queuedBytes() + inFlightBytes_; }
 
 private:
+    /// A transmission boundary: flush the owner's due routings, then pick.
+    void routeDueThenTransmit();
     void tryTransmit();
     void startTransmission(Packet p);
     void finishTransmission();
@@ -174,6 +181,7 @@ private:
     int32_t linkId_ = -1;
 
     bool busy_ = false;
+    bool routing_ = false;     // flushing owner_->routeDue(): do not pick yet
     int64_t inFlightBytes_ = 0;
     uint8_t txPriority_ = 0;   // priority of the packet on the wire
     Time txEndsAt_ = 0;

@@ -48,4 +48,21 @@ std::optional<std::pair<uint32_t, uint32_t>> Reassembly::firstGap() const {
     return std::make_pair(gapStart, gapEnd - gapStart);
 }
 
+Inbound::Inbound(const Packet& first)
+    : meta{.id = first.msg,
+           .src = first.src,
+           .dst = first.dst,
+           .length = first.messageLength,
+           .created = first.created,  // stamped by the sending host
+           .flags = static_cast<uint16_t>(first.flags & kMessageFlags)},
+      reasm(first.messageLength) {}
+
+void Inbound::add(const Packet& p) {
+    const uint32_t fresh = reasm.addRange(p.offset, p.length);
+    acc.packetsReceived++;
+    acc.duplicateBytes += p.length - fresh;
+    acc.queueingDelay += p.queueingDelay;
+    acc.preemptionLag += p.preemptionLag;
+}
+
 }  // namespace homa

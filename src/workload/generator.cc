@@ -18,9 +18,7 @@ TrafficGenerator::TrafficGenerator(Network& net, TrafficConfig cfg,
     perHostGeneratedBytes_.assign(net_.hostCount(), 0);
 
     if (cfg_.scenario.kind == TrafficPatternKind::TraceReplay) {
-        trace_ = !cfg_.scenario.traceText.empty()
-                     ? parseTrace(cfg_.scenario.traceText, net_.hostCount())
-                     : loadTraceFile(cfg_.scenario.tracePath, net_.hostCount());
+        trace_ = loadTrace(cfg_.scenario, net_.hostCount());
         return;
     }
 

@@ -4,10 +4,12 @@
 #include <cassert>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+
+#include "sim/parse.h"
 
 namespace homa {
 
@@ -250,6 +252,20 @@ std::string scenarioError(const ScenarioConfig& cfg) {
         return "on-off does not compose with trace replay (the trace "
                "carries its own timing)";
     }
+    if (cfg.kind == TrafficPatternKind::RackSkew &&
+        !(cfg.rackLocalFraction >= 0 && cfg.rackLocalFraction <= 1)) {
+        return "rack-skew local fraction must be in [0, 1]";
+    }
+    if (cfg.kind == TrafficPatternKind::Incast) {
+        if (!(cfg.hotspotFraction >= 0 && cfg.hotspotFraction <= 1)) {
+            return "incast hotspot fraction must be in [0, 1]";
+        }
+        if (cfg.hotspots < 1) return "incast needs hotspots >= 1";
+        if (cfg.hotspotDegree < 0) {
+            return "incast hotspot degree must be >= 0 (0 = every non-hot "
+                   "host)";
+        }
+    }
     if (cfg.kind == TrafficPatternKind::ClosedLoop &&
         cfg.closedLoopWindow < 1) {
         return "closed-loop window must be >= 1";
@@ -319,9 +335,9 @@ Time OnOffModulator::gate(Time now) {
 
 namespace {
 
-[[noreturn]] void traceError(size_t line, const char* what) {
-    std::fprintf(stderr, "trace line %zu: %s\n", line, what);
-    std::exit(2);
+[[noreturn]] void traceError(size_t line, const std::string& what) {
+    throw std::invalid_argument("trace line " + std::to_string(line) + ": " +
+                                what);
 }
 
 /// Uniform destination over all hosts except `src`.
@@ -399,13 +415,16 @@ public:
         : hosts_(hostCount), fraction_(cfg.hotspotFraction) {
         // Every hotspot needs at least one dedicated sender, so the
         // hotspot count caps at half the cluster and the fan-in degree at
-        // the senders available per hotspot. Hot receivers are hosts
+        // the senders available per hotspot (scenarioError has checked
+        // hotspots >= 1 and degree >= 0). Hot receivers are hosts
         // [0, hot); their senders are assigned round-robin from the
         // remaining hosts so groups span racks.
-        const int hot = std::clamp(cfg.hotspots, 1, hostCount / 2);
+        assert(cfg.hotspots >= 1 && cfg.hotspotDegree >= 0);
+        const int hot = std::min(cfg.hotspots, hostCount / 2);
         const int perHot = (hostCount - hot) / hot;  // >= 1
-        int degree = cfg.hotspotDegree <= 0 ? perHot : cfg.hotspotDegree;
-        degree = std::clamp(degree, 1, perHot);
+        const int degree = cfg.hotspotDegree == 0
+                               ? perHot
+                               : std::min(cfg.hotspotDegree, perHot);
         target_.assign(hostCount, kNone);
         for (int i = 0; i < hot * degree; i++) {
             target_[hot + i] = static_cast<HostId>(i % hot);
@@ -509,12 +528,15 @@ std::vector<TraceRecord> parseTrace(const std::string& text, int hostCount) {
             continue;  // blank or comment-only line
         }
         std::istringstream fields(line);
-        double timeUs;
+        std::string timeUs, extra;
         int64_t src, dst, size;
-        if (!(fields >> timeUs >> src >> dst >> size)) {
+        if (!(fields >> timeUs >> src >> dst >> size) || fields >> extra) {
             traceError(lineNo, "expected '<time_us> <src> <dst> <size>'");
         }
-        if (timeUs < 0 || size <= 0 || size > 0xFFFFFFFFll || src == dst) {
+        TraceRecord r;
+        const std::string why = duration(timeUs, kMicrosecond, r.at);
+        if (!why.empty()) traceError(lineNo, "time '" + timeUs + "': " + why);
+        if (r.at < 0 || size <= 0 || size > 0xFFFFFFFFll || src == dst) {
             traceError(lineNo,
                        "negative time, size out of [1, 2^32), or src==dst");
         }
@@ -522,8 +544,6 @@ std::vector<TraceRecord> parseTrace(const std::string& text, int hostCount) {
             (src < 0 || src >= hostCount || dst < 0 || dst >= hostCount)) {
             traceError(lineNo, "host id out of range for this topology");
         }
-        TraceRecord r;
-        r.at = static_cast<Duration>(timeUs * static_cast<double>(kMicrosecond));
         r.src = static_cast<HostId>(src);
         r.dst = static_cast<HostId>(dst);
         r.size = static_cast<uint32_t>(size);
@@ -536,11 +556,12 @@ std::vector<TraceRecord> parseTrace(const std::string& text, int hostCount) {
     return out;
 }
 
-std::vector<TraceRecord> loadTraceFile(const std::string& path, int hostCount) {
-    std::ifstream in(path);
+std::vector<TraceRecord> loadTrace(const ScenarioConfig& cfg, int hostCount) {
+    if (!cfg.traceText.empty()) return parseTrace(cfg.traceText, hostCount);
+    std::ifstream in(cfg.tracePath);
     if (!in) {
-        std::fprintf(stderr, "cannot open trace file: %s\n", path.c_str());
-        std::exit(2);
+        throw std::invalid_argument("cannot open trace file: " +
+                                    cfg.tracePath);
     }
     std::stringstream buf;
     buf << in.rdbuf();

@@ -183,9 +183,11 @@ bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
 /// groups need tenants, and tenants need the uniform placeholder pattern,
 /// no on-off, faults or fluid, and resolvable group names; trace replay
 /// needs a schedule (tracePath or traceText) and excludes on-off;
-/// closed loop needs a window >= 1; dag needs a valid DagConfig; on-off
-/// needs valid periods (onOffError). Topology-dependent checks (fault
-/// targets, ECMP uplinks, serving host counts) belong to the runners.
+/// rack-skew needs a local fraction in [0, 1]; incast needs a hotspot
+/// fraction in [0, 1], hotspots >= 1 and a degree >= 0; closed loop needs
+/// a window >= 1; dag needs a valid DagConfig; on-off needs valid periods
+/// (onOffError). Topology-dependent checks (fault targets, ECMP uplinks,
+/// serving host counts, the trace's lines) belong to the runners.
 std::string scenarioError(const ScenarioConfig& cfg);
 
 /// One trace-replay record; `at` is an offset from TrafficConfig::start.
@@ -196,12 +198,16 @@ struct TraceRecord {
     uint32_t size = 0;
 };
 
-/// Parses trace text. Exits with status 2 (after printing the line) on
-/// malformed lines or out-of-range hosts when `hostCount` > 0.
+/// Parses trace text, sorted by time. Throws std::invalid_argument naming
+/// the line on a malformed line, and on out-of-range hosts when
+/// `hostCount` > 0.
 std::vector<TraceRecord> parseTrace(const std::string& text,
                                     int hostCount = 0);
-std::vector<TraceRecord> loadTraceFile(const std::string& path,
-                                       int hostCount = 0);
+/// The trace-replay schedule of `cfg`: its traceText when set, else the
+/// file at tracePath. Throws std::invalid_argument when the file cannot
+/// be read or a line cannot be parsed (experimentConfigError reports it).
+std::vector<TraceRecord> loadTrace(const ScenarioConfig& cfg,
+                                   int hostCount = 0);
 
 /// Per-host ON-OFF state machine: a lazily generated alternating sequence
 /// of burst and idle periods, deterministic given (config, seed).

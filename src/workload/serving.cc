@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/parse.h"
 #include "workload/rpc_dag.h"  // parseDagInt/Double: the strict parsers
 
 namespace homa {
@@ -213,13 +214,6 @@ bool workloadFromSpecName(const std::string& name, WorkloadId& out) {
     return false;
 }
 
-bool parseMicros(const std::string& val, Duration& out) {
-    double us = 0;
-    if (!parseDagDouble(val, us) || us < 0) return false;
-    out = static_cast<Duration>(us * static_cast<double>(kMicrosecond));
-    return true;
-}
-
 std::string fmtDouble(double v) {
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%g", v);
@@ -272,9 +266,11 @@ bool parseTenantsSpec(const std::string& body, std::vector<TenantConfig>& out,
                 }
                 windowSeen = true;
             } else if (key == "think_us") {
-                if (!parseMicros(val, t.think)) {
-                    return fail("tenant key think_us: expected a "
-                                "non-negative number, got '" + val + "'");
+                // validateServingConfig owns the sign rule.
+                const std::string why = duration(val, kMicrosecond, t.think);
+                if (!why.empty()) {
+                    return fail("tenant key think_us: " + why + ", got '" +
+                                val + "'");
                 }
                 thinkSeen = true;
             } else if (key == "clients") {
@@ -354,9 +350,11 @@ bool parseReplicasSpec(const std::string& body,
                                 "(e.g. p95), got '" + val + "'");
                 }
             } else if (key == "hedge_floor_us") {
-                if (!parseMicros(val, g.hedgeFloor)) {
-                    return fail("replica key hedge_floor_us: expected a "
-                                "non-negative number, got '" + val + "'");
+                const std::string why =
+                    duration(val, kMicrosecond, g.hedgeFloor);
+                if (!why.empty()) {
+                    return fail("replica key hedge_floor_us: " + why +
+                                ", got '" + val + "'");
                 }
             } else if (key == "hedge_min") {
                 if (!parseDagInt(val, g.hedgeMinSamples)) {

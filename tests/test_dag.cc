@@ -697,6 +697,26 @@ TEST(RunExperimentCli, RejectsContradictoryFlagCombinations) {
     EXPECT_EQ(runCli("--pareto-alpha 2"), 2);
 }
 
+TEST(RunExperimentCli, RejectsHomaKnobsOutsideHoma) {
+    // The Homa knobs configure only Homa (Basic takes just rttBytes), so
+    // under another protocol they are rejected, not silently ignored; and
+    // --sched/--unsched count levels, so 0 is not "keep the default".
+    EXPECT_EQ(runCli("--protocol pFabric --single-rack --window-ms 1 "
+                     "--cutoff 1000 --grant-policy fifo"),
+              2);
+    EXPECT_EQ(runCli("--protocol Basic --single-rack --window-ms 1 "
+                     "--overcommit 2"),
+              2);
+    EXPECT_EQ(runCli("--protocol NDP --single-rack --window-ms 1 "
+                     "--no-incast-control"),
+              2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --sched 0"), 2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --unsched 0"), 2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --sched 5 --unsched 2 "
+                     "--grant-policy fifo"),
+              0);
+}
+
 TEST(RunExperimentCli, RunsAValidDagPoint) {
     EXPECT_EQ(runCli("--single-rack --workload W1 --window-ms 1 "
                      "--pattern dag --dag-fanout 2 --dag-depth 1 "

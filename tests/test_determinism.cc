@@ -298,6 +298,30 @@ uint64_t fnv1a(const std::string& s) {
     return h;
 }
 
+TEST(ParallelDeterminism, SameInstantBatchQueuesBeforeThePortPicks) {
+    // A port finishing at instant T while its switch has packets due at T
+    // must pick among all of them (port.h, DueRouter). In this run the
+    // only packets due at such an instant crossed shards at 4 threads, so
+    // their routing kick ran after the finish; when the finish let the
+    // first routed packet take the idle port, 4 threads diverged from
+    // serial while 2 and 3 matched. The serial bytes are pinned too.
+    ExperimentConfig cfg;
+    cfg.traffic.workload = WorkloadId::W4;
+    cfg.traffic.load = 0.8;
+    cfg.traffic.seed = 4;
+    cfg.traffic.stop = milliseconds(5);
+    cfg.traffic.scenario.topoSpec = "racks=8,hosts=8,aggr=4";
+    const std::string serial = resultFingerprint(runExperiment(cfg));
+    EXPECT_EQ(fnv1a(serial), 0x649c2f47a694b761ull)
+        << std::hex << "hash 0x" << fnv1a(serial) << std::dec
+        << " live fingerprint:\n" << serial;
+    for (int threads : {2, 3, 4}) {
+        cfg.parallel.threads = threads;
+        EXPECT_EQ(serial, resultFingerprint(runExperiment(cfg)))
+            << threads << " threads";
+    }
+}
+
 // ------------------------------------------------------ fault goldens
 
 ExperimentConfig faultConfig(Protocol kind, const std::string& faultBody,

@@ -391,6 +391,36 @@ TEST(ExperimentDriver, CallerMisuseThrows) {
     }
 }
 
+TEST(ExperimentDriver, UnreadableTraceThrowsInsteadOfExiting) {
+    // The trace is read while the config is checked, so a missing file or
+    // a malformed line is a reason for the caller, before anything is
+    // built: not an exit inside the library, nor an exception escaping a
+    // sweep's worker thread mid-run.
+    struct Case {
+        const char* expect;
+        std::string path;
+        std::string text;
+    };
+    const std::string missing = ::testing::TempDir() + "no-such-file.trace";
+    const Case cases[] = {
+        {"cannot open trace file: ", missing, ""},
+        {"trace line 2: expected '<time_us> <src> <dst> <size>'", "",
+         "10 1 2 1000\n20 2 3\n"},
+    };
+    for (const Case& c : cases) {
+        ExperimentConfig cfg = smallConfig(WorkloadId::W1, 0.5);
+        cfg.net = NetworkConfig::singleRack16();
+        cfg.traffic.stop = milliseconds(1);
+        cfg.traffic.scenario.kind = TrafficPatternKind::TraceReplay;
+        cfg.traffic.scenario.tracePath = c.path;
+        cfg.traffic.scenario.traceText = c.text;
+        EXPECT_NE(experimentConfigError(cfg).find(c.expect), std::string::npos)
+            << experimentConfigError(cfg);
+        EXPECT_THROW((void)runExperiment(cfg), std::invalid_argument)
+            << c.expect;
+    }
+}
+
 TEST(FindMaxLoad, DetectsACapForPHost) {
     // pHost (no overcommitment) must cap strictly below Homa on W3.
     ExperimentConfig base = smallConfig(WorkloadId::W3, 0.5, Protocol::PHost);

@@ -98,6 +98,26 @@ TEST(FaultSpec, ExplainsMalformedSpecs) {
               std::string::npos);
 }
 
+TEST(FaultSpec, ReadsNumbersWholeAndInRange) {
+    // Durations past a Duration's range, fractional or oversized counts,
+    // and target indexes past an int are rejected for what they are; they
+    // are not cast out of range (a flap "at 1e7 s" firing at t = 0), cut
+    // to an integer, or wrapped to another switch.
+    EXPECT_EQ(parseError("flap=aggr0,at=1e7s,for=1ms"),
+              "bad duration '1e7s': duration out of range");
+    EXPECT_EQ(parseError("degrade=host0,delay=-2us"),
+              "bad duration '-2us': expected a non-negative duration");
+    EXPECT_EQ(parseError("flap-train=aggr0,count=2.7,gap=1ms,for=1ms"),
+              "bad count '2.7': expected an integer in range");
+    EXPECT_EQ(parseError("flap-train=aggr0,count=1e10,gap=1ms,for=1ms"),
+              "bad count '1e10': expected an integer in range");
+    EXPECT_EQ(parseError("degrade=host0,bw=half"),
+              "bad bw 'half': expected a number");
+    EXPECT_NE(parseError("flap=aggr4294967296,at=1ms,for=1ms")
+                  .find("bad fault target index"),
+              std::string::npos);
+}
+
 TEST(FaultSpec, ExplainsContradictoryKeys) {
     EXPECT_EQ(parseError("flap=aggr0,at=1ms"), "flap needs for=<duration> > 0");
     EXPECT_EQ(parseError("flap=aggr0,for=1ms,drop=0.1"),

@@ -295,6 +295,23 @@ TEST(ServingSpec, ParseErrorsAreTargeted) {
     }
 }
 
+TEST(ServingSpec, MicrosecondKnobsAreReadInRange) {
+    // A think time or hedge floor past a Duration's range is a parse
+    // error, not a value cast out of range (and then rejected for its
+    // sign, or not at all).
+    std::string err;
+    std::vector<TenantConfig> tenants;
+    EXPECT_FALSE(parseTenantsSpec("name=a,mode=closed,think_us=1e300",
+                                  tenants, &err));
+    EXPECT_EQ(err, "tenant key think_us: duration out of range, got '1e300'");
+    std::vector<ReplicaGroupConfig> groups;
+    EXPECT_FALSE(parseReplicasSpec("name=g,hedge_floor_us=1e300", groups,
+                                   &err));
+    EXPECT_EQ(err,
+              "replica key hedge_floor_us: duration out of range, got "
+              "'1e300'");
+}
+
 TEST(ServingSpec, ParseFailureLeavesTheOutputUntouched) {
     std::vector<TenantConfig> tenants;
     ASSERT_TRUE(parseTenantsSpec("name=keep,clients=3", tenants));

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "sim/network.h"
 #include "workload/generator.h"
@@ -463,19 +464,57 @@ TEST(TrafficPatterns, IncastClampsInfeasibleHotspotConfigs) {
     }
 }
 
-TEST(TrafficPatternsDeathTest, TraceParserRejectsBadLines) {
+TEST(TrafficPatterns, TraceParserRejectsBadLines) {
     // Oversized size fields must be rejected, not silently truncated to
-    // 32 bits; same for self-sends, short lines, and out-of-range hosts.
-    EXPECT_EXIT(parseTrace("0 0 1 4294967297\n"),
-                ::testing::ExitedWithCode(2), "trace line 1");
-    EXPECT_EXIT(parseTrace("0 0 0 100\n"), ::testing::ExitedWithCode(2),
-                "trace line 1");
-    EXPECT_EXIT(parseTrace("5 0\n"), ::testing::ExitedWithCode(2),
-                "trace line 1");
-    EXPECT_EXIT(parseTrace("time src dst bytes\n0 0 1 100\n"),
-                ::testing::ExitedWithCode(2), "trace line 1");
-    EXPECT_EXIT(parseTrace("0 0 20 100\n", /*hostCount=*/16),
-                ::testing::ExitedWithCode(2), "trace line 1");
+    // 32 bits; same for self-sends, short or long lines, out-of-range
+    // hosts, and times past a Duration's range. The library throws the
+    // reason and never exits.
+    for (const char* text :
+         {"0 0 1 4294967297\n", "0 0 0 100\n", "5 0\n", "5 0 1\n",
+          "5 0 1 100 7\n", "time src dst bytes\n0 0 1 100\n",
+          "1e300 0 1 1000\n", "-1 0 1 1000\n"}) {
+        try {
+            (void)parseTrace(text, /*hostCount=*/16);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("trace line 1: ", 0), 0u)
+                << e.what();
+        }
+    }
+    EXPECT_THROW((void)parseTrace("0 0 1 100\n0 0 20 100\n", 16),
+                 std::invalid_argument);
+}
+
+TEST(TrafficPatterns, PatternKnobsOutsideTheirRangeAreRejected) {
+    // One case per rule. A fraction outside [0, 1] would only saturate
+    // Rng::chance, and IncastPattern no longer clamps hotspots or the
+    // degree from below (it asserts what these rules guarantee).
+    ScenarioConfig skew = scenarioOf(TrafficPatternKind::RackSkew);
+    skew.rackLocalFraction = 7;
+    EXPECT_EQ(scenarioError(skew),
+              "rack-skew local fraction must be in [0, 1]");
+
+    ScenarioConfig fraction = scenarioOf(TrafficPatternKind::Incast);
+    fraction.hotspotFraction = -3;
+    EXPECT_EQ(scenarioError(fraction),
+              "incast hotspot fraction must be in [0, 1]");
+
+    ScenarioConfig hotspots = scenarioOf(TrafficPatternKind::Incast);
+    hotspots.hotspots = 0;
+    EXPECT_EQ(scenarioError(hotspots), "incast needs hotspots >= 1");
+
+    ScenarioConfig degree = scenarioOf(TrafficPatternKind::Incast);
+    degree.hotspotDegree = -1;
+    EXPECT_EQ(scenarioError(degree),
+              "incast hotspot degree must be >= 0 (0 = every non-hot host)");
+
+    // The bounds themselves are valid; degree 0 means every non-hot host.
+    skew.rackLocalFraction = 1;
+    fraction.hotspotFraction = 0;
+    degree.hotspotDegree = 0;
+    for (const ScenarioConfig& ok : {skew, fraction, degree}) {
+        EXPECT_EQ(scenarioError(ok), "") << patternName(ok.kind);
+    }
 }
 
 TEST(TrafficPatterns, PatternNamesRoundTrip) {
