@@ -14,6 +14,7 @@
 
 #include "driver/experiment.h"
 #include "driver/sweep.h"
+#include "sim/parse.h"
 #include "stats/report.h"
 
 namespace homa::bench {
@@ -64,15 +65,13 @@ inline SweepOptions sweepOptionsFromEnv() {
     SweepOptions opts;
     const char* env = std::getenv("HOMA_SWEEP_THREADS");
     if (env != nullptr) {
-        char* end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || n < 1 || n > 4096) {
+        if (!number(env, opts.threads).empty() || opts.threads < 1 ||
+            opts.threads > 4096) {
             std::fprintf(stderr,
                          "HOMA_SWEEP_THREADS: expected a thread count, "
                          "got '%s'\n", env);
             std::exit(2);
         }
-        opts.threads = static_cast<int>(n);
     }
     return opts;
 }

@@ -269,14 +269,12 @@ const Flag kFlags[] = {
     {"--dag-stage-sizes", "dag", kDagWithTenants,
      [](Cli& c, Arg v) {
          c.dag().stageResponseBytes.clear();
-         std::string why;
-         for (size_t pos = 0; why.empty() && pos <= v.size();) {
-             const size_t comma = std::min(v.find(',', pos), v.size());
-             why = number(v.substr(pos, comma - pos),
-                          c.dag().stageResponseBytes.emplace_back());
-             pos = comma + 1;
+         for (const std::string& stage : split(v, ',')) {
+             std::string why =
+                 number(stage, c.dag().stageResponseBytes.emplace_back());
+             if (!why.empty()) return why;
          }
-         return why;
+         return std::string();
      }},
     {"--dag-join", "dag", kDagWithTenants,
      [](Cli& c, Arg v) { return number(v, c.dag().joinFraction); }},

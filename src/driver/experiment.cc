@@ -168,6 +168,24 @@ int requestedShards(const ExperimentConfig& cfg) {
 
 }  // namespace
 
+std::string homaConfigError(const HomaConfig& cfg) {
+    if (cfg.wirePriorities < 1 || cfg.wirePriorities > 8) {
+        return "Homa wire priorities must be in [1, 8]";
+    }
+    if (cfg.logicalPriorities < 2 || cfg.logicalPriorities > 8) {
+        return "Homa logical priorities must be in [2, 8]";
+    }
+    if (cfg.unschedPriorities >= cfg.logicalPriorities) {
+        return "Homa unscheduled priorities must be below the logical "
+               "priorities (" + std::to_string(cfg.logicalPriorities) +
+               "), leaving a scheduled level";
+    }
+    if (!(cfg.oldestReservation >= 0 && cfg.oldestReservation <= 1)) {
+        return "Homa oldest-message reservation must be in [0, 1]";
+    }
+    return "";
+}
+
 std::string experimentConfigError(const ExperimentConfig& cfg) {
     const ScenarioConfig& sc = cfg.traffic.scenario;
     // Silently running the uniform placeholder pattern would measure
@@ -188,6 +206,10 @@ std::string experimentConfigError(const ExperimentConfig& cfg) {
     }
     topo = validateTopoConfig(net);
     if (!topo.empty()) return topo;
+    if (cfg.proto.kind == Protocol::Homa) {
+        const std::string homa = homaConfigError(cfg.proto.homa);
+        if (!homa.empty()) return homa;
+    }
     // Fluid flows bypass the switches faults act on; a hybrid fault run
     // would silently break conservation.
     if (effectiveFluidThreshold(cfg) >= 0 && !sc.faults.empty()) {

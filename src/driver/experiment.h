@@ -138,13 +138,21 @@ struct ExperimentResult {
     bool keptUp = false;
 };
 
+/// Why Homa cannot run with `cfg`, or "" when it can. Switches have 8
+/// priority levels, so `wirePriorities` is in [1, 8] and
+/// `logicalPriorities` in [2, 8] (one unscheduled and one scheduled level
+/// at least); an explicit `unschedPriorities` (> 0) stays below
+/// `logicalPriorities`; `oldestReservation` is a fraction in [0, 1].
+std::string homaConfigError(const HomaConfig& cfg);
+
 /// Why `cfg` cannot run, or "" when it can — the one validation point the
 /// CLI, the sweeps and runExperiment share: a serving scenario (those run
 /// through runRpcExperiment), anything scenarioError rejects, a `topoSpec`
 /// that does not apply to `net`, fault targets missing from the final
 /// topology, ECMP without uplinks, a fluid threshold combined with fault
-/// injection, an open-loop `load` outside (0, 1.5], `traffic.stop` not
-/// after `traffic.start`, and `warmupFraction` outside [0, 1].
+/// injection, Homa knobs homaConfigError rejects (under Homa), an
+/// open-loop `load` outside (0, 1.5], `traffic.stop` not after
+/// `traffic.start`, and `warmupFraction` outside [0, 1].
 std::string experimentConfigError(const ExperimentConfig& cfg);
 
 /// Throws std::invalid_argument("runExperiment: <reason>") before building

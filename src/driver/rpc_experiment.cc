@@ -12,6 +12,10 @@ namespace homa {
 std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg) {
     const std::string topo = validateTopoConfig(cfg.net);
     if (!topo.empty()) return topo;
+    if (cfg.proto.kind == Protocol::Homa) {
+        const std::string homa = homaConfigError(cfg.proto.homa);
+        if (!homa.empty()) return homa;
+    }
     const int hosts = cfg.net.hostCount();
     if (cfg.serving.enabled()) {
         if (cfg.dagMode) return "dagMode and serving tenants are exclusive";

@@ -132,8 +132,9 @@ struct RpcExperimentResult {
 /// Why `cfg` cannot run, or "" when it can: a bad topology, serving or DAG
 /// config (a serving config's reason is validateServingConfig's); `dagMode`
 /// with serving tenants; no client or no server host (a DAG deeper than 1
-/// needs two servers); an open-loop echo `load` that is not finite and
-/// > 0; and, outside serving mode, ON-OFF periods onOffError rejects.
+/// needs two servers); Homa knobs homaConfigError rejects (under Homa); an
+/// open-loop echo `load` that is not finite and > 0; and, outside serving
+/// mode, ON-OFF periods onOffError rejects.
 std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg);
 
 /// Throws std::invalid_argument on a config it cannot run (see

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <utility>
 
+#include "sim/parse.h"
 #include "sim/random.h"
 
 namespace homa {
@@ -27,23 +27,13 @@ const char* validateShardSpec(const ShardSpec& s) {
 }
 
 bool parseShardSpec(const std::string& text, ShardSpec& out) {
-    const size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size()) {
+    const std::vector<std::string> parts = split(text, '/');
+    ShardSpec s;
+    if (parts.size() != 2 || !count(parts[0], s.index).empty() ||
+        !count(parts[1], s.count, 1'000'000).empty() ||
+        validateShardSpec(s) != nullptr) {
         return false;
     }
-    ShardSpec s;
-    char* end = nullptr;
-    const std::string idx = text.substr(0, slash);
-    const std::string cnt = text.substr(slash + 1);
-    const long i = std::strtol(idx.c_str(), &end, 10);
-    if (end != idx.c_str() + idx.size()) return false;
-    const long n = std::strtol(cnt.c_str(), &end, 10);
-    if (end != cnt.c_str() + cnt.size()) return false;
-    if (i < 0 || n < 1 || i >= n || n > 1'000'000) return false;
-    s.index = static_cast<int>(i);
-    s.count = static_cast<int>(n);
-    if (validateShardSpec(s) != nullptr) return false;
     out = s;
     return true;
 }

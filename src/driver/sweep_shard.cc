@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "driver/json.h"
+#include "sim/parse.h"
 
 namespace homa {
 
@@ -63,11 +63,7 @@ bool fail(std::string& err, std::string why) {
 /// a double cannot hold them exactly, so seeds are serialized as decimal
 /// *strings* ("seed": "1234..."); indices and counts stay JSON numbers.
 bool parseU64String(const Json& obj, const char* key, uint64_t& out) {
-    const std::string text = obj.str(key);
-    if (text.empty()) return false;
-    char* end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size();
+    return number(obj.str(key), out).empty();
 }
 
 }  // namespace

@@ -33,205 +33,164 @@ const char* faultTargetKindName(FaultTargetKind k) {
 
 namespace {
 
-bool parseTarget(const std::string& v, FaultSpec& out, std::string* err) {
-    FaultTargetKind kind;
-    size_t prefix;
-    if (v.rfind("aggr", 0) == 0) {
-        kind = FaultTargetKind::Aggr;
-        prefix = 4;
-    } else if (v.rfind("core", 0) == 0) {
-        kind = FaultTargetKind::Core;
-        prefix = 4;
-    } else if (v.rfind("tor", 0) == 0) {
-        kind = FaultTargetKind::Tor;
-        prefix = 3;
-    } else if (v.rfind("host", 0) == 0) {
-        kind = FaultTargetKind::Host;
-        prefix = 4;
-    } else {
-        if (err) {
-            *err = "bad fault target '" + v +
-                   "' (expected aggr<k>, core<c>, tor<r>, or host<h>)";
+// "aggr3", "core0", "tor2" or "host17".
+std::string readTarget(const std::string& v, FaultSpec& out) {
+    for (FaultTargetKind kind : {FaultTargetKind::Aggr, FaultTargetKind::Core,
+                                 FaultTargetKind::Tor, FaultTargetKind::Host}) {
+        const std::string prefix = faultTargetKindName(kind);
+        if (v.rfind(prefix, 0) != 0) continue;
+        if (!count(v.substr(prefix.size()), out.targetIndex).empty()) {
+            return "bad fault target index (expected aggr<k>, core<c>, "
+                   "tor<r>, or host<h>)";
         }
-        return false;
+        out.targetKind = kind;
+        return "";
     }
-    int index = 0;
-    if (!number(v.substr(prefix), index).empty() || index < 0) {
-        if (err) {
-            *err = "bad fault target index in '" + v +
-                   "' (expected aggr<k>, core<c>, tor<r>, or host<h>)";
-        }
-        return false;
-    }
-    out.targetKind = kind;
-    out.targetIndex = index;
-    return true;
+    return "bad fault target (expected aggr<k>, core<c>, tor<r>, or "
+           "host<h>)";
 }
 
 // "50ms", "10us", "250ns", "0.5s": a non-negative number with a required
 // unit suffix, read by the checked readers once the suffix is off. The
 // count is scaled to seconds first, the product specs have always used,
 // so a given spec keeps its exact picosecond (100us is 99,999,999 ps).
-bool parseFaultDuration(const std::string& v, Duration& out,
-                        std::string* err) {
+std::string faultDuration(const std::string& v, Duration& out) {
     static constexpr std::pair<const char*, double> kUnits[] = {
         {"ns", 1e-9}, {"us", 1e-6}, {"ms", 1e-3},
         {"s", 1.0}};  // "s" last: "ms", "us" and "ns" end in it too
-    std::string why = "expected a number with ns/us/ms/s";
     for (const auto& [suffix, seconds] : kUnits) {
         const size_t n = std::strlen(suffix);
         if (v.size() > n && v.compare(v.size() - n, n, suffix) == 0) {
             double count = 0;
-            why = number(v.substr(0, v.size() - n), count);
+            std::string why = number(v.substr(0, v.size() - n), count);
             if (why.empty()) why = duration(count * seconds, kSecond, out);
             if (why.empty() && out < 0) {
                 why = "expected a non-negative duration";
             }
-            break;
+            return why;
         }
     }
-    if (!why.empty() && err) *err = "bad duration '" + v + "': " + why;
-    return why.empty();
+    return "expected a number with ns/us/ms/s";
 }
 
-// One checked number for fault key `key`.
-template <typename T>
-bool parseFaultNumber(const std::string& key, const std::string& v, T& out,
-                      std::string* err) {
-    const std::string why = number(v, out);
-    if (!why.empty() && err) *err = "bad " + key + " '" + v + "': " + why;
-    return why.empty();
+// The first pair, e.g. "flap=aggr0": the fault's kind and its target.
+template <FaultKind K>
+std::string faultOn(FaultSpec& f, const std::string& target) {
+    f.kind = K;
+    return readTarget(target, f);
+}
+
+const SpecKey<FaultSpec> kFaultKinds[] = {
+    {"flap", faultOn<FaultKind::Flap>},
+    {"kill", faultOn<FaultKind::Kill>},
+    {"degrade", faultOn<FaultKind::Degrade>},
+    {"flap-train", faultOn<FaultKind::FlapTrain>},
+};
+
+const SpecKey<FaultSpec> kFaultKeys[] = {
+    {"at",
+     [](FaultSpec& f, const std::string& v) { return faultDuration(v, f.at); }},
+    {"for",
+     [](FaultSpec& f, const std::string& v) {
+         return faultDuration(v, f.duration);
+     }},
+    {"bw",
+     [](FaultSpec& f, const std::string& v) { return number(v, f.bwFactor); }},
+    {"delay",
+     [](FaultSpec& f, const std::string& v) {
+         return faultDuration(v, f.extraDelay);
+     }},
+    {"drop",
+     [](FaultSpec& f, const std::string& v) { return number(v, f.dropProb); }},
+    {"count",
+     [](FaultSpec& f, const std::string& v) { return count(v, f.count); }},
+    {"gap",
+     [](FaultSpec& f, const std::string& v) { return faultDuration(v, f.gap); }},
+};
+
+// Contradictory or missing keys for the spec's kind.
+std::string faultKeysError(const FaultSpec& spec, const SpecKeys& given) {
+    const bool degradeKnobs =
+        given.has("bw") || given.has("delay") || given.has("drop");
+    const bool trainKnobs = given.has("count") || given.has("gap");
+    switch (spec.kind) {
+        case FaultKind::Flap:
+            if (!given.has("for") || spec.duration <= 0) {
+                return "flap needs for=<duration> > 0";
+            }
+            if (degradeKnobs) {
+                return "flap takes no degrade knobs (bw/delay/drop); "
+                       "use degrade=";
+            }
+            if (trainKnobs) return "flap takes no count/gap; use flap-train=";
+            break;
+        case FaultKind::Kill:
+            if (given.has("for")) {
+                return "kill is permanent: 'for' does not apply "
+                       "(use flap= for a transient outage)";
+            }
+            if (degradeKnobs) {
+                return "kill takes no degrade knobs (bw/delay/drop)";
+            }
+            if (trainKnobs) return "kill takes no count/gap";
+            break;
+        case FaultKind::Degrade:
+            if (!degradeKnobs) {
+                return "degrade needs at least one of bw=, delay=, drop=";
+            }
+            if (trainKnobs) return "degrade takes no count/gap";
+            if (given.has("bw") &&
+                (spec.bwFactor <= 0.0 || spec.bwFactor > 1.0)) {
+                return "bw must be in (0, 1]";
+            }
+            if (given.has("drop") &&
+                (spec.dropProb < 0.0 || spec.dropProb >= 1.0)) {
+                return "drop must be in [0, 1)";
+            }
+            break;
+        case FaultKind::FlapTrain:
+            if (!given.has("count") || spec.count < 1) {
+                return "flap-train needs count=<n> >= 1";
+            }
+            if (!given.has("gap") || spec.gap <= 0) {
+                return "flap-train needs gap=<mean duration> > 0";
+            }
+            if (!given.has("for") || spec.duration <= 0) {
+                return "flap-train needs for=<mean down duration> > 0";
+            }
+            if (degradeKnobs) {
+                return "flap-train takes no degrade knobs (bw/delay/drop)";
+            }
+            break;
+    }
+    return "";
 }
 
 }  // namespace
 
 bool parseFaultSpec(const std::string& body, FaultSpec& out,
                     std::string* err) {
+    // The first pair names the fault and its target; the keys follow.
+    const size_t comma = std::min(body.find(','), body.size());
+    const std::string head = body.substr(0, comma);
+    const std::string kind = head.substr(0, head.find('='));
+    const bool named = std::any_of(
+        std::begin(kFaultKinds), std::end(kFaultKinds),
+        [&kind](const SpecKey<FaultSpec>& k) { return kind == k.name; });
     FaultSpec spec;
-    bool haveKind = false;
-    bool haveFor = false, haveBw = false, haveDelay = false, haveDrop = false;
-    bool haveCount = false, haveGap = false;
-    size_t pos = 0;
-    while (pos <= body.size()) {
-        const size_t comma = std::min(body.find(',', pos), body.size());
-        const std::string pair = body.substr(pos, comma - pos);
-        pos = comma + 1;
-        const size_t eq = pair.find('=');
-        if (eq == std::string::npos) {
-            if (err) {
-                *err = pair.empty() ? "empty fault spec"
-                                    : "fault key '" + pair + "' needs =<value>";
-            }
-            return false;
-        }
-        const std::string key = pair.substr(0, eq);
-        const std::string val = pair.substr(eq + 1);
-        if (!haveKind) {
-            // The first pair names the fault and its target.
-            if (key == "flap") spec.kind = FaultKind::Flap;
-            else if (key == "kill") spec.kind = FaultKind::Kill;
-            else if (key == "degrade") spec.kind = FaultKind::Degrade;
-            else if (key == "flap-train") spec.kind = FaultKind::FlapTrain;
-            else {
-                if (err) {
-                    *err = "fault spec must start with flap=/kill=/degrade=/"
-                           "flap-train=<target> (got '" + key + "')";
-                }
-                return false;
-            }
-            if (!parseTarget(val, spec, err)) return false;
-            haveKind = true;
-        } else if (key == "at") {
-            if (!parseFaultDuration(val, spec.at, err)) return false;
-        } else if (key == "for") {
-            if (!parseFaultDuration(val, spec.duration, err)) return false;
-            haveFor = true;
-        } else if (key == "bw") {
-            if (!parseFaultNumber(key, val, spec.bwFactor, err)) return false;
-            haveBw = true;
-        } else if (key == "delay") {
-            if (!parseFaultDuration(val, spec.extraDelay, err)) return false;
-            haveDelay = true;
-        } else if (key == "drop") {
-            if (!parseFaultNumber(key, val, spec.dropProb, err)) return false;
-            haveDrop = true;
-        } else if (key == "count") {
-            if (!parseFaultNumber(key, val, spec.count, err)) return false;
-            haveCount = true;
-        } else if (key == "gap") {
-            if (!parseFaultDuration(val, spec.gap, err)) return false;
-            haveGap = true;
-        } else {
-            if (err) {
-                *err = "unknown fault key '" + key +
-                       "' (known: at, for, bw, delay, drop, count, gap)";
-            }
-            return false;
-        }
-        if (comma == body.size()) break;
+    SpecKeys given;
+    std::string why = named || body.empty()
+                          ? readSpec("fault", head, kFaultKinds, spec)
+                          : "fault spec must start with flap=/kill=/degrade=/"
+                            "flap-train=<target> (got '" + kind + "')";
+    if (why.empty() && comma < body.size()) {
+        why = readSpec("fault", body.substr(comma + 1), kFaultKeys, spec,
+                       &given);
     }
-    if (!haveKind) {
-        if (err) *err = "empty fault spec";
+    if (why.empty()) why = faultKeysError(spec, given);
+    if (!why.empty()) {
+        if (err) *err = why;
         return false;
-    }
-
-    // Contradictory / missing keys, per kind.
-    auto fail = [&](const char* m) {
-        if (err) *err = m;
-        return false;
-    };
-    const bool degradeKnobs = haveBw || haveDelay || haveDrop;
-    const bool trainKnobs = haveCount || haveGap;
-    switch (spec.kind) {
-        case FaultKind::Flap:
-            if (!haveFor || spec.duration <= 0) {
-                return fail("flap needs for=<duration> > 0");
-            }
-            if (degradeKnobs) {
-                return fail("flap takes no degrade knobs (bw/delay/drop); "
-                            "use degrade=");
-            }
-            if (trainKnobs) {
-                return fail("flap takes no count/gap; use flap-train=");
-            }
-            break;
-        case FaultKind::Kill:
-            if (haveFor) {
-                return fail("kill is permanent: 'for' does not apply "
-                            "(use flap= for a transient outage)");
-            }
-            if (degradeKnobs) {
-                return fail("kill takes no degrade knobs (bw/delay/drop)");
-            }
-            if (trainKnobs) return fail("kill takes no count/gap");
-            break;
-        case FaultKind::Degrade:
-            if (!degradeKnobs) {
-                return fail("degrade needs at least one of bw=, delay=, drop=");
-            }
-            if (trainKnobs) return fail("degrade takes no count/gap");
-            if (haveBw && (spec.bwFactor <= 0.0 || spec.bwFactor > 1.0)) {
-                return fail("bw must be in (0, 1]");
-            }
-            if (haveDrop && (spec.dropProb < 0.0 || spec.dropProb >= 1.0)) {
-                return fail("drop must be in [0, 1)");
-            }
-            break;
-        case FaultKind::FlapTrain:
-            if (!haveCount || spec.count < 1) {
-                return fail("flap-train needs count=<n> >= 1");
-            }
-            if (!haveGap || spec.gap <= 0) {
-                return fail("flap-train needs gap=<mean duration> > 0");
-            }
-            if (!haveFor || spec.duration <= 0) {
-                return fail("flap-train needs for=<mean down duration> > 0");
-            }
-            if (degradeKnobs) {
-                return fail("flap-train takes no degrade knobs "
-                            "(bw/delay/drop)");
-            }
-            break;
     }
     out = spec;
     return true;

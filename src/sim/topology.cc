@@ -1,10 +1,11 @@
 #include "sim/topology.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/packet.h"
+#include "sim/parse.h"
 
 namespace homa {
 
@@ -52,67 +53,67 @@ std::string validateTopoConfig(const NetworkConfig& cfg) {
                    std::to_string(cfg.podCount) + ")";
         }
     }
+    // hostCount() and totalAggrs() are ints: products past INT_MAX would
+    // overflow them.
+    const int64_t hosts = int64_t{cfg.racks} * cfg.hostsPerRack;
+    if (hosts > INT_MAX) {
+        return "racks x hosts per rack = " + std::to_string(hosts) +
+               " hosts, more than " + std::to_string(INT_MAX);
+    }
+    const int64_t aggrs =
+        cfg.singleRack() ? 0 : int64_t{cfg.aggrSwitches} * cfg.pods();
+    if (aggrs > INT_MAX) {
+        return "aggr x pods = " + std::to_string(aggrs) +
+               " aggregation switches, more than " + std::to_string(INT_MAX);
+    }
     return "";
 }
 
 namespace {
 
-bool parseTopoInt(const std::string& v, int& out) {
-    char* end = nullptr;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0' || n < 0 || n > 1'000'000) return false;
-    out = static_cast<int>(n);
-    return true;
+// Counts keep the [0, 1,000,000] bound; validateTopoConfig owns the rest.
+std::string topoCount(const std::string& v, int& out) {
+    return count(v, out, 1'000'000);
 }
 
-bool parseTopoDouble(const std::string& v, double& out) {
-    char* end = nullptr;
-    const double d = std::strtod(v.c_str(), &end);
-    if (v.empty() || *end != '\0' || !std::isfinite(d)) return false;
-    out = d;
-    return true;
-}
+const SpecKey<NetworkConfig> kTopoKeys[] = {
+    {"racks",
+     [](NetworkConfig& c, const std::string& v) {
+         return topoCount(v, c.racks);
+     }},
+    {"hosts",
+     [](NetworkConfig& c, const std::string& v) {
+         return topoCount(v, c.hostsPerRack);
+     }},
+    {"aggr",
+     [](NetworkConfig& c, const std::string& v) {
+         return topoCount(v, c.aggrSwitches);
+     }},
+    {"core",
+     [](NetworkConfig& c, const std::string& v) {
+         return topoCount(v, c.coreSwitches);
+     }},
+    {"oversub",
+     [](NetworkConfig& c, const std::string& v) {
+         return number(v, c.oversubscription);
+     }},
+    {"pods",
+     [](NetworkConfig& c, const std::string& v) {
+         return topoCount(v, c.podCount);
+     }},
+};
 
 }  // namespace
 
 bool parseTopoSpec(const std::string& body, NetworkConfig& out,
                    std::string* err) {
-    auto fail = [err](const std::string& why) {
+    NetworkConfig cfg = out;
+    std::string why = readSpec("topo", body, kTopoKeys, cfg);
+    if (why.empty()) why = validateTopoConfig(cfg);
+    if (!why.empty()) {
         if (err) *err = why;
         return false;
-    };
-    NetworkConfig cfg = out;
-    if (body.empty()) return fail("empty topo spec");
-    size_t pos = 0;
-    while (pos <= body.size()) {
-        const size_t comma = std::min(body.find(',', pos), body.size());
-        const std::string pair = body.substr(pos, comma - pos);
-        pos = comma + 1;
-        const size_t eq = pair.find('=');
-        if (eq == std::string::npos) {
-            return fail(pair.empty() ? "empty topo key"
-                                     : "topo key '" + pair +
-                                           "' needs =<value>");
-        }
-        const std::string key = pair.substr(0, eq);
-        const std::string val = pair.substr(eq + 1);
-        bool ok;
-        if (key == "racks") ok = parseTopoInt(val, cfg.racks);
-        else if (key == "hosts") ok = parseTopoInt(val, cfg.hostsPerRack);
-        else if (key == "aggr") ok = parseTopoInt(val, cfg.aggrSwitches);
-        else if (key == "core") ok = parseTopoInt(val, cfg.coreSwitches);
-        else if (key == "pods") ok = parseTopoInt(val, cfg.podCount);
-        else if (key == "oversub") {
-            ok = parseTopoDouble(val, cfg.oversubscription);
-        } else {
-            return fail("unknown topo key '" + key +
-                        "' (known: racks, hosts, aggr, core, oversub, pods)");
-        }
-        if (!ok) return fail("bad topo value '" + val + "' for " + key);
-        if (comma == body.size()) break;
     }
-    const std::string verr = validateTopoConfig(cfg);
-    if (!verr.empty()) return fail(verr);
     out = cfg;
     return true;
 }

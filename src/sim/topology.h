@@ -90,15 +90,16 @@ struct NetworkConfig {
 };
 
 /// Structural validation (index ranges, pod divisibility, oversub > 0,
-/// non-negative switch and software delays).
+/// non-negative switch and software delays, host and aggr totals that fit
+/// an int).
 /// Returns "" when valid, else a human-readable reason.
 std::string validateTopoConfig(const NetworkConfig& cfg);
 
 /// Parses a topology spec body — "racks=8,hosts=4,aggr=2,core=2,
 /// oversub=4,pods=2" — applying each key over the current values of
 /// `out`, then validates the result (validateTopoConfig). Keys: racks,
-/// hosts (per rack), aggr (per pod on three-tier), core, oversub, pods.
-/// Returns false — leaving `out` untouched — on malformed text or an
+/// hosts (per rack), aggr (per pod on three-tier), core, oversub, pods;
+/// counts are in [0, 1,000,000]. Returns false — leaving `out` untouched — on malformed text or an
 /// invalid resulting topology, with a reason in *err (if given). This is
 /// the grammar behind the scenario "topo:" modifier and the runner's
 /// --topo flag.

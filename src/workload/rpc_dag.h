@@ -94,19 +94,16 @@ inline HostId uniformHostExcept(int hostCount, HostId exclude, Rng& rng) {
     return h;
 }
 
-/// Strict single-field parsers behind the dag and serving spec grammars:
-/// whole-string numeric format checks, no cross-field validation — run
-/// validateDagConfig on the assembled config for that.
-bool parseDagInt(const std::string& text, int& out);
-bool parseDagDouble(const std::string& text, double& out);
-
 /// Parses the body of a "dag:<body>" scenario spec — comma-separated
 /// key=value pairs: fanout, depth, window, roots, req (request bytes),
 /// resp (per-stage response bytes, '/'-separated, e.g. resp=16000/2000),
-/// straggler (leaf fraction), factor (size multiplier). Returns false and
-/// leaves `out` untouched on unknown keys, malformed values, or a config
-/// validateDagConfig rejects.
-bool parseDagSpec(const std::string& body, DagConfig& out);
+/// straggler (leaf fraction), factor (size multiplier), join (fraction of
+/// depth >= 2 nodes that gain a second parent). Returns false and leaves
+/// `out` untouched on unknown or repeated keys, malformed values, or a
+/// config validateDagConfig rejects, with the reason (the spec reader's
+/// or validateDagConfig's) in *err (if given).
+bool parseDagSpec(const std::string& body, DagConfig& out,
+                  std::string* err = nullptr);
 
 /// One node of a sampled tree. Nodes are stored in BFS order (root at
 /// index 0, children after their parent), so a parent's index is always

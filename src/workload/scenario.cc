@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -59,137 +58,130 @@ bool onOffDistFromName(const std::string& name, OnOffDist& out) {
     return false;
 }
 
+namespace {
+
+// A `+`-separated modifier after a scenario's pattern. A name ending in
+// ':' takes the rest of the segment as its body; `read` applies the body
+// and returns why it cannot.
+struct SpecSegment {
+    const char* name;
+    bool repeats;
+    std::string (*read)(ScenarioConfig&, const std::string& body);
+};
+
+const SpecSegment kSegments[] = {
+    {"on-off", false,
+     [](ScenarioConfig& s, const std::string&) {
+         s.onOff.enabled = true;
+         return std::string();
+     }},
+    {"ecmp", false,
+     [](ScenarioConfig& s, const std::string&) {
+         s.ecmpUplinks = true;
+         return std::string();
+     }},
+    {"topo:", false,
+     [](ScenarioConfig& s, const std::string& body) {
+         // Eager validation against the default base so a bad spec fails
+         // at parse time, not mid-experiment. The stored body re-applies
+         // over the experiment's actual base config in runExperiment.
+         NetworkConfig probe = NetworkConfig::fatTree144();
+         std::string why;
+         if (parseTopoSpec(body, probe, &why)) s.topoSpec = body;
+         return why;
+     }},
+    {"fluid:", false,
+     [](ScenarioConfig& s, const std::string& body) -> std::string {
+         if (count(body, s.fluidThresholdBytes).empty()) return "";
+         return "expected a byte count (e.g. fluid:20000; 0 = everything "
+                "fluid)";
+     }},
+    {"fault:", true,
+     [](ScenarioConfig& s, const std::string& body) {
+         FaultSpec fault;
+         std::string why;
+         if (parseFaultSpec(body, fault, &why)) s.faults.push_back(fault);
+         return why;
+     }},
+    {"tenants:", false,
+     [](ScenarioConfig& s, const std::string& body) {
+         std::string why;
+         parseTenantsSpec(body, s.serving.tenants, &why);
+         return why;
+     }},
+    {"replicas:", false,
+     [](ScenarioConfig& s, const std::string& body) {
+         std::string why;
+         parseReplicasSpec(body, s.serving.groups, &why);
+         return why;
+     }},
+};
+
+const SpecSegment* findSegment(const std::string& seg) {
+    for (const SpecSegment& s : kSegments) {
+        const std::string name = s.name;
+        if (name.back() == ':' ? seg.rfind(name, 0) == 0 : seg == name) {
+            return &s;
+        }
+    }
+    return nullptr;
+}
+
+}  // namespace
+
 bool scenarioFromSpec(const std::string& spec, ScenarioConfig& out,
                       std::string* err) {
     auto fail = [err](const std::string& why) {
         if (err) *err = why;
         return false;
     };
-    // Split on '+': the first segment is the pattern, the rest modifiers.
-    std::vector<std::string> segs;
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        const size_t plus = std::min(spec.find('+', pos), spec.size());
-        segs.push_back(spec.substr(pos, plus - pos));
-        pos = plus + 1;
-        if (plus == spec.size()) break;
+    // The first segment is the pattern, the rest modifiers.
+    const std::vector<std::string> segs = split(spec, '+');
+    if (const SpecSegment* s = findSegment(segs[0])) {
+        return fail("'" + std::string(s->name) + "' cannot come first: a "
+                    "spec is '<pattern>[+modifier...]', e.g. 'uniform+" +
+                    s->name + "...'");
     }
-
     ScenarioConfig parsed;
-    const std::string& pattern = segs[0];
     // Only dag takes ':' parameters: "dag:fanout=40,depth=2".
-    const size_t colon = pattern.find(':');
-    if (colon != std::string::npos) {
-        const std::string head = pattern.substr(0, colon);
-        if (head == "fault") {
-            return fail("a fault segment cannot come first: the spec is "
-                        "'<pattern>[+fault:...]' (e.g. "
-                        "\"uniform+fault:flap=aggr0,at=5ms,for=1ms\")");
-        }
-        if (head == "topo") {
-            return fail("a topo segment cannot come first: the spec is "
-                        "'<pattern>[+topo:...]' (e.g. "
-                        "\"uniform+topo:racks=8,aggr=2,core=2,oversub=4\")");
-        }
-        if (head == "fluid") {
-            return fail("a fluid segment cannot come first: the spec is "
-                        "'<pattern>[+fluid:<bytes>]' (e.g. "
-                        "\"uniform+fluid:20000\")");
-        }
-        if (head == "tenants") {
-            return fail("a tenants segment cannot come first: the spec is "
-                        "'uniform+tenants:...' (e.g. "
-                        "\"uniform+tenants:name=a,wl=W4,load=0.6\")");
-        }
-        if (head == "replicas") {
-            return fail("a replicas segment cannot come first: the spec is "
-                        "'uniform+tenants:...+replicas:...'");
-        }
-        if (head != "dag") {
-            return fail("pattern '" + head + "' takes no ':' parameters "
-                        "(only dag does)");
-        }
-        if (!parseDagSpec(pattern.substr(colon + 1), parsed.dag)) {
-            return fail("bad dag spec '" + pattern.substr(colon + 1) +
-                        "' (keys: fanout, depth, window, roots, req, resp, "
-                        "straggler, factor)");
-        }
-        parsed.kind = TrafficPatternKind::Dag;
-    } else if (!patternFromName(pattern, parsed.kind)) {
+    const size_t colon = segs[0].find(':');
+    const std::string pattern = segs[0].substr(0, colon);
+    if (colon != std::string::npos && pattern != "dag") {
+        return fail("pattern '" + pattern + "' takes no ':' parameters "
+                    "(only dag does)");
+    }
+    if (!patternFromName(pattern, parsed.kind)) {
         return fail("unknown pattern '" + pattern + "'");
     }
+    std::string why;
+    if (colon != std::string::npos &&
+        !parseDagSpec(segs[0].substr(colon + 1), parsed.dag, &why)) {
+        return fail("bad dag spec '" + segs[0].substr(colon + 1) + "': " +
+                    why);
+    }
 
+    std::vector<const SpecSegment*> seen;
     for (size_t i = 1; i < segs.size(); i++) {
-        const std::string& seg = segs[i];
-        if (seg == "on-off") {
-            parsed.onOff.enabled = true;
-        } else if (seg == "ecmp") {
-            parsed.ecmpUplinks = true;
-        } else if (seg.rfind("fault:", 0) == 0) {
-            FaultSpec fs;
-            std::string ferr;
-            if (!parseFaultSpec(seg.substr(6), fs, &ferr)) {
-                return fail("bad fault spec '" + seg.substr(6) + "': " + ferr);
-            }
-            parsed.faults.push_back(fs);
-        } else if (seg.rfind("topo:", 0) == 0) {
-            if (!parsed.topoSpec.empty()) {
-                return fail("at most one topo: segment per scenario");
-            }
-            const std::string body = seg.substr(5);
-            // Eager validation against the default base so a bad spec fails
-            // at parse time, not mid-experiment. The stored body re-applies
-            // over the experiment's actual base config in runExperiment.
-            NetworkConfig probe = NetworkConfig::fatTree144();
-            std::string terr;
-            if (!parseTopoSpec(body, probe, &terr)) {
-                return fail("bad topo spec '" + body + "': " + terr);
-            }
-            parsed.topoSpec = body;
-        } else if (seg.rfind("fluid:", 0) == 0) {
-            if (parsed.fluidThresholdBytes >= 0) {
-                return fail("at most one fluid: segment per scenario");
-            }
-            const std::string body = seg.substr(6);
-            if (body.empty() ||
-                body.find_first_not_of("0123456789") != std::string::npos) {
-                return fail("bad fluid threshold '" + body +
-                            "' (expected a non-negative byte count, e.g. "
-                            "fluid:20000; 0 = everything fluid)");
-            }
-            errno = 0;
-            const long long v = std::strtoll(body.c_str(), nullptr, 10);
-            if (errno != 0 || v < 0) {
-                return fail("fluid threshold '" + body + "' out of range");
-            }
-            parsed.fluidThresholdBytes = static_cast<int64_t>(v);
-        } else if (seg.rfind("tenants:", 0) == 0) {
-            if (!parsed.serving.tenants.empty()) {
-                return fail("at most one tenants: segment per scenario");
-            }
-            std::string terr;
-            if (!parseTenantsSpec(seg.substr(8), parsed.serving.tenants,
-                                  &terr)) {
-                return fail("bad tenants spec '" + seg.substr(8) + "': " +
-                            terr);
-            }
-        } else if (seg.rfind("replicas:", 0) == 0) {
-            if (!parsed.serving.groups.empty()) {
-                return fail("at most one replicas: segment per scenario");
-            }
-            std::string rerr;
-            if (!parseReplicasSpec(seg.substr(9), parsed.serving.groups,
-                                   &rerr)) {
-                return fail("bad replicas spec '" + seg.substr(9) + "': " +
-                            rerr);
-            }
-        } else {
-            return fail("unknown scenario modifier '" + seg +
-                        "' (expected on-off, ecmp, topo:..., fluid:<bytes>, "
-                        "fault:..., tenants:..., or replicas:...)");
+        const SpecSegment* s = findSegment(segs[i]);
+        if (s == nullptr) {
+            return fail("unknown scenario modifier '" + segs[i] +
+                        "' (known: " + joinNames(kSegments) + ")");
+        }
+        if (!s->repeats &&
+            std::find(seen.begin(), seen.end(), s) != seen.end()) {
+            return fail("at most one " + std::string(s->name) +
+                        " segment per scenario");
+        }
+        seen.push_back(s);
+        const std::string body = segs[i].substr(std::strlen(s->name));
+        why = s->read(parsed, body);
+        if (!why.empty()) {
+            std::string name = s->name;
+            if (name.back() == ':') name.pop_back();
+            return fail("bad " + name + " spec '" + body + "': " + why);
         }
     }
-    const std::string why = scenarioError(parsed);
+    why = scenarioError(parsed);
     if (!why.empty()) return fail(why);
     out = parsed;
     return true;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 #include "sim/parse.h"
-#include "workload/rpc_dag.h"  // parseDagInt/Double: the strict parsers
 
 namespace homa {
 
@@ -180,29 +180,6 @@ std::string validateServingConfig(const ServingConfig& cfg, int hostCount) {
 
 namespace {
 
-/// Splits `body` on `sep`, keeping empty fields (they become parse errors
-/// downstream, with better messages than silent dropping would give).
-std::vector<std::string> splitOn(const std::string& body, char sep) {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= body.size()) {
-        const size_t at = std::min(body.find(sep, pos), body.size());
-        out.push_back(body.substr(pos, at - pos));
-        pos = at + 1;
-        if (at == body.size()) break;
-    }
-    return out;
-}
-
-bool splitKeyValue(const std::string& pair, std::string& key,
-                   std::string& val) {
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) return false;
-    key = pair.substr(0, eq);
-    val = pair.substr(eq + 1);
-    return true;
-}
-
 bool workloadFromSpecName(const std::string& name, WorkloadId& out) {
     for (WorkloadId id : {WorkloadId::W1, WorkloadId::W2, WorkloadId::W3,
                           WorkloadId::W4, WorkloadId::W5}) {
@@ -220,159 +197,139 @@ std::string fmtDouble(double v) {
     return buf;
 }
 
+/// Reads `body`, ';'-separated entries of the grammar's keys, into `out`;
+/// each entry must be named. `check`, if set, gets each entry and the
+/// keys it gave. Returns why the body cannot be read, or "".
+template <typename Config, size_t N>
+std::string readEntries(const std::string& grammar, const std::string& body,
+                        const SpecKey<Config> (&keys)[N],
+                        std::type_identity_t<std::string (*)(
+                            const Config&, const SpecKeys&)> check,
+                        std::vector<Config>& out) {
+    if (body.empty()) return "empty " + grammar + " spec";
+    std::vector<Config> entries;
+    for (const std::string& entry : split(body, ';')) {
+        if (entry.empty()) return "empty " + grammar + " entry (stray ';')";
+        Config c;
+        c.name.clear();  // must be named explicitly
+        SpecKeys given;
+        std::string why = readSpec(grammar, entry, keys, c, &given);
+        if (why.empty() && c.name.empty()) {
+            why = grammar + " entry '" + entry + "' has no name= key";
+        }
+        if (why.empty() && check != nullptr) why = check(c, given);
+        if (!why.empty()) return why;
+        entries.push_back(std::move(c));
+    }
+    out = std::move(entries);
+    return "";
+}
+
+bool succeeded(const std::string& why, std::string* err) {
+    if (!why.empty() && err) *err = why;
+    return why.empty();
+}
+
+const SpecKey<TenantConfig> kTenantKeys[] = {
+    {"name",
+     [](TenantConfig& t, const std::string& v) {
+         t.name = v;
+         return std::string();
+     }},
+    {"wl",
+     [](TenantConfig& t, const std::string& v) -> std::string {
+         return workloadFromSpecName(v, t.workload) ? "" : "expected W1..W5";
+     }},
+    {"mode",
+     [](TenantConfig& t, const std::string& v) -> std::string {
+         return arrivalModeFromName(v, t.mode) ? ""
+                                               : "expected open or closed";
+     }},
+    {"load",
+     [](TenantConfig& t, const std::string& v) { return number(v, t.load); }},
+    {"window",
+     [](TenantConfig& t, const std::string& v) { return count(v, t.window); }},
+    // validateServingConfig owns the sign rule.
+    {"think_us",
+     [](TenantConfig& t, const std::string& v) {
+         return duration(v, kMicrosecond, t.think);
+     }},
+    {"clients",
+     [](TenantConfig& t, const std::string& v) {
+         return count(v, t.clients);
+     }},
+    {"group",
+     [](TenantConfig& t, const std::string& v) {
+         t.group = v;
+         return std::string();
+     }},
+};
+
+// A knob of the other arrival mode would be ignored.
+std::string tenantKnobsError(const TenantConfig& t, const SpecKeys& given) {
+    if (t.mode == ArrivalMode::Open &&
+        (given.has("window") || given.has("think_us"))) {
+        return "tenant '" + t.name + "': window/think_us are closed-mode "
+               "knobs (mode=open sets load)";
+    }
+    if (t.mode == ArrivalMode::Closed && given.has("load")) {
+        return "tenant '" + t.name + "': load is an open-mode knob "
+               "(mode=closed sets window/think_us)";
+    }
+    return "";
+}
+
+const SpecKey<ReplicaGroupConfig> kReplicaKeys[] = {
+    {"name",
+     [](ReplicaGroupConfig& g, const std::string& v) {
+         g.name = v;
+         return std::string();
+     }},
+    {"n",
+     [](ReplicaGroupConfig& g, const std::string& v) {
+         return count(v, g.replicas);
+     }},
+    {"lb",
+     [](ReplicaGroupConfig& g, const std::string& v) -> std::string {
+         return lbPolicyFromName(v, g.policy) ? ""
+                                              : "expected rr, random, or p2c";
+     }},
+    {"hedge",
+     [](ReplicaGroupConfig& g, const std::string& v) -> std::string {
+         int pct = 0;
+         if (v == "off") {
+             g.hedgePercentile = 0;
+         } else if (v.size() >= 2 && v[0] == 'p' &&
+                    count(v.substr(1), pct, 99).empty() && pct >= 1) {
+             g.hedgePercentile = pct / 100.0;
+         } else {
+             return "expected off or p1..p99 (e.g. p95)";
+         }
+         return "";
+     }},
+    {"hedge_floor_us",
+     [](ReplicaGroupConfig& g, const std::string& v) {
+         return duration(v, kMicrosecond, g.hedgeFloor);
+     }},
+    {"hedge_min",
+     [](ReplicaGroupConfig& g, const std::string& v) {
+         return count(v, g.hedgeMinSamples);
+     }},
+};
+
 }  // namespace
 
 bool parseTenantsSpec(const std::string& body, std::vector<TenantConfig>& out,
                       std::string* err) {
-    auto fail = [err](const std::string& why) {
-        if (err) *err = why;
-        return false;
-    };
-    if (body.empty()) return fail("empty tenant spec");
-    std::vector<TenantConfig> tenants;
-    for (const std::string& seg : splitOn(body, ';')) {
-        if (seg.empty()) return fail("empty tenant entry (stray ';')");
-        TenantConfig t;
-        t.name.clear();  // must be named explicitly
-        bool loadSeen = false, windowSeen = false, thinkSeen = false;
-        for (const std::string& pair : splitOn(seg, ',')) {
-            std::string key, val;
-            if (!splitKeyValue(pair, key, val)) {
-                return fail("tenant entry '" + seg + "': expected k=v, got '" +
-                            pair + "'");
-            }
-            if (key == "name") {
-                t.name = val;
-            } else if (key == "wl") {
-                if (!workloadFromSpecName(val, t.workload)) {
-                    return fail("tenant key wl: unknown workload '" + val +
-                                "' (expected W1..W5)");
-                }
-            } else if (key == "mode") {
-                if (!arrivalModeFromName(val, t.mode)) {
-                    return fail("tenant key mode: expected open or closed, "
-                                "got '" + val + "'");
-                }
-            } else if (key == "load") {
-                if (!parseDagDouble(val, t.load)) {
-                    return fail("tenant key load: expected a number, got '" +
-                                val + "'");
-                }
-                loadSeen = true;
-            } else if (key == "window") {
-                if (!parseDagInt(val, t.window)) {
-                    return fail("tenant key window: expected an integer, "
-                                "got '" + val + "'");
-                }
-                windowSeen = true;
-            } else if (key == "think_us") {
-                // validateServingConfig owns the sign rule.
-                const std::string why = duration(val, kMicrosecond, t.think);
-                if (!why.empty()) {
-                    return fail("tenant key think_us: " + why + ", got '" +
-                                val + "'");
-                }
-                thinkSeen = true;
-            } else if (key == "clients") {
-                if (!parseDagInt(val, t.clients)) {
-                    return fail("tenant key clients: expected an integer, "
-                                "got '" + val + "'");
-                }
-            } else if (key == "group") {
-                t.group = val;
-            } else {
-                return fail("unknown tenant key '" + key + "' (expected "
-                            "name, wl, mode, load, window, think_us, "
-                            "clients, group)");
-            }
-        }
-        if (t.name.empty()) {
-            return fail("tenant entry '" + seg + "' has no name= key");
-        }
-        if (t.mode == ArrivalMode::Open && (windowSeen || thinkSeen)) {
-            return fail("tenant '" + t.name + "': window/think_us are "
-                        "closed-mode knobs (mode=open sets load)");
-        }
-        if (t.mode == ArrivalMode::Closed && loadSeen) {
-            return fail("tenant '" + t.name + "': load is an open-mode knob "
-                        "(mode=closed sets window/think_us)");
-        }
-        tenants.push_back(std::move(t));
-    }
-    out = std::move(tenants);
-    return true;
+    return succeeded(
+        readEntries("tenant", body, kTenantKeys, tenantKnobsError, out), err);
 }
 
 bool parseReplicasSpec(const std::string& body,
                        std::vector<ReplicaGroupConfig>& out,
                        std::string* err) {
-    auto fail = [err](const std::string& why) {
-        if (err) *err = why;
-        return false;
-    };
-    if (body.empty()) return fail("empty replica spec");
-    std::vector<ReplicaGroupConfig> groups;
-    for (const std::string& seg : splitOn(body, ';')) {
-        if (seg.empty()) return fail("empty replica group entry (stray ';')");
-        ReplicaGroupConfig g;
-        g.name.clear();  // must be named explicitly
-        for (const std::string& pair : splitOn(seg, ',')) {
-            std::string key, val;
-            if (!splitKeyValue(pair, key, val)) {
-                return fail("replica group entry '" + seg + "': expected "
-                            "k=v, got '" + pair + "'");
-            }
-            if (key == "name") {
-                g.name = val;
-            } else if (key == "n") {
-                if (!parseDagInt(val, g.replicas)) {
-                    return fail("replica key n: expected an integer, got '" +
-                                val + "'");
-                }
-            } else if (key == "lb") {
-                if (!lbPolicyFromName(val, g.policy)) {
-                    return fail("replica key lb: expected rr, random, or "
-                                "p2c, got '" + val + "'");
-                }
-            } else if (key == "hedge") {
-                if (val == "off") {
-                    g.hedgePercentile = 0;
-                } else if (val.size() >= 2 && val[0] == 'p') {
-                    int pct = 0;
-                    if (!parseDagInt(val.substr(1), pct) || pct < 1 ||
-                        pct > 99) {
-                        return fail("replica key hedge: expected off or "
-                                    "p1..p99, got '" + val + "'");
-                    }
-                    g.hedgePercentile = pct / 100.0;
-                } else {
-                    return fail("replica key hedge: expected off or p1..p99 "
-                                "(e.g. p95), got '" + val + "'");
-                }
-            } else if (key == "hedge_floor_us") {
-                const std::string why =
-                    duration(val, kMicrosecond, g.hedgeFloor);
-                if (!why.empty()) {
-                    return fail("replica key hedge_floor_us: " + why +
-                                ", got '" + val + "'");
-                }
-            } else if (key == "hedge_min") {
-                if (!parseDagInt(val, g.hedgeMinSamples)) {
-                    return fail("replica key hedge_min: expected an "
-                                "integer, got '" + val + "'");
-                }
-            } else {
-                return fail("unknown replica key '" + key + "' (expected "
-                            "name, n, lb, hedge, hedge_floor_us, hedge_min)");
-            }
-        }
-        if (g.name.empty()) {
-            return fail("replica group entry '" + seg + "' has no name= key");
-        }
-        groups.push_back(std::move(g));
-    }
-    out = std::move(groups);
-    return true;
+    return succeeded(readEntries("replica", body, kReplicaKeys, nullptr, out),
+                     err);
 }
 
 std::string tenantsSpecToString(const std::vector<TenantConfig>& tenants) {

@@ -690,6 +690,12 @@ TEST(RunExperimentCli, RejectsContradictoryFlagCombinations) {
     EXPECT_EQ(runCli("--seed -1"), 2);
     // Values the library rejects (not an empty run).
     EXPECT_EQ(runCli("--load 0"), 2);
+    // Homa knobs outside what Homa can run (not a silent run).
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --wire-priorities 0"), 2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --wire-priorities 99"), 2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --sched 20"), 2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --unsched 9"), 2);
+    EXPECT_EQ(runCli("--single-rack --window-ms 1 --reservation 5"), 2);
     EXPECT_EQ(runCli("--window-ms -3"), 2);
     // Pattern knobs without their pattern (not silently ignored).
     EXPECT_EQ(runCli("--hotspots 4"), 2);

@@ -188,6 +188,8 @@ TEST(RpcExperiment, CallerMisuseThrows) {
              c.onOff.enabled = true;
              c.onOff.onMean = 0;
          }},
+        {"Homa wire priorities must be in [1, 8]",
+         [](RpcExperimentConfig& c) { c.proto.homa.wirePriorities = 9; }},
     };
     for (const Case& c : cases) {
         RpcExperimentConfig cfg;
@@ -374,6 +376,17 @@ TEST(ExperimentDriver, CallerMisuseThrows) {
          }},
         {"ecmp needs uplinks",
          [](ExperimentConfig& c) { c.traffic.scenario.ecmpUplinks = true; }},
+        // Homa's knobs: switches have 8 priority levels, and one logical
+        // level with derived levels made allocationFromSample call
+        // std::clamp(x, 1, 0).
+        {"Homa wire priorities must be in [1, 8]",
+         [](ExperimentConfig& c) { c.proto.homa.wirePriorities = 0; }},
+        {"Homa logical priorities must be in [2, 8]",
+         [](ExperimentConfig& c) { c.proto.homa.logicalPriorities = 1; }},
+        {"Homa unscheduled priorities must be below the logical priorities",
+         [](ExperimentConfig& c) { c.proto.homa.unschedPriorities = 8; }},
+        {"Homa oldest-message reservation must be in [0, 1]",
+         [](ExperimentConfig& c) { c.proto.homa.oldestReservation = 5; }},
     };
     for (const Case& c : cases) {
         ExperimentConfig cfg = smallConfig(WorkloadId::W1, 0.5);

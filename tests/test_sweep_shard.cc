@@ -199,6 +199,14 @@ TEST(ShardFileFormat, RejectsCorruptInputs) {
     bad.replace(fp, 12, "generated=13");
     EXPECT_FALSE(parseShardFile(bad, out, err));
     EXPECT_NE(err.find("sweep_fingerprint"), std::string::npos) << err;
+
+    // A seed that does not read whole (a sign used to wrap it).
+    bad = good;
+    const std::string seedKey = "\"base_seed\": \"";
+    const size_t seed = bad.find(seedKey);
+    ASSERT_NE(seed, std::string::npos);
+    bad.insert(seed + seedKey.size(), "-");
+    EXPECT_FALSE(parseShardFile(bad, out, err));
 }
 
 TEST(ShardManifest, RoundTripsAndValidates) {
@@ -526,6 +534,18 @@ TEST(SweepShardCli, PlanMergeVerifyRoundTrip) {
     EXPECT_EQ(runTool("merge --verify-against " + bad + " " + paths[0] +
                       " " + paths[1] + " " + paths[2]),
               1);
+}
+
+TEST(SweepShardCli, PlanReadsNumbersWhole) {
+    // --base-seed -5 used to wrap to 2^64 - 5.
+    EXPECT_EQ(runTool("plan --sweep sweep_speedup --points 12 --shards 3 "
+                      "--base-seed -5"),
+              2);
+    EXPECT_EQ(runTool("plan --sweep sweep_speedup --points +12 --shards 3"),
+              2);
+    EXPECT_EQ(runTool("plan --sweep sweep_speedup --points 12 --shards 3 "
+                      "--base-seed 5"),
+              0);
 }
 
 #endif  // HOMA_SWEEP_SHARD_BIN

@@ -397,6 +397,16 @@ TEST(TopologyClamp, TopoSpecRejectsInvalidShapes) {
     EXPECT_FALSE(parseTopoSpec("oversub=0", cfg, &err));
     EXPECT_FALSE(parseTopoSpec("bogus=3", cfg, &err));
     EXPECT_FALSE(parseTopoSpec("racks", cfg, &err));
+    // Each count is in range, but the host total would overflow an int.
+    EXPECT_FALSE(
+        parseTopoSpec("racks=1000000,hosts=1000000,aggr=1", cfg, &err));
+    EXPECT_EQ(err, "racks x hosts per rack = 1000000000000 hosts, more than "
+                   "2147483647");
+    EXPECT_FALSE(parseTopoSpec("racks=1000000,hosts=1,aggr=1000000,core=1,"
+                               "pods=1000000",
+                               cfg, &err));
+    EXPECT_EQ(err, "aggr x pods = 1000000000000 aggregation switches, more "
+                   "than 2147483647");
     // Failed parses leave the config untouched.
     EXPECT_EQ(cfg.racks, 9);
     EXPECT_EQ(cfg.coreSwitches, 0);
@@ -449,6 +459,12 @@ TEST(TopologyClamp, NetworkConstructorThrowsOnInvalidConfigs) {
     EXPECT_THROW(build(with([](NetworkConfig& c) { c.switchDelay = -1; })),
                  std::invalid_argument);
     EXPECT_THROW(build(with([](NetworkConfig& c) { c.softwareDelay = -1; })),
+                 std::invalid_argument);
+    EXPECT_THROW(build(with([](NetworkConfig& c) {
+                     c.racks = 1'000'000;
+                     c.hostsPerRack = 1'000'000;
+                     c.coreSwitches = 0;
+                 })),
                  std::invalid_argument);
     try {
         build(with([](NetworkConfig& c) { c.switchDelay = -1; }));

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "driver/sweep_shard.h"
+#include "sim/parse.h"
 
 using namespace homa;
 
@@ -49,9 +50,7 @@ namespace {
 }
 
 bool parseU64Flag(const char* text, uint64_t& out) {
-    char* end = nullptr;
-    out = std::strtoull(text, &end, 10);
-    return end != text && *end == '\0';
+    return number(text, out).empty();
 }
 
 ShardFile loadShardFileOrDie(const std::string& path) {
