@@ -50,20 +50,16 @@ std::string readTarget(const std::string& v, FaultSpec& out) {
            "host<h>)";
 }
 
-// "50ms", "10us", "250ns", "0.5s": a non-negative number with a required
-// unit suffix, read by the checked readers once the suffix is off. The
-// count is scaled to seconds first, the product specs have always used,
-// so a given spec keeps its exact picosecond (100us is 99,999,999 ps).
+// "50ms", "10us", "250ns", "0.5s": a non-negative count of the suffix's
+// unit, read by the checked readers once the suffix is off.
 std::string faultDuration(const std::string& v, Duration& out) {
-    static constexpr std::pair<const char*, double> kUnits[] = {
-        {"ns", 1e-9}, {"us", 1e-6}, {"ms", 1e-3},
-        {"s", 1.0}};  // "s" last: "ms", "us" and "ns" end in it too
-    for (const auto& [suffix, seconds] : kUnits) {
+    static constexpr std::pair<const char*, Duration> kUnits[] = {
+        {"ns", kNanosecond}, {"us", kMicrosecond}, {"ms", kMillisecond},
+        {"s", kSecond}};  // "s" last: "ms", "us" and "ns" end in it too
+    for (const auto& [suffix, unit] : kUnits) {
         const size_t n = std::strlen(suffix);
         if (v.size() > n && v.compare(v.size() - n, n, suffix) == 0) {
-            double count = 0;
-            std::string why = number(v.substr(0, v.size() - n), count);
-            if (why.empty()) why = duration(count * seconds, kSecond, out);
+            std::string why = duration(v.substr(0, v.size() - n), unit, out);
             if (why.empty() && out < 0) {
                 why = "expected a non-negative duration";
             }

@@ -376,13 +376,13 @@ TEST(FaultDeterminism, SerialEqualsParallelUnderFaults) {
     };
     const Case cases[] = {
         {Protocol::Homa, "flap=aggr0,at=500us,for=200us", false, true,
-         0x4e733dda9d80d8d4ull, 1852},
+         0x62f9b2d4390b06abull, 1852},
         {Protocol::PFabric, "degrade=aggr1,at=200us,for=1ms,bw=0.5,drop=0.02",
          false, false, 0xd09ec2a5e60f53f4ull, 1770},
         {Protocol::Ndp, "kill=aggr0,at=400us", true, true,
-         0xf8fd4da4778b6183ull, 1770},
+         0x099a7b18af05fcb9ull, 1770},
         {Protocol::Basic, "flap-train=tor1,at=100us,count=4,gap=250us,for=60us",
-         false, true, 0xf59609c7841a2657ull, 1751},
+         false, true, 0x7889b5392b0b3e6eull, 1751},
     };
     for (const Case& c : cases) {
         ExperimentConfig cfg = faultConfig(c.kind, c.body, c.ecmp);

@@ -119,6 +119,12 @@ TEST(FaultSpec, ReadsNumbersWholeAndInRange) {
     EXPECT_NE(parseError("flap=aggr4294967296,at=1ms,for=1ms")
                   .find("bad fault target index"),
               std::string::npos);
+    // A count is read in its suffix's own unit: 400us is 400,000,000 ps,
+    // not the 399,999,999 that scaling through seconds gave.
+    FaultSpec f;
+    ASSERT_TRUE(parseFaultSpec("flap=aggr0,at=400us,for=60us", f));
+    EXPECT_EQ(f.at, microseconds(400));
+    EXPECT_EQ(f.duration, microseconds(60));
 }
 
 TEST(FaultSpec, ExplainsContradictoryKeys) {
