@@ -52,7 +52,9 @@ std::string readTarget(const std::string& v, FaultSpec& out) {
 
 // "50ms", "10us", "250ns", "0.5s": a non-negative count of the suffix's
 // unit, read by the checked readers once the suffix is off.
-std::string faultDuration(const std::string& v, Duration& out) {
+template <Duration FaultSpec::*Field>
+std::string faultDuration(FaultSpec& f, const std::string& v) {
+    Duration& out = f.*Field;
     static constexpr std::pair<const char*, Duration> kUnits[] = {
         {"ns", kNanosecond}, {"us", kMicrosecond}, {"ms", kMillisecond},
         {"s", kSecond}};  // "s" last: "ms", "us" and "ns" end in it too
@@ -84,24 +86,16 @@ const SpecKey<FaultSpec> kFaultKinds[] = {
 };
 
 const SpecKey<FaultSpec> kFaultKeys[] = {
-    {"at",
-     [](FaultSpec& f, const std::string& v) { return faultDuration(v, f.at); }},
-    {"for",
-     [](FaultSpec& f, const std::string& v) {
-         return faultDuration(v, f.duration);
-     }},
+    {"at", faultDuration<&FaultSpec::at>},
+    {"for", faultDuration<&FaultSpec::duration>},
     {"bw",
      [](FaultSpec& f, const std::string& v) { return number(v, f.bwFactor); }},
-    {"delay",
-     [](FaultSpec& f, const std::string& v) {
-         return faultDuration(v, f.extraDelay);
-     }},
+    {"delay", faultDuration<&FaultSpec::extraDelay>},
     {"drop",
      [](FaultSpec& f, const std::string& v) { return number(v, f.dropProb); }},
     {"count",
      [](FaultSpec& f, const std::string& v) { return count(v, f.count); }},
-    {"gap",
-     [](FaultSpec& f, const std::string& v) { return faultDuration(v, f.gap); }},
+    {"gap", faultDuration<&FaultSpec::gap>},
 };
 
 // Contradictory or missing keys for the spec's kind.

@@ -78,8 +78,9 @@ struct FaultSpec {
 /// e.g. "flap=aggr0,at=50ms,for=10ms", "kill=aggr1,at=30ms",
 /// "degrade=host5,at=1ms,for=5ms,bw=0.25,delay=10us,drop=0.01",
 /// "flap-train=aggr2,at=10ms,count=5,gap=2ms,for=500us".
-/// Durations take a unit suffix (ns/us/ms/s). Returns false on malformed
-/// or contradictory keys, with a human-readable reason in *err (if given).
+/// Durations take a unit suffix (ns/us/ms/s). Returns false on malformed,
+/// repeated or contradictory keys, with a human-readable reason in *err
+/// (if given).
 bool parseFaultSpec(const std::string& body, FaultSpec& out,
                     std::string* err = nullptr);
 

@@ -71,36 +71,23 @@ std::string validateTopoConfig(const NetworkConfig& cfg) {
 
 namespace {
 
-// Counts keep the [0, 1,000,000] bound; validateTopoConfig owns the rest.
-std::string topoCount(const std::string& v, int& out) {
-    return count(v, out, 1'000'000);
+// A switch or host count, in [0, 1,000,000]; validateTopoConfig owns the
+// rest.
+template <int NetworkConfig::*Field>
+std::string topoCount(NetworkConfig& c, const std::string& v) {
+    return count(v, c.*Field, 1'000'000);
 }
 
 const SpecKey<NetworkConfig> kTopoKeys[] = {
-    {"racks",
-     [](NetworkConfig& c, const std::string& v) {
-         return topoCount(v, c.racks);
-     }},
-    {"hosts",
-     [](NetworkConfig& c, const std::string& v) {
-         return topoCount(v, c.hostsPerRack);
-     }},
-    {"aggr",
-     [](NetworkConfig& c, const std::string& v) {
-         return topoCount(v, c.aggrSwitches);
-     }},
-    {"core",
-     [](NetworkConfig& c, const std::string& v) {
-         return topoCount(v, c.coreSwitches);
-     }},
+    {"racks", topoCount<&NetworkConfig::racks>},
+    {"hosts", topoCount<&NetworkConfig::hostsPerRack>},
+    {"aggr", topoCount<&NetworkConfig::aggrSwitches>},
+    {"core", topoCount<&NetworkConfig::coreSwitches>},
     {"oversub",
      [](NetworkConfig& c, const std::string& v) {
          return number(v, c.oversubscription);
      }},
-    {"pods",
-     [](NetworkConfig& c, const std::string& v) {
-         return topoCount(v, c.podCount);
-     }},
+    {"pods", topoCount<&NetworkConfig::podCount>},
 };
 
 }  // namespace

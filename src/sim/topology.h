@@ -99,10 +99,10 @@ std::string validateTopoConfig(const NetworkConfig& cfg);
 /// oversub=4,pods=2" — applying each key over the current values of
 /// `out`, then validates the result (validateTopoConfig). Keys: racks,
 /// hosts (per rack), aggr (per pod on three-tier), core, oversub, pods;
-/// counts are in [0, 1,000,000]. Returns false — leaving `out` untouched — on malformed text or an
-/// invalid resulting topology, with a reason in *err (if given). This is
-/// the grammar behind the scenario "topo:" modifier and the runner's
-/// --topo flag.
+/// counts are in [0, 1,000,000]. Returns false — leaving `out` untouched —
+/// on malformed text, a repeated key or an invalid resulting topology,
+/// with a reason in *err (if given). This is the grammar behind the
+/// scenario "topo:" modifier and the runner's --topo flag.
 bool parseTopoSpec(const std::string& body, NetworkConfig& out,
                    std::string* err = nullptr);
 

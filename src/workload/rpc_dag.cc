@@ -65,9 +65,9 @@ const SpecKey<DagConfig> kDagKeys[] = {
      }},
     {"resp",
      [](DagConfig& c, const std::string& v) {
-         c.stageResponseBytes.clear();
          for (const std::string& stage : split(v, '/')) {
-             std::string why = count(stage, c.stageResponseBytes.emplace_back());
+             std::string why =
+                 count(stage, c.stageResponseBytes.emplace_back());
              if (!why.empty()) return why;
          }
          return std::string();

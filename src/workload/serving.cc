@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <type_traits>
 
 #include "sim/parse.h"
@@ -180,17 +181,6 @@ std::string validateServingConfig(const ServingConfig& cfg, int hostCount) {
 
 namespace {
 
-bool workloadFromSpecName(const std::string& name, WorkloadId& out) {
-    for (WorkloadId id : {WorkloadId::W1, WorkloadId::W2, WorkloadId::W3,
-                          WorkloadId::W4, WorkloadId::W5}) {
-        if (name == workloadName(id)) {
-            out = id;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::string fmtDouble(double v) {
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%g", v);
@@ -238,7 +228,12 @@ const SpecKey<TenantConfig> kTenantKeys[] = {
      }},
     {"wl",
      [](TenantConfig& t, const std::string& v) -> std::string {
-         return workloadFromSpecName(v, t.workload) ? "" : "expected W1..W5";
+         try {
+             t.workload = workloadFromName(v);
+         } catch (const std::invalid_argument&) {
+             return "expected W1..W5";
+         }
+         return "";
      }},
     {"mode",
      [](TenantConfig& t, const std::string& v) -> std::string {

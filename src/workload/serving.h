@@ -121,7 +121,8 @@ int tenantGroupIndex(const ServingConfig& cfg, const TenantConfig& t);
 std::string validateServingConfig(const ServingConfig& cfg, int hostCount);
 
 /// Parses the body of a "tenants:<body>" spec segment / --tenants flag:
-/// ';'-separated tenants, each comma-separated k=v with keys
+/// ';'-separated tenants, each comma-separated k=v with keys (each at
+/// most once per tenant)
 ///   name, wl (W1..W5), mode (open|closed), load, window, think_us,
 ///   clients, group.
 /// Returns false leaving `out` untouched, with a reason in *err.
