@@ -10,7 +10,6 @@
 #include <fstream>
 #include <functional>
 #include <random>
-#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -313,17 +312,20 @@ TEST(SpecGrammar, EveryScenarioDocExampleParses) {
     std::stringstream doc;
     doc << in.rdbuf();
     const std::string text = doc.str();
-    // A placeholder such as `--topo <spec>` is not an example.
-    const std::pair<const char*, const char*> kFlags[] = {
+    const std::pair<std::string, const char*> kFlags[] = {
         {"HOMA_SCENARIO=", "scenario"}, {"--topo ", "topo"},
         {"--fault ", "fault"},          {"--tenants ", "tenants"},
         {"--replicas ", "replicas"}};
     for (const auto& [flag, name] : kFlags) {
-        const std::regex example(std::string(flag) + "'?([^<\\s'`][^\\s'`]*)");
         int found = 0;
-        for (auto it = std::sregex_iterator(text.begin(), text.end(), example);
-             it != std::sregex_iterator(); ++it) {
-            const std::string spec = (*it)[1];
+        for (size_t at = text.find(flag); at != std::string::npos;
+             at = text.find(flag, at + 1)) {
+            size_t begin = at + flag.size();
+            if (begin < text.size() && text[begin] == '\'') begin++;
+            const size_t end = text.find_first_of(" \t\n'`", begin);
+            const std::string spec = text.substr(begin, end - begin);
+            // A placeholder such as `--topo <spec>` is not an example.
+            if (spec.empty() || spec[0] == '<') continue;
             std::string canonical, err;
             EXPECT_TRUE(grammar(name).parse(spec, canonical, &err))
                 << flag << spec << ": " << err;
