@@ -99,7 +99,7 @@ const SpecKey<FaultSpec> kFaultKeys[] = {
 };
 
 // Contradictory or missing keys for the spec's kind.
-std::string faultKeysError(const FaultSpec& spec, const SpecKeys& given) {
+std::string faultKeysError(const FaultSpec& spec, const GivenKeys& given) {
     const bool degradeKnobs =
         given.has("bw") || given.has("delay") || given.has("drop");
     const bool trainKnobs = given.has("count") || given.has("gap");
@@ -168,7 +168,7 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
         std::begin(kFaultKinds), std::end(kFaultKinds),
         [&kind](const SpecKey<FaultSpec>& k) { return kind == k.name; });
     FaultSpec spec;
-    SpecKeys given;
+    GivenKeys given;
     std::string why = named || body.empty()
                           ? readSpec("fault", head, kFaultKinds, spec)
                           : "fault spec must start with flap=/kill=/degrade=/"

@@ -98,7 +98,7 @@ std::string joinNames(const Row (&rows)[N]) {
 }
 
 /// The keys a spec gave, in the order given.
-struct SpecKeys {
+struct GivenKeys {
     std::vector<std::string> keys;
     bool has(const char* key) const {
         return std::find(keys.begin(), keys.end(), key) != keys.end();
@@ -114,9 +114,9 @@ struct SpecKeys {
 template <typename Config, size_t N>
 std::string readSpec(const std::string& grammar, const std::string& body,
                      const SpecKey<Config> (&keys)[N], Config& cfg,
-                     SpecKeys* given = nullptr) {
+                     GivenKeys* given = nullptr) {
     if (body.empty()) return "empty " + grammar + " spec";
-    SpecKeys seen;
+    GivenKeys seen;
     for (const std::string& pair : split(body, ',')) {
         const size_t eq = pair.find('=');
         if (eq == std::string::npos) {

@@ -194,7 +194,7 @@ template <typename Config, size_t N>
 std::string readEntries(const std::string& grammar, const std::string& body,
                         const SpecKey<Config> (&keys)[N],
                         std::type_identity_t<std::string (*)(
-                            const Config&, const SpecKeys&)> check,
+                            const Config&, const GivenKeys&)> check,
                         std::vector<Config>& out) {
     if (body.empty()) return "empty " + grammar + " spec";
     std::vector<Config> entries;
@@ -202,7 +202,7 @@ std::string readEntries(const std::string& grammar, const std::string& body,
         if (entry.empty()) return "empty " + grammar + " entry (stray ';')";
         Config c;
         c.name.clear();  // must be named explicitly
-        SpecKeys given;
+        GivenKeys given;
         std::string why = readSpec(grammar, entry, keys, c, &given);
         if (why.empty() && c.name.empty()) {
             why = grammar + " entry '" + entry + "' has no name= key";
@@ -261,7 +261,7 @@ const SpecKey<TenantConfig> kTenantKeys[] = {
 };
 
 // A knob of the other arrival mode would be ignored.
-std::string tenantKnobsError(const TenantConfig& t, const SpecKeys& given) {
+std::string tenantKnobsError(const TenantConfig& t, const GivenKeys& given) {
     if (t.mode == ArrivalMode::Open &&
         (given.has("window") || given.has("think_us"))) {
         return "tenant '" + t.name + "': window/think_us are closed-mode "
