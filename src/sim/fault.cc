@@ -163,16 +163,17 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
     // The first pair names the fault and its target; the keys follow.
     const size_t comma = std::min(body.find(','), body.size());
     const std::string head = body.substr(0, comma);
-    const std::string kind = head.substr(0, head.find('='));
     const bool named = std::any_of(
         std::begin(kFaultKinds), std::end(kFaultKinds),
-        [&kind](const SpecKey<FaultSpec>& k) { return kind == k.name; });
+        [&head](const SpecKey<FaultSpec>& k) {
+            return head.rfind(std::string(k.name) + "=", 0) == 0;
+        });
     FaultSpec spec;
     GivenKeys given;
     std::string why = named || body.empty()
                           ? readSpec("fault", head, kFaultKinds, spec)
                           : "fault spec must start with flap=/kill=/degrade=/"
-                            "flap-train=<target> (got '" + kind + "')";
+                            "flap-train=<target> (got '" + head + "')";
     if (why.empty() && comma < body.size()) {
         why = readSpec("fault", body.substr(comma + 1), kFaultKeys, spec,
                        &given);
