@@ -218,7 +218,9 @@ const Flag kFlags[] = {
      }},
     {"--seed", nullptr, nullptr,
      [](Cli& c, Arg v) { return number(v, c.cfg.traffic.seed); }},
-    {"--sim-threads", nullptr, nullptr,
+    {"--sim-threads", nullptr,
+     "--sim-threads does not apply to --tenants: the serving harness runs "
+     "every tenant from one loop, on one shard",
      [](Cli& c, Arg v) { return number(v, c.cfg.parallel.threads); }},
     {"--single-rack", nullptr, nullptr, nullptr,
      [](Cli& c) { c.cfg.net = NetworkConfig::singleRack16(); }},
@@ -455,7 +457,6 @@ int main(int argc, char** argv) {
         rc.proto = cfg.proto;
         rc.seed = cfg.traffic.seed;
         rc.stop = cfg.traffic.stop;
-        rc.parallel = cfg.parallel;
         rc.serving = cli.serving;
         const std::string why = rpcExperimentConfigError(rc);
         if (!why.empty()) fail("bad serving config: %s", why.c_str());

@@ -34,7 +34,6 @@ public:
         onUnknownResend_ = std::move(h);
     }
 
-    const HomaContext& context() const { return ctx_; }
     HomaSender& sender() { return *sender_; }
     HomaReceiver& receiver() { return *receiver_; }
 

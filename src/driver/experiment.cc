@@ -1,8 +1,6 @@
 #include "driver/experiment.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace homa {
@@ -557,14 +555,6 @@ double findMaxLoad(ExperimentConfig base, double startPct, double stepPct,
         }
     }
     return best;
-}
-
-BenchScale BenchScale::fromEnv() {
-    const char* env = std::getenv("HOMA_BENCH_SCALE");
-    if (env != nullptr && std::strcmp(env, "full") == 0) {
-        return BenchScale{milliseconds(200), 1};
-    }
-    return BenchScale{milliseconds(20), 1};
 }
 
 }  // namespace homa

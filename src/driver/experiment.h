@@ -171,11 +171,4 @@ DagCostFn dagOracleCost(Network& net, const Oracle& oracle);
 double findMaxLoad(ExperimentConfig base, double startPct = 40,
                    double stepPct = 5, double maxPct = 95);
 
-/// Bench scale knob: "quick" (default) or "full" via HOMA_BENCH_SCALE.
-struct BenchScale {
-    Duration genWindow;   // traffic generation duration
-    int hostsScale;       // divide the topology for heavy workloads (>=1)
-    static BenchScale fromEnv();
-};
-
 }  // namespace homa

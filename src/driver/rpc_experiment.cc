@@ -142,7 +142,8 @@ struct RpcRun {
     // Runs to stop + drainGrace, lets the mode close its own books, then
     // tallies the window and the endpoints' retries.
     RpcExperimentResult finish(const std::function<void()>& closeBooks = {}) {
-        // Single-shard (see RpcExperimentConfig::parallel); equivalent to
+        // Single-shard: the harness orchestrates every client from one
+        // loop and draws RpcIds from the global id stream. Equivalent to
         // net.loop().runUntil, routed through the engine entry for
         // uniformity.
         runNetworkUntil(net, cfg.stop + cfg.drainGrace);

@@ -70,14 +70,6 @@ struct RpcExperimentConfig {
     /// `closedLoopWindow`, `thinkTime`, and `onOff` are ignored (each
     /// tenant carries its own).
     ServingConfig serving;
-
-    /// Parallel-engine knob, accepted for config uniformity with
-    /// ExperimentConfig (sweep grids carry one knob). The RPC harness
-    /// orchestrates every client from one loop and draws RpcIds from the
-    /// global id stream, so it always runs single-shard today — and its
-    /// default single-switch topology (§5.1) would clamp to one shard
-    /// regardless.
-    ParallelConfig parallel;
 };
 
 /// Whole-run conservation ledgers of a serving experiment (not

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "sim/parse.h"
@@ -66,7 +67,13 @@ void applySweepOptions(std::vector<Config>& points, const SweepOptions& opts) {
             pointSeed(points[i]) = deriveSweepSeed(opts.baseSeed, i);
         }
     }
-    if (opts.simThreads > 0) {
+    if constexpr (std::is_same_v<Config, RpcExperimentConfig>) {
+        if (opts.simThreads > 0) {
+            throw std::invalid_argument(
+                "simThreads does not apply to RPC sweeps: the RPC harness "
+                "runs every point on one shard");
+        }
+    } else if (opts.simThreads > 0) {
         for (Config& p : points) p.parallel.threads = opts.simThreads;
     }
 }

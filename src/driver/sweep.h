@@ -42,6 +42,7 @@ struct SweepOptions {
     /// concurrency is then up to threads * simThreads; results stay
     /// byte-identical either way, so the split is purely a throughput knob
     /// (many small points: sweep threads; few huge points: sim threads).
+    /// runRpcSweep rejects it: the RPC harness always runs one shard.
     int simThreads = 0;
 };
 

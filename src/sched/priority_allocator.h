@@ -68,9 +68,6 @@ public:
         return scheduledLevelFor(rank, activeCount, alloc_.schedLevels);
     }
 
-    /// Highest logical level a scheduled (granted) message can use.
-    int topScheduledLevel() const { return alloc_.schedLevels - 1; }
-
 private:
     PriorityAllocation alloc_;
 };

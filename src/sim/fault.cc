@@ -1,9 +1,9 @@
 #include "sim/fault.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/network.h"
@@ -234,15 +234,25 @@ std::string validateFaultSpec(const FaultSpec& spec,
 
 std::string faultSpecToString(const FaultSpec& spec) {
     char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s=%s%d,at=%.3fus", faultKindName(spec.kind),
-                  faultTargetKindName(spec.targetKind), spec.targetIndex,
-                  toMicros(spec.at));
+    std::snprintf(buf, sizeof(buf), "%s=%s%d", faultKindName(spec.kind),
+                  faultTargetKindName(spec.targetKind), spec.targetIndex);
     std::string s = buf;
+    // Whole nanoseconds print as microseconds to three places; a
+    // sub-nanosecond part prints exactly in nanoseconds. Either form
+    // reads back to the same picosecond.
     auto addDur = [&s](const char* key, Duration d) {
         char b[64];
-        std::snprintf(b, sizeof(b), ",%s=%.3fus", key, toMicros(d));
+        if (d % kNanosecond == 0) {
+            std::snprintf(b, sizeof(b), ",%s=%.3fus", key, toMicros(d));
+        } else {
+            std::snprintf(b, sizeof(b), ",%s=%s%lld.%03lldns", key,
+                          d < 0 ? "-" : "",
+                          std::llabs(static_cast<long long>(d / kNanosecond)),
+                          std::llabs(static_cast<long long>(d % kNanosecond)));
+        }
         s += b;
     };
+    addDur("at", spec.at);
     switch (spec.kind) {
         case FaultKind::Flap:
             addDur("for", spec.duration);
@@ -450,16 +460,22 @@ void FaultTimeline::scheduleDegrade(const FaultSpec& spec) {
 }
 
 void FaultTimeline::schedule() {
-    assert(!scheduled_);
+    if (scheduled_) {
+        throw std::logic_error("FaultTimeline: schedule() called twice");
+    }
+    // Every spec is checked before any action is installed, so a bad spec
+    // leaves the network untouched.
+    for (const FaultSpec& spec : specs_) {
+        const std::string verr = validateFaultSpec(spec, net_.config());
+        if (!verr.empty()) {
+            throw std::invalid_argument("FaultTimeline: invalid spec '" +
+                                        faultSpecToString(spec) +
+                                        "': " + verr);
+        }
+    }
     scheduled_ = true;
     for (size_t i = 0; i < specs_.size(); i++) {
         const FaultSpec& spec = specs_[i];
-        const std::string verr = validateFaultSpec(spec, net_.config());
-        if (!verr.empty()) {
-            std::fprintf(stderr, "FaultTimeline: invalid spec '%s': %s\n",
-                         faultSpecToString(spec).c_str(), verr.c_str());
-            std::abort();
-        }
         switch (spec.kind) {
             case FaultKind::Flap:
                 scheduleFlap(spec, spec.at, spec.duration);

@@ -121,12 +121,14 @@ uint64_t deriveFaultSeed(uint64_t trafficSeed);
 /// built but before the run starts; keep alive until collect().
 class FaultTimeline {
 public:
-    /// Specs must already satisfy validateFaultSpec for net's config
-    /// (schedule() aborts loudly otherwise).
+    /// Specs must satisfy validateFaultSpec for net's config, or
+    /// schedule() throws.
     FaultTimeline(Network& net, std::vector<FaultSpec> specs, uint64_t seed);
 
     /// Install every primitive action on its owning shard's loop. Call
-    /// exactly once, before the run.
+    /// exactly once, before the run. Throws std::invalid_argument, before
+    /// installing anything, when a spec fails validateFaultSpec, and
+    /// std::logic_error on a second call.
     void schedule();
 
     /// Event counts from the expanded schedule (valid after schedule()).

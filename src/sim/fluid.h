@@ -118,8 +118,6 @@ public:
         deliver_ = std::move(cb);
     }
 
-    int activeFlows() const { return static_cast<int>(order_.size()); }
-
     /// The rate solver's input and output, for tests: every link's
     /// capacity (bytes/ps, reservation applied) and, in admission order,
     /// each active flow's links and current rate.

@@ -114,7 +114,6 @@ public:
     int aggrCount() const { return static_cast<int>(aggrs_.size()); }
     int coreCount() const { return static_cast<int>(cores_.size()); }
     int rackOf(HostId h) const { return h / cfg_.hostsPerRack; }
-    int podOf(HostId h) const { return cfg_.podOfRack(rackOf(h)); }
 
     /// Cross-shard packets parked in outboxes but not yet injected (0 in
     /// serial runs; used by the conservation accounting in test_fault).

@@ -50,11 +50,13 @@ std::string count(const std::string& text, T& out,
     return "";
 }
 
-/// `count` `unit`s as a Duration, unless that is out of a Duration's range.
+/// `count` `unit`s as a Duration, rounded to the nearest picosecond (so
+/// "1.009us" is 1,009,000 ps although 1.009 has no exact double), unless
+/// that is out of a Duration's range.
 inline std::string duration(double count, Duration unit, Duration& out) {
     const double ps = count * static_cast<double>(unit);
     if (!(std::fabs(ps) < 9e18)) return "duration out of range";
-    out = static_cast<Duration>(ps);
+    out = std::llround(ps);
     return "";
 }
 

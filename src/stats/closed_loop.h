@@ -50,7 +50,6 @@ public:
     /// in microseconds; 0 when nothing completed.
     double latencyPercentileUs(double p) const;
     double latencyMeanUs() const;
-    size_t latencySamples() const { return latency_.count(); }
 
 private:
     double windowSeconds() const;

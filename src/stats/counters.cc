@@ -35,31 +35,4 @@ QueueOccupancy summarizeQueues(const std::vector<const EgressPort*>& ports,
     return out;
 }
 
-std::array<double, kPriorityLevels> priorityUsage(Network& net, Time elapsed) {
-    std::array<double, kPriorityLevels> out{};
-    if (elapsed <= 0) return out;
-    double capacity = 0;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        const auto& st = net.downlink(h).stats();
-        for (int p = 0; p < kPriorityLevels; p++) {
-            out[p] += static_cast<double>(st.bytesByPriority[p]);
-        }
-        capacity += static_cast<double>(
-            net.downlink(h).bandwidth().bytesIn(elapsed));
-    }
-    for (auto& v : out) v = capacity > 0 ? v / capacity : 0.0;
-    return out;
-}
-
-double downlinkUtilization(Network& net, Time elapsed) {
-    if (elapsed <= 0) return 0;
-    double sent = 0, capacity = 0;
-    for (HostId h = 0; h < net.hostCount(); h++) {
-        sent += static_cast<double>(net.downlink(h).stats().wireBytesSent);
-        capacity += static_cast<double>(
-            net.downlink(h).bandwidth().bytesIn(elapsed));
-    }
-    return capacity > 0 ? sent / capacity : 0.0;
-}
-
 }  // namespace homa

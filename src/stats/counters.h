@@ -1,8 +1,8 @@
-// Network-level probes: wasted receiver bandwidth (Figure 16), queue
-// occupancy per switch level (Table 1), priority usage (Figure 21).
+// Network-level probes: wasted receiver bandwidth (Figure 16) and queue
+// occupancy per switch level (Table 1). runExperiment computes priority
+// usage (Figure 21) over its measurement window itself.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "sim/network.h"
@@ -43,12 +43,5 @@ struct QueueOccupancy {
 
 QueueOccupancy summarizeQueues(const std::vector<const EgressPort*>& ports,
                                Time elapsed);
-
-/// Figure 21: wire bytes per priority level across all TOR->host downlinks,
-/// as a fraction of total downlink capacity over `elapsed`.
-std::array<double, kPriorityLevels> priorityUsage(Network& net, Time elapsed);
-
-/// Aggregate goodput across downlinks (wire bytes / capacity).
-double downlinkUtilization(Network& net, Time elapsed);
 
 }  // namespace homa

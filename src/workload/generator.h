@@ -73,10 +73,6 @@ public:
         return n;
     }
 
-    /// Mean interarrival time for a weight-1 host (0 for trace replay and
-    /// closed loop).
-    Duration meanInterarrival() const { return meanGap_; }
-
     /// Closed loop: the highest outstanding count any host ever reached
     /// (never exceeds `closedLoopWindow` — tested invariant). Dag mode:
     /// the analogous peak count of outstanding *trees*. 0 otherwise.

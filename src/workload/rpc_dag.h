@@ -209,7 +209,6 @@ public:
     /// exactly once.
     void onDelivered(const Message& m);
 
-    int activeTrees() const { return static_cast<int>(trees_.size()); }
     uint64_t treesIssued() const { return issued_; }
     uint64_t treesCompleted() const { return completed_; }
 

@@ -1,8 +1,9 @@
-// Subprocess tests for the CI bench tooling: bench_compare's fluid and
-// fidelity gates plus the skip-annotation write-back, and
-// bench_trajectory's history folding. These exec the real binaries the
-// CI workflow runs, against artifacts written to the test temp dir and
-// the checked-in fixtures under bench/baselines/testdata/.
+// Subprocess tests for the CI bench tooling: bench_compare's gate rows
+// (tools/bench_gates.h) in pair and baseline-free mode plus the
+// skip-annotation write-back, and bench_trajectory's history folding.
+// These exec the real binaries the CI workflow runs, against artifacts
+// written to the test temp dir and the checked-in fixtures under
+// bench/baselines/testdata/.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -100,12 +101,7 @@ const std::string kFluidArtifact = R"({
   "bench": "fluid_speedup",
   "hardware_cores": 8,
   "hosts": 10240,
-  "speedup": 14.6,
-  "fidelity": [
-    {"scenario": "uniform", "packet_p50": 1.03, "hybrid_p50": 1.00,
-     "packet_p99": 1.72, "hybrid_p99": 2.53}
-  ],
-  "all_packet_identical": true
+  "speedup": 14.6
 })";
 
 TEST(BenchCompareCli, FluidGateEnforcesTheSpeedupFloor) {
@@ -124,43 +120,18 @@ TEST(BenchCompareCli, FluidGateEnforcesTheSpeedupFloor) {
     EXPECT_NE(out.find("below the 10x floor"), std::string::npos) << out;
 }
 
-TEST(BenchCompareCli, FluidGateHardFailsOnBrokenIdentity) {
-    const std::string base = tempPath("fluid_id_base.json");
-    const std::string cur = tempPath("fluid_id_cur.json");
-    writeFile(base, kFluidArtifact);
-    std::string broken = kFluidArtifact;
-    broken.replace(broken.find("\"all_packet_identical\": true"),
-                   std::string("\"all_packet_identical\": true").size(),
-                   "\"all_packet_identical\": false");
-    writeFile(cur, broken);
-    std::string out;
-    EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN,
-                      "--tolerance 9 " + base + " " + cur, &out), 1);
-    EXPECT_NE(out.find("all_packet_identical"), std::string::npos) << out;
-}
-
 TEST(BenchCompareCli, FidelityModePassesHealthyAndFailsDegraded) {
     const std::string healthy = tempPath("fid_ok.json");
     writeFile(healthy, kFluidArtifact);
     EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, "--fidelity " + healthy), 0);
-    // Inflate the hybrid tail past the 2.5x band.
+    // The speedup floor needs no baseline, so it gates here too.
     std::string degraded = kFluidArtifact;
-    degraded.replace(degraded.find("\"hybrid_p99\": 2.53"),
-                     std::string("\"hybrid_p99\": 2.53").size(),
-                     "\"hybrid_p99\": 12.0");
+    degraded.replace(degraded.find("14.6"), 4, "08.1");
     const std::string bad = tempPath("fid_bad.json");
     writeFile(bad, degraded);
     std::string out;
     EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, "--fidelity " + bad, &out), 1);
-    EXPECT_NE(out.find("fidelity drift"), std::string::npos) << out;
-    // And a drifted p50 fails independently of the p99 band.
-    std::string shifted = kFluidArtifact;
-    shifted.replace(shifted.find("\"hybrid_p50\": 1.00"),
-                    std::string("\"hybrid_p50\": 1.00").size(),
-                    "\"hybrid_p50\": 1.40");
-    writeFile(bad, shifted);
-    EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, "--fidelity " + bad, &out), 1);
-    EXPECT_NE(out.find("drift at p50"), std::string::npos) << out;
+    EXPECT_NE(out.find("below the 10x floor"), std::string::npos) << out;
 }
 
 // A healthy serving artifact matching the BENCH_serving.json schema.
@@ -177,7 +148,6 @@ const std::string kServingArtifact = R"({
   "hedges_cancelled": 60,
   "hedges_failed": 0,
   "hedge_conservation_holds": true,
-  "serial_parallel_identical": true,
   "sweep_identical": true
 })";
 
@@ -204,9 +174,7 @@ TEST(BenchCompareCli, ServingGateHardFailsOnBrokenInvariantFlags) {
     const std::string base = tempPath("serving_flag_base.json");
     const std::string cur = tempPath("serving_flag_cur.json");
     writeFile(base, kServingArtifact);
-    for (const char* flag :
-         {"hedge_conservation_holds", "serial_parallel_identical",
-          "sweep_identical"}) {
+    for (const char* flag : {"hedge_conservation_holds", "sweep_identical"}) {
         std::string broken = kServingArtifact;
         const std::string on = std::string("\"") + flag + "\": true";
         broken.replace(broken.find(on), on.size(),
@@ -272,6 +240,35 @@ TEST(BenchCompareCli, UnrecognizedSchemaIsAFailureNotASilentSkip) {
     EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, "--fidelity " + mystery, &out),
               1);
     EXPECT_NE(out.find("unrecognized schema 'mystery'"), std::string::npos)
+        << out;
+}
+
+TEST(BenchCompareCli, AMissingKeyFailsAndNamesTheKey) {
+    // A row whose key is absent cannot pass: a baseline that lost its
+    // speedup must not wave through a current speedup of 0.01.
+    const std::string base = tempPath("missing_base.json");
+    const std::string cur = tempPath("missing_cur.json");
+    writeFile(base, R"({
+  "bench": "sweep_speedup",
+  "results_identical_across_thread_counts": true
+})");
+    writeFile(cur, R"({
+  "bench": "sweep_speedup",
+  "speedup": 0.01,
+  "results_identical_across_thread_counts": true
+})");
+    std::string out;
+    EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, base + " " + cur, &out), 1);
+    EXPECT_NE(out.find("'speedup' is missing"), std::string::npos) << out;
+
+    // Same for the serving tail: the drift row needs the baseline's p2c.
+    std::string noTail = kServingArtifact;
+    const std::string p2c = "\"p2c_p99_slowdown\": 1.85,";
+    noTail.erase(noTail.find(p2c), p2c.size());
+    writeFile(base, noTail);
+    writeFile(cur, kServingArtifact);
+    EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, base + " " + cur, &out), 1);
+    EXPECT_NE(out.find("'p2c_p99_slowdown' is missing"), std::string::npos)
         << out;
 }
 

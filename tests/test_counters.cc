@@ -1,5 +1,4 @@
-// Network-level probes: wasted-bandwidth sampling, queue summaries,
-// priority usage accounting.
+// Network-level probes: wasted-bandwidth sampling and queue summaries.
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
@@ -75,33 +74,6 @@ TEST(QueueSummary, AggregatesAcrossPorts) {
     QueueOccupancy q = summarizeQueues({&a, &b}, loop.now());
     EXPECT_GT(q.meanBytes, 0.0);
     EXPECT_EQ(q.maxBytes, 2 * (kMaxPayload + kHeaderBytes));
-}
-
-TEST(PriorityUsage, SumsToUtilization) {
-    NetworkConfig cfg = NetworkConfig::singleRack16();
-    Network net(cfg, HomaTransport::factory({}, cfg, &workload(WorkloadId::W3)));
-    for (int i = 0; i < 10; i++) {
-        Message m;
-        m.id = net.nextMsgId();
-        m.src = static_cast<HostId>(i % 8);
-        m.dst = static_cast<HostId>(8 + i % 8);
-        m.length = 30000;
-        net.sendMessage(m);
-    }
-    net.loop().run();
-    const Time elapsed = net.loop().now();
-    auto usage = priorityUsage(net, elapsed);
-    double sum = 0;
-    for (double u : usage) sum += u;
-    EXPECT_NEAR(sum, downlinkUtilization(net, elapsed), 1e-9);
-    EXPECT_GT(sum, 0.0);
-}
-
-TEST(PriorityUsage, ZeroElapsedSafe) {
-    Network net = makeIdleNet();
-    auto usage = priorityUsage(net, 0);
-    for (double u : usage) EXPECT_EQ(u, 0.0);
-    EXPECT_EQ(downlinkUtilization(net, 0), 0.0);
 }
 
 }  // namespace

@@ -480,6 +480,11 @@ TEST(SweepRunner, InvalidPointThrowsBeforeRunningAny) {
         EXPECT_EQ(std::string(e.what()),
                   "sweep point 1: clients leave no server host");
     }
+    // The RPC harness runs one shard, so a sim-thread count would do
+    // nothing: it is refused, not silently dropped.
+    opts.simThreads = 2;
+    EXPECT_THROW((void)runRpcSweep({RpcExperimentConfig{}}, opts),
+                 std::invalid_argument);
 }
 
 // --------------------------------------------------- serving goldens
@@ -535,20 +540,6 @@ TEST(ServingDeterminism, SameSeedReplaysByteIdentically) {
     EXPECT_EQ(resultFingerprint(a), resultFingerprint(runRpcExperiment(cfg)));
     EXPECT_NE(resultFingerprint(a),
               resultFingerprint(runRpcExperiment(servingConfig(32))));
-}
-
-TEST(ServingDeterminism, SerialEqualsParallelKnob) {
-    // The serving harness orchestrates every tenant from one loop, so
-    // parallel.threads must be inert — same bytes, not just same stats.
-    for (Protocol kind : {Protocol::Homa, Protocol::PFabric, Protocol::Ndp}) {
-        RpcExperimentConfig cfg = servingConfig();
-        cfg.proto.kind = kind;
-        const RpcExperimentResult serial = runRpcExperiment(cfg);
-        cfg.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(serial),
-                  resultFingerprint(runRpcExperiment(cfg)))
-            << protocolName(kind);
-    }
 }
 
 TEST(ServingDeterminism, SweepPointsIdenticalAtOneAndManyThreads) {
@@ -643,7 +634,7 @@ TEST(ServingDeterminism, HedgedHomaGoldenFingerprint) {
 // DAG trees (with joins), and serving with think time, random selection
 // and NDP. The echo, DAG and serving runners share one set-up, issue gate,
 // priming and close, so any reorder of an RNG draw or a same-instant event
-// there moves a row. Each row must also be inert to parallel.threads.
+// there moves a row.
 TEST(RpcHarnessDeterminism, ModeGoldenFingerprints) {
     struct Row {
         const char* name;
@@ -720,9 +711,6 @@ TEST(RpcHarnessDeterminism, ModeGoldenFingerprints) {
             << row.name << std::hex << ": hash 0x" << fnv1a(fp) << std::dec
             << " live fingerprint:\n" << fp;
         EXPECT_EQ(fp.size(), row.length) << row.name;
-        row.cfg.parallel.threads = 4;
-        EXPECT_EQ(resultFingerprint(runRpcExperiment(row.cfg)), fp)
-            << row.name;
     }
 }
 

@@ -53,14 +53,18 @@ TEST(ExperimentDriver, SlowdownsAreAtLeastOne) {
               r.slowdown->overallPercentile(0.50));
 }
 
-TEST(ExperimentDriver, PriorityUsageSumsBelowUtilization) {
+TEST(ExperimentDriver, PriorityUsageSumsToUtilization) {
+    // Every downlink wire byte is counted at exactly one priority, so the
+    // per-priority shares of the window's capacity add up to its
+    // utilization.
     ExperimentResult r = runExperiment(smallConfig(WorkloadId::W3, 0.6));
     double sum = 0;
     for (double v : r.prioUsage) {
         EXPECT_GE(v, 0.0);
         sum += v;
     }
-    EXPECT_NEAR(sum, r.downlinkUtilization, 1e-6);
+    EXPECT_GT(sum, 0.0);
+    EXPECT_NEAR(sum, r.downlinkUtilization, 1e-9);
 }
 
 TEST(ExperimentDriver, HigherLoadRaisesTailSlowdown) {

@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -71,12 +73,32 @@ TEST(FaultSpec, CanonicalStringRoundTrips) {
     for (const char* body :
          {"flap=aggr0,at=50ms,for=10ms", "kill=tor2,at=30ms",
           "degrade=host5,at=1ms,for=5ms,bw=0.25,delay=10us,drop=0.01",
-          "flap-train=aggr1,at=10ms,count=5,gap=2ms,for=500us"}) {
+          "flap-train=aggr1,at=10ms,count=5,gap=2ms,for=500us",
+          "flap-train=tor1,at=2.5ns,count=3,gap=0.2ns,for=1.0005us"}) {
         FaultSpec f, again;
         ASSERT_TRUE(parseFaultSpec(body, f)) << body;
         ASSERT_TRUE(parseFaultSpec(faultSpecToString(f), again))
             << faultSpecToString(f);
         EXPECT_EQ(faultSpecToString(f), faultSpecToString(again)) << body;
+        EXPECT_EQ(again.at, f.at) << body;
+        EXPECT_EQ(again.duration, f.duration) << body;
+        EXPECT_EQ(again.gap, f.gap) << body;
+    }
+    // Whole nanoseconds keep the "%.3fus" form, a sub-nanosecond part
+    // prints exactly in ns, and either reads back to the same picosecond.
+    FaultSpec sub;
+    ASSERT_TRUE(parseFaultSpec("flap=aggr0,at=1.009us,for=0.4ns", sub));
+    EXPECT_EQ(faultSpecToString(sub), "flap=aggr0,at=1.009us,for=0.400ns");
+    std::mt19937_64 rng(1009);
+    for (int i = 0; i < 20000; i++) {
+        FaultSpec spec;
+        spec.at = static_cast<Duration>(rng() % 3'000'000) * kNanosecond;
+        spec.duration = 1 + static_cast<Duration>(rng() % milliseconds(3));
+        const std::string text = faultSpecToString(spec);
+        FaultSpec again;
+        ASSERT_TRUE(parseFaultSpec(text, again)) << text;
+        ASSERT_EQ(again.at, spec.at) << text;
+        ASSERT_EQ(again.duration, spec.duration) << text;
     }
 }
 
@@ -125,6 +147,11 @@ TEST(FaultSpec, ReadsNumbersWholeAndInRange) {
     ASSERT_TRUE(parseFaultSpec("flap=aggr0,at=400us,for=60us", f));
     EXPECT_EQ(f.at, microseconds(400));
     EXPECT_EQ(f.duration, microseconds(60));
+    // And rounded, not truncated: 1.009 has no exact double, yet 1.009us
+    // is 1,009,000 ps.
+    ASSERT_TRUE(parseFaultSpec("flap=aggr0,at=1.009us,for=0.4ns", f));
+    EXPECT_EQ(f.at, 1'009'000);
+    EXPECT_EQ(f.duration, 400);
 }
 
 TEST(FaultSpec, ExplainsContradictoryKeys) {
@@ -341,6 +368,39 @@ FaultStats checkConservation(Protocol kind,
         << " deadIngress=" << stats.deadIngressDrops
         << " flushDrops=" << stats.flushDrops << " inFlight=" << l.inFlight;
     return stats;
+}
+
+TEST(FaultTimeline, InvalidSpecThrowsBeforeInstallingAnything) {
+    NetworkConfig netCfg = NetworkConfig::fatTree144();
+    ProtocolConfig proto;
+    netCfg.switchQdisc = switchQdiscFor(proto);
+    Network net(netCfg, makeTransportFactory(proto, netCfg,
+                                             &workload(WorkloadId::W2)));
+    FaultSpec flap, outOfRange;
+    ASSERT_TRUE(parseFaultSpec("flap=aggr0,at=1us,for=1us", flap));
+    ASSERT_TRUE(parseFaultSpec("kill=tor9,at=1us", outOfRange));  // 9 racks
+    FaultTimeline bad(net, {flap, outOfRange}, 1);
+    try {
+        bad.schedule();
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "FaultTimeline: invalid spec 'kill=tor9,at=1.000us': "
+                      "tor fault target index 9 out of range",
+                      0),
+                  0u)
+            << e.what();
+    }
+    // The valid flap ahead of it was not installed either.
+    EXPECT_EQ(bad.events().linkDownEvents, 0u);
+
+    // schedule() installs once; a second call would install every action
+    // twice.
+    FaultTimeline good(net, {flap}, 1);
+    good.schedule();
+    EXPECT_EQ(good.events().linkDownEvents, 1u);
+    EXPECT_THROW(good.schedule(), std::logic_error);
+    EXPECT_EQ(good.events().linkDownEvents, 1u);
 }
 
 TEST(FaultConservation, NoFaultBaselineBalances) {

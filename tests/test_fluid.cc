@@ -427,8 +427,8 @@ TEST(FluidFidelity, AllFluidExtremeDeliversEverythingNearBest) {
 // for speed, so percentiles drift — the p50 (dominated by the untouched
 // packet regime, which sees *less* contention once elephants leave the
 // wires) stays tight, while the p99 (the regime boundary) may move by up
-// to this factor either way. The bench_compare --fidelity gate enforces
-// the same bounds on BENCH_fluid.json artifacts.
+// to this factor either way. These FluidFidelity.* tests pin the bands;
+// no bench gate repeats them.
 void expectHybridWithinTolerance(TrafficPatternKind kind, int hotspots = 0) {
     ExperimentConfig packet = fluidConfig(WorkloadId::W4, 0.5, -1);
     packet.traffic.scenario.kind = kind;

@@ -12,7 +12,7 @@
 //  3. Hedging ledgers: external conservation invariants over whole runs
 //     — exactly one response consumed per logical RPC, cancelled hedges
 //     refund server work, hedge counts conserved — across all six
-//     protocols, serial and under the parallel-engine knob.
+//     protocols.
 //
 // The #ifdef'd tail drives the example_run_experiment binary to pin the
 // CLI's serving-mode rejections (contradictory flags exit 2 with a
@@ -535,25 +535,16 @@ void expectLedgersBalance(const RpcExperimentResult& r, const char* what) {
 TEST(ServingLedgers, HedgeConservationHoldsAcrossAllProtocols) {
     // The invariants are external ledgers — they do not care which
     // transport carried the calls, so they must hold for every protocol
-    // the simulator speaks, serial and under parallel.threads = 4
-    // (where the fingerprint must also be byte-identical: the serving
-    // harness is single-shard by construction, the knob must be inert).
+    // the simulator speaks.
     for (Protocol kind : {Protocol::Homa, Protocol::Basic, Protocol::PHost,
                           Protocol::Pias, Protocol::PFabric, Protocol::Ndp}) {
         const RpcExperimentConfig cfg = hedgedServingConfig(kind);
-        const RpcExperimentResult serial = runRpcExperiment(cfg);
-        EXPECT_GT(serial.serving.logicalCompleted, 0u) << protocolName(kind);
-        EXPECT_GT(serial.serving.hedgesIssued, 0u)
+        const RpcExperimentResult r = runRpcExperiment(cfg);
+        EXPECT_GT(r.serving.logicalCompleted, 0u) << protocolName(kind);
+        EXPECT_GT(r.serving.hedgesIssued, 0u)
             << protocolName(kind) << ": hedges never armed — the ledger "
             << "tests would be vacuous";
-        expectLedgersBalance(serial, protocolName(kind));
-
-        RpcExperimentConfig par = cfg;
-        par.parallel.threads = 4;
-        const RpcExperimentResult threaded = runRpcExperiment(par);
-        expectLedgersBalance(threaded, protocolName(kind));
-        EXPECT_EQ(resultFingerprint(serial), resultFingerprint(threaded))
-            << protocolName(kind);
+        expectLedgersBalance(r, protocolName(kind));
     }
 }
 
@@ -682,6 +673,8 @@ TEST(ServingCli, RejectsContradictoryFlagsWithTargetedErrors) {
          "--workload does not apply to --tenants"},
         {std::string(kTenants) + " --load 0.5",
          "--load does not apply to --tenants"},
+        {std::string(kTenants) + " --sim-threads 4",
+         "--sim-threads does not apply to --tenants"},
     };
     for (const Case& c : cases) {
         EXPECT_EQ(runCli(c.args), 2) << c.args;

@@ -23,47 +23,96 @@
 namespace homa {
 namespace {
 
-// One parser under test: false with a reason, or true and the printer's
-// canonical form ("" where the grammar has no printer).
+// One parser under test: false with a reason, or true, the printer's
+// canonical form ("" where the grammar has no printer) and `value`, the
+// parsed fields written out exactly (durations in picoseconds, doubles in
+// hex), so equal values mean equal configs.
 struct Grammar {
     const char* name;
     std::function<bool(const std::string&, std::string& canonical,
-                       std::string* err)>
+                       std::string& value, std::string* err)>
         parse;
 };
 
+std::string fields(const FaultSpec& f) {
+    char b[256];
+    std::snprintf(b, sizeof(b), "%d %d %d at=%lld for=%lld %a %lld %a %d %lld",
+                  static_cast<int>(f.kind), static_cast<int>(f.targetKind),
+                  f.targetIndex, static_cast<long long>(f.at),
+                  static_cast<long long>(f.duration), f.bwFactor,
+                  static_cast<long long>(f.extraDelay), f.dropProb, f.count,
+                  static_cast<long long>(f.gap));
+    return b;
+}
+
+std::string fields(const std::vector<TenantConfig>& tenants) {
+    std::string out;
+    for (const TenantConfig& t : tenants) {
+        char b[160];
+        std::snprintf(b, sizeof(b), "%d %d %a %d %lld %d;",
+                      static_cast<int>(t.workload), static_cast<int>(t.mode),
+                      t.load, t.window, static_cast<long long>(t.think),
+                      t.clients);
+        out += t.name + " " + t.group + " " + b;
+    }
+    return out;
+}
+
+std::string fields(const std::vector<ReplicaGroupConfig>& groups) {
+    std::string out;
+    for (const ReplicaGroupConfig& g : groups) {
+        char b[160];
+        std::snprintf(b, sizeof(b), "%d %d %a %lld %d;", g.replicas,
+                      static_cast<int>(g.policy), g.hedgePercentile,
+                      static_cast<long long>(g.hedgeFloor),
+                      g.hedgeMinSamples);
+        out += g.name + " " + b;
+    }
+    return out;
+}
+
 const Grammar kGrammars[] = {
     {"scenario",
-     [](const std::string& s, std::string& canonical, std::string* err) {
+     [](const std::string& s, std::string& canonical, std::string& value,
+        std::string* err) {
          ScenarioConfig sc;
          canonical.clear();
+         value.clear();
          return scenarioFromSpec(s, sc, err);
      }},
     {"topo",
-     [](const std::string& s, std::string& canonical, std::string* err) {
+     [](const std::string& s, std::string& canonical, std::string& value,
+        std::string* err) {
          NetworkConfig net = NetworkConfig::fatTree144();
          canonical.clear();
+         value.clear();
          return parseTopoSpec(s, net, err);
      }},
     {"fault",
-     [](const std::string& s, std::string& canonical, std::string* err) {
+     [](const std::string& s, std::string& canonical, std::string& value,
+        std::string* err) {
          FaultSpec f;
          if (!parseFaultSpec(s, f, err)) return false;
          canonical = faultSpecToString(f);
+         value = fields(f);
          return true;
      }},
     {"tenants",
-     [](const std::string& s, std::string& canonical, std::string* err) {
+     [](const std::string& s, std::string& canonical, std::string& value,
+        std::string* err) {
          std::vector<TenantConfig> t;
          if (!parseTenantsSpec(s, t, err)) return false;
          canonical = tenantsSpecToString(t);
+         value = fields(t);
          return true;
      }},
     {"replicas",
-     [](const std::string& s, std::string& canonical, std::string* err) {
+     [](const std::string& s, std::string& canonical, std::string& value,
+        std::string* err) {
          std::vector<ReplicaGroupConfig> g;
          if (!parseReplicasSpec(s, g, err)) return false;
          canonical = replicasSpecToString(g);
+         value = fields(g);
          return true;
      }},
 };
@@ -77,8 +126,8 @@ const Grammar& grammar(const std::string& name) {
 
 std::string rejection(const std::string& grammarName,
                       const std::string& spec) {
-    std::string canonical, err;
-    EXPECT_FALSE(grammar(grammarName).parse(spec, canonical, &err))
+    std::string canonical, value, err;
+    EXPECT_FALSE(grammar(grammarName).parse(spec, canonical, value, &err))
         << grammarName << " accepted '" << spec << "'";
     EXPECT_FALSE(err.empty()) << spec;
     return err;
@@ -108,6 +157,9 @@ const std::pair<const char*, const char*> kSeeds[] = {
     {"fault", "kill=tor2,at=30ms"},
     {"fault", "degrade=host5,at=1ms,for=5ms,bw=0.25,delay=10us,drop=0.01"},
     {"fault", "flap-train=aggr1,at=10ms,count=5,gap=2ms,for=500us"},
+    // Sub-nanosecond and not-quite-exact durations.
+    {"fault", "flap=aggr0,at=1.009us,for=0.4ns"},
+    {"fault", "flap-train=tor1,at=2.5ns,count=3,gap=0.2ns,for=1.0005us"},
     {"tenants",
      "name=web,wl=W1,load=0.6,clients=4;name=batch,wl=W5,mode=closed,"
      "window=8,think_us=12.5,clients=2,group=bulk"},
@@ -118,8 +170,8 @@ const std::pair<const char*, const char*> kSeeds[] = {
 
 TEST(SpecGrammar, SeedsParse) {
     for (const auto& [name, spec] : kSeeds) {
-        std::string canonical, err;
-        EXPECT_TRUE(grammar(name).parse(spec, canonical, &err))
+        std::string canonical, value, err;
+        EXPECT_TRUE(grammar(name).parse(spec, canonical, value, &err))
             << name << " '" << spec << "': " << err;
     }
 }
@@ -148,10 +200,10 @@ TEST(SpecGrammar, RepeatedKeysAreRejectedInEveryGrammar) {
     EXPECT_NE(rejection("scenario", "uniform+topo:racks=2+topo:racks=3")
                   .find("at most one topo: segment"),
               std::string::npos);
-    std::string canonical;
+    std::string canonical, value;
     EXPECT_TRUE(grammar("scenario").parse(
         "uniform+fault:kill=aggr0,at=1ms+fault:kill=aggr1,at=2ms", canonical,
-        nullptr));
+        value, nullptr));
 }
 
 TEST(SpecGrammar, NumbersAreWholeTokens) {
@@ -281,8 +333,8 @@ TEST(SpecGrammar, MutantsAreRejectedWithAReasonOrRoundTrip) {
             std::string mutant = mutate(spec, rng);
             if (rng() % 2 == 0) mutant = mutate(mutant, rng);
             for (const Grammar& g : kGrammars) {
-                std::string canonical, err;
-                if (!g.parse(mutant, canonical, &err)) {
+                std::string canonical, value, err;
+                if (!g.parse(mutant, canonical, value, &err)) {
                     EXPECT_FALSE(err.empty())
                         << g.name << " '" << mutant << "' (from "
                         << seedGrammar << " seed)";
@@ -291,11 +343,14 @@ TEST(SpecGrammar, MutantsAreRejectedWithAReasonOrRoundTrip) {
                 }
                 accepted++;
                 if (canonical.empty()) continue;  // no printer
-                std::string again, why;
-                ASSERT_TRUE(g.parse(canonical, again, &why))
+                std::string again, againValue, why;
+                ASSERT_TRUE(g.parse(canonical, again, againValue, &why))
                     << g.name << " '" << mutant << "' printed '" << canonical
                     << "', which does not parse: " << why;
                 EXPECT_EQ(again, canonical) << g.name << " '" << mutant << "'";
+                EXPECT_EQ(againValue, value)
+                    << g.name << " '" << mutant << "' printed '" << canonical
+                    << "', which reads back as other values";
             }
         }
     }
@@ -326,8 +381,8 @@ TEST(SpecGrammar, EveryScenarioDocExampleParses) {
             const std::string spec = text.substr(begin, end - begin);
             // A placeholder such as `--topo <spec>` is not an example.
             if (spec.empty() || spec[0] == '<') continue;
-            std::string canonical, err;
-            EXPECT_TRUE(grammar(name).parse(spec, canonical, &err))
+            std::string canonical, value, err;
+            EXPECT_TRUE(grammar(name).parse(spec, canonical, value, &err))
                 << flag << spec << ": " << err;
             found++;
         }

@@ -1,69 +1,35 @@
 // CI perf-regression gate over the BENCH_*.json artifacts.
 //
-//   bench_compare [--tolerance F] <baseline.json> <current.json> [more pairs...]
-//   bench_compare --fidelity [--tolerance F] <artifact.json> [more...]
+//   bench_compare [--tolerance F] [--skip-missing-current]
+//                 <baseline.json> <current.json> [more pairs...]
+//   bench_compare --fidelity [--skip-missing-current] <artifact.json> [more...]
 //
-// Compares each current benchmark artifact against its checked-in
-// baseline (bench/baselines/) and exits non-zero when a hot-path metric
-// regressed by more than the tolerance (default 0.15 = 15%; override with
-// --tolerance or the HOMA_BENCH_TOLERANCE env var — CI uses a looser
-// value when baseline and current come from different machines).
+// Pair mode checks each current artifact against its checked-in baseline
+// (bench/baselines/) through every row that tools/bench_gates.h holds for
+// the baseline's "bench" field. --fidelity checks bare artifacts through
+// the rows that need no baseline. Either way the tool exits 1 when a row
+// fails. --tolerance (default 0.15 = 15%) bounds the rows that compare
+// with a baseline; CI uses a looser value when baseline and current come
+// from different machines. An artifact whose bench has no rows fails as
+// an "unrecognized schema", so a new BENCH_*.json cannot drop out of CI
+// unnoticed.
 //
-// When a speedup gate cannot run because the current machine is
-// core-starved, the skip is *written back* into the current artifact
-// ("speedup_gate_skipped": true plus a reason) so downstream consumers
-// (artifact uploads, bench_trajectory) see an explicit skip instead of a
-// silently ungated number.
+// A row skipped for lack of cores is written back into the current
+// artifact ("speedup_gate_skipped": true plus a reason), so downstream
+// consumers (artifact uploads, bench_trajectory) see an explicit skip
+// instead of a silently ungated number.
 //
-// The formats are recognized by content:
-//  * Google-benchmark JSON (bench_micro_sched -> BENCH_sched.json):
-//    per-benchmark cpu_time must not grow past baseline * (1 + tol), the
-//    fitted BigO cpu_coefficient likewise, and the complexity-class
-//    string must not change. Note: the micro benches *pin* their class
-//    via ->Complexity(oLogN), so big_o is declared metadata — a real
-//    complexity regression is caught by the large-N cpu_time entries and
-//    the fitted coefficient exploding, while the string equality only
-//    guards deliberate re-pinning. Baseline benchmarks that disappeared
-//    fail; new ones are ignored.
-//  * sweep_speedup JSON (BENCH_sweep.json): the 1-vs-N determinism flag
-//    must be true (a hard failure at any tolerance), and the parallel
-//    speedup must not drop below baseline * (1 - tol). The speedup gate
-//    is skipped when the current artifact reports < 2 hardware cores —
-//    a time-sliced runner measures the scheduler, not the sweep.
-//  * parallel_speedup JSON (BENCH_parallel.json, the in-simulation
-//    parallel engine): the serial-vs-parallel identity flag hard-fails
-//    at any tolerance; the speedup gate runs only on machines reporting
-//    >= 4 hardware cores (the bench's curve uses 4 workers).
-//  * fluid_speedup JSON (BENCH_fluid.json, the flow-level fast path):
-//    the all-packet identity flag hard-fails at any tolerance, the
-//    hybrid speedup must clear a 10x floor (both runs are serial on the
-//    same machine, so the ratio is immune to core starvation) and must
-//    not drop below baseline * (1 - tol).
-//  * serving JSON (BENCH_serving.json, the multi-tenant RPC serving
-//    harness): the hedge-conservation / serial-vs-parallel / sweep
-//    identity flags hard-fail at any tolerance, power-of-two-choices
-//    p99 slowdown must stay *strictly below* random selection, and the
-//    p2c tail must not drift past baseline * (1 + tol). All numbers are
-//    deterministic simulation outputs, so no core-count escape applies.
-//
-// In both pairing modes an artifact whose schema the gate does not
-// recognize is a FAILURE with an "unrecognized schema" message, never a
-// silent skip — a new BENCH_*.json cannot drop out of CI unnoticed.
-//
-// --fidelity mode takes bare artifacts (no baseline pairing), dispatches
-// on the "bench" field (fluid_speedup -> fidelity bands, serving -> its
-// self-contained hard gates), and gates
-// each fluid_speedup artifact's "fidelity" entries self-contained: the
-// hybrid run's overall slowdown p50 must stay within --tolerance
-// (default 0.25 in this mode) of the packet run's, and the hybrid p99
-// within a fixed 2.5x band either way — the fluid model's max-min
-// sharing legitimately reshapes the tail that Homa's SRPT compresses,
-// and the band is where the FluidFidelity unit suite pins it. Both runs
-// are simulations, so the numbers are machine-independent and the bands
-// need no cross-machine slack.
+// Google Benchmark artifacts (bench_micro_sched -> BENCH_sched.json) are
+// read per entry: each benchmark's cpu_time must not grow past baseline
+// * (1 + tol), the fitted BigO cpu_coefficient likewise, and the
+// complexity-class string must not change. The micro benches pin their
+// class via ->Complexity(oLogN), so a real complexity regression shows
+// in the large-N cpu_time entries and the fitted coefficient, while the
+// string equality only guards deliberate re-pinning. Baseline benchmarks
+// that disappeared fail; new ones are ignored.
 //
 // Standard library only — this tool must build with a bare g++ in CI.
-#include <cmath>
+#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -75,13 +41,13 @@
 #include <vector>
 
 #include "../src/driver/json.h"
+#include "bench_gates.h"
 
 namespace {
 
 using homa::json::Json;
 using homa::json::loadJson;
-
-// ------------------------------------------------------------ comparing
+using namespace homa::gates;
 
 int failures = 0;
 
@@ -95,12 +61,9 @@ void fail(const char* fmt, ...) {
     failures++;
 }
 
-/// Satellite of the speedup gates: when one is skipped (core-starved
-/// runner), record the skip *inside the compared artifact* so whoever
-/// consumes it downstream (CI artifact uploads, bench_trajectory) sees
-/// "this number was never gated" instead of a silent pass. Inserts
-/// "speedup_gate_skipped": true and the reason before the closing brace;
-/// idempotent, and best-effort — a read-only artifact only loses the
+/// Records a skipped row inside the compared artifact: inserts
+/// "speedup_gate_skipped": true and the reason before the closing brace.
+/// Idempotent, and best-effort — a read-only artifact only loses the
 /// annotation, not the gate's exit code.
 void annotateSkip(const std::string& curPath, const std::string& reason) {
     std::ifstream in(curPath);
@@ -142,9 +105,8 @@ std::map<std::string, const Json*> benchmarksByName(const Json& doc,
 void compareGoogleBenchmark(const std::string& basePath, const Json& base,
                             const std::string& curPath, const Json& cur,
                             double tolerance) {
-    const auto baseIters = benchmarksByName(base, "iteration");
     const auto curIters = benchmarksByName(cur, "iteration");
-    for (const auto& [name, b] : baseIters) {
+    for (const auto& [name, b] : benchmarksByName(base, "iteration")) {
         const auto it = curIters.find(name);
         if (it == curIters.end()) {
             fail("%s: benchmark '%s' present in baseline %s but missing",
@@ -166,13 +128,11 @@ void compareGoogleBenchmark(const std::string& basePath, const Json& base,
                         100.0 * (ratio - 1.0));
         }
     }
-    // BigO aggregates. The class string is pinned by the bench source, so
-    // its equality only guards deliberate re-pinning; the *fitted*
-    // coefficient is a measurement — a complexity regression inflates it
-    // (the fit is dominated by the largest N) far beyond any tolerance.
-    const auto baseAggr = benchmarksByName(base, "aggregate");
+    // BigO aggregates: a complexity regression inflates the fitted
+    // coefficient (the fit is dominated by the largest N) far beyond any
+    // tolerance.
     const auto curAggr = benchmarksByName(cur, "aggregate");
-    for (const auto& [name, b] : baseAggr) {
+    for (const auto& [name, b] : benchmarksByName(base, "aggregate")) {
         if (b->str("aggregate_name") != "BigO") continue;
         const auto it = curAggr.find(name);
         if (it == curAggr.end()) {
@@ -203,217 +163,71 @@ void compareGoogleBenchmark(const std::string& basePath, const Json& base,
     }
 }
 
-void compareSweep(const std::string& basePath, const Json& base,
-                  const std::string& curPath, const Json& cur,
-                  double tolerance) {
-    const Json* identical = cur.get("results_identical_across_thread_counts");
-    if (identical == nullptr || identical->kind != Json::Bool ||
-        !identical->boolean) {
-        fail("%s: results_identical_across_thread_counts is not true — the "
-             "parallel sweep runner broke determinism", curPath.c_str());
-    } else {
-        std::printf("ok: sweep results identical across thread counts\n");
+/// `key`'s number in `doc`, or a failure naming the key and the file.
+bool readNumber(const std::string& path, const Json& doc, const char* key,
+                double& out) {
+    const Json* v = doc.get(key);
+    if (v == nullptr || v->kind != Json::Number) {
+        fail("%s: '%s' is missing or not a number", path.c_str(), key);
+        return false;
     }
-    // A single-core runner cannot show parallel speedup — the two passes
-    // time-slice one CPU and the "parallel" run merely adds scheduling
-    // overhead (historically measured ~0.8x). The artifact records the
-    // core count precisely so this gate can tell a starved machine from a
-    // real regression; artifacts predating the field (no hardware_cores
-    // key) are still gated.
-    const Json* cores = cur.get("hardware_cores");
-    if (cores != nullptr && cores->kind == Json::Number &&
-        cores->number < 2) {
-        char reason[128];
+    out = v->number;
+    return true;
+}
+
+/// Applies one row to the current artifact (and, for the rows that need
+/// one, its baseline).
+void check(const Gate& g, const std::string& curPath, const Json& cur,
+           const std::string& basePath, const Json& base, double tolerance) {
+    const char* path = curPath.c_str();
+    // An artifact that does not record its core count is gated.
+    const double cores = cur.num("hardware_cores", g.minCores);
+    if (cores < g.minCores) {
+        char reason[160];
         std::snprintf(reason, sizeof(reason),
-                      "sweep speedup gate needs >= 2 hardware cores, "
-                      "runner had %.0f", cores->number);
+                      "%s %s gate needs >= %d hardware cores, runner had "
+                      "%.0f", g.bench, g.key, g.minCores, cores);
         std::printf("skip: %s\n", reason);
         annotateSkip(curPath, reason);
         return;
     }
-    const double baseSpeedup = base.num("speedup");
-    const double curSpeedup = cur.num("speedup");
-    if (baseSpeedup > 0) {
-        if (curSpeedup < baseSpeedup * (1.0 - tolerance)) {
-            fail("%s: sweep speedup %.3f vs baseline %.3f in %s "
-                 "(tolerance %.0f%%)",
-                 curPath.c_str(), curSpeedup, baseSpeedup, basePath.c_str(),
-                 100.0 * tolerance);
-        } else {
-            std::printf("ok: sweep speedup %.3f vs baseline %.3f\n",
-                        curSpeedup, baseSpeedup);
-        }
-    }
-}
-
-void compareParallel(const std::string& basePath, const Json& base,
-                     const std::string& curPath, const Json& cur,
-                     double tolerance) {
-    // Identity first: a parallel run that diverges from serial is a
-    // correctness bug, failed at any tolerance.
-    const Json* identical = cur.get("results_identical_across_thread_counts");
-    if (identical == nullptr || identical->kind != Json::Bool ||
-        !identical->boolean) {
-        fail("%s: results_identical_across_thread_counts is not true — the "
-             "parallel simulation engine broke determinism", curPath.c_str());
-    } else {
-        std::printf("ok: parallel simulation identical to serial at every "
-                    "thread count\n");
-    }
-    // Speedup is hardware-dependent: only gate it where the engine had at
-    // least 4 real cores to spread shards over (the curve runs 4 workers).
-    const double cores = cur.num("hardware_cores");
-    if (cores < 4) {
-        char reason[128];
-        std::snprintf(reason, sizeof(reason),
-                      "parallel speedup gate needs >= 4 hardware cores, "
-                      "runner had %.0f", cores);
-        std::printf("skip: %s\n", reason);
-        annotateSkip(curPath, reason);
-        return;
-    }
-    const double baseSpeedup = base.num("speedup");
-    const double curSpeedup = cur.num("speedup");
-    if (baseSpeedup > 0) {
-        if (curSpeedup < baseSpeedup * (1.0 - tolerance)) {
-            fail("%s: parallel engine speedup %.3f vs baseline %.3f in %s "
-                 "(tolerance %.0f%%)",
-                 curPath.c_str(), curSpeedup, baseSpeedup, basePath.c_str(),
-                 100.0 * tolerance);
-        } else {
-            std::printf("ok: parallel engine speedup %.3f vs baseline %.3f\n",
-                        curSpeedup, baseSpeedup);
-        }
-    }
-}
-
-void compareFluid(const std::string& basePath, const Json& base,
-                  const std::string& curPath, const Json& cur,
-                  double tolerance) {
-    // Identity first: an "all-packet" threshold that changes results
-    // means the interception hook is not transparent — a correctness
-    // bug, failed at any tolerance.
-    const Json* identical = cur.get("all_packet_identical");
-    if (identical == nullptr || identical->kind != Json::Bool ||
-        !identical->boolean) {
-        fail("%s: all_packet_identical is not true — a never-admitting "
-             "fluid threshold must replay byte-identical to a run "
-             "without the engine", curPath.c_str());
-    } else {
-        std::printf("ok: all-packet fluid threshold byte-identical to "
-                    "disabled engine\n");
-    }
-    // The 10x floor is the headline claim; serial-vs-serial on one
-    // machine, so no core-count escape hatch applies.
-    const double curSpeedup = cur.num("speedup");
-    constexpr double kFloor = 10.0;
-    if (curSpeedup < kFloor) {
-        fail("%s: fluid speedup %.1fx at %.0f hosts is below the %.0fx "
-             "floor", curPath.c_str(), curSpeedup, cur.num("hosts"),
-             kFloor);
-    } else {
-        std::printf("ok: fluid speedup %.1fx at %.0f hosts (floor %.0fx)\n",
-                    curSpeedup, cur.num("hosts"), kFloor);
-    }
-    const double baseSpeedup = base.num("speedup");
-    if (baseSpeedup > 0) {
-        if (curSpeedup < baseSpeedup * (1.0 - tolerance)) {
-            fail("%s: fluid speedup %.3f vs baseline %.3f in %s "
-                 "(tolerance %.0f%%)",
-                 curPath.c_str(), curSpeedup, baseSpeedup, basePath.c_str(),
-                 100.0 * tolerance);
-        } else {
-            std::printf("ok: fluid speedup %.3f vs baseline %.3f\n",
-                        curSpeedup, baseSpeedup);
-        }
-    }
-}
-
-/// Serving hard gates, shared by the pair-mode compare and --fidelity:
-/// identity/conservation flags hard-fail at any tolerance, and the
-/// headline power-of-two-choices claim — p2c p99 slowdown strictly below
-/// random — is self-contained (both numbers are deterministic simulation
-/// outputs recorded side by side in the artifact).
-void checkServingGates(const std::string& path, const Json& doc) {
-    for (const char* flag :
-         {"hedge_conservation_holds", "serial_parallel_identical",
-          "sweep_identical"}) {
-        const Json* v = doc.get(flag);
+    if (g.rule == Rule::True) {
+        const Json* v = cur.get(g.key);
         if (v == nullptr || v->kind != Json::Bool || !v->boolean) {
-            fail("%s: %s is not true — the serving harness broke its "
-                 "invariants", path.c_str(), flag);
+            fail("%s: %s is not true — %s", path, g.key, g.reason);
         } else {
-            std::printf("ok: %s\n", flag);
+            std::printf("ok: %s\n", g.key);
         }
-    }
-    const double p2cP99 = doc.num("p2c_p99_slowdown");
-    const double randP99 = doc.num("random_p99_slowdown");
-    if (p2cP99 <= 0 || randP99 <= 0) {
-        fail("%s: missing p2c/random p99 slowdown metrics", path.c_str());
-    } else if (p2cP99 >= randP99) {
-        fail("%s: power-of-two-choices p99 slowdown %.3f is not strictly "
-             "below random %.3f — the selector lost its tail win",
-             path.c_str(), p2cP99, randP99);
-    } else {
-        std::printf("ok: p2c p99 slowdown %.3f < random %.3f "
-                    "(tail win %.2fx)\n", p2cP99, randP99, randP99 / p2cP99);
-    }
-}
-
-void compareServing(const std::string& basePath, const Json& base,
-                    const std::string& curPath, const Json& cur,
-                    double tolerance) {
-    checkServingGates(curPath, cur);
-    // Baseline drift: the simulated tail numbers are machine-independent
-    // (no wall clock involved), so the tolerance guards intentional
-    // harness changes, not runner noise.
-    const double bas04 = base.num("p2c_p99_slowdown");
-    const double cur04 = cur.num("p2c_p99_slowdown");
-    if (bas04 > 0 && cur04 > bas04 * (1.0 + tolerance)) {
-        fail("%s: p2c p99 slowdown %.3f vs baseline %.3f in %s "
-             "(%.0f%% worse, tolerance %.0f%%)",
-             curPath.c_str(), cur04, bas04, basePath.c_str(),
-             100.0 * (cur04 / bas04 - 1.0), 100.0 * tolerance);
-    } else if (bas04 > 0) {
-        std::printf("ok: p2c p99 slowdown %.3f vs baseline %.3f\n", cur04,
-                    bas04);
-    }
-}
-
-/// --fidelity: gate one fluid_speedup artifact's hybrid-vs-packet
-/// slowdown percentiles, self-contained (both numbers are simulation
-/// outputs recorded side by side in the artifact).
-void checkFidelity(const std::string& path, const Json& doc,
-                   double p50Tolerance) {
-    constexpr double kP99Band = 2.5;
-    const Json* list = doc.get("fidelity");
-    if (list == nullptr || list->kind != Json::Array || list->items.empty()) {
-        fail("%s: no fidelity entries to gate", path.c_str());
         return;
     }
-    for (const Json& e : list->items) {
-        const std::string name = e.str("scenario");
-        const double pp50 = e.num("packet_p50");
-        const double hp50 = e.num("hybrid_p50");
-        const double pp99 = e.num("packet_p99");
-        const double hp99 = e.num("hybrid_p99");
-        if (pp50 <= 0 || pp99 <= 0) {
-            fail("%s: '%s' has non-positive packet percentiles",
-                 path.c_str(), name.c_str());
-            continue;
-        }
-        if (std::fabs(hp50 - pp50) > p50Tolerance * pp50) {
-            fail("%s: '%s' fidelity drift at p50: hybrid %.3f vs packet "
-                 "%.3f (tolerance %.0f%%)", path.c_str(), name.c_str(),
-                 hp50, pp50, 100.0 * p50Tolerance);
-        } else if (hp99 > pp99 * kP99Band || hp99 < pp99 / kP99Band) {
-            fail("%s: '%s' fidelity drift at p99: hybrid %.3f vs packet "
-                 "%.3f (band %.1fx)", path.c_str(), name.c_str(), hp99,
-                 pp99, kP99Band);
+    double value = 0, other = 0;
+    if (!readNumber(curPath, cur, g.key, value)) return;
+    if (g.rule == Rule::AtLeast) {
+        if (value < g.bound) {
+            fail("%s: %s %.3f is below the %gx floor — %s", path, g.key,
+                 value, g.bound, g.reason);
         } else {
-            std::printf("ok: %-12s p50 %.3f vs %.3f, p99 %.3f vs %.3f "
-                        "(hybrid vs packet)\n", name.c_str(), hp50, pp50,
-                        hp99, pp99);
+            std::printf("ok: %s %.3f (floor %g)\n", g.key, value, g.bound);
+        }
+    } else if (g.rule == Rule::Below) {
+        if (!readNumber(curPath, cur, g.than, other)) return;
+        if (value >= other) {
+            fail("%s: %s %.3f is not strictly below %s %.3f — %s", path,
+                 g.key, value, g.than, other, g.reason);
+        } else {
+            std::printf("ok: %s %.3f < %s %.3f\n", g.key, value, g.than,
+                        other);
+        }
+    } else if (readNumber(basePath, base, g.key, other)) {
+        const bool drop = g.rule == Rule::NoDrop;
+        if (drop ? value < other * (1.0 - tolerance)
+                 : value > other * (1.0 + tolerance)) {
+            fail("%s: %s %.3f vs baseline %.3f in %s (%+.0f%%, tolerance "
+                 "%.0f%%) — %s", path, g.key, value, other, basePath.c_str(),
+                 100.0 * (value / other - 1.0), 100.0 * tolerance, g.reason);
+        } else {
+            std::printf("ok: %s %.3f vs baseline %.3f\n", g.key, value,
+                        other);
         }
     }
 }
@@ -423,48 +237,27 @@ void checkFidelity(const std::string& path, const Json& doc,
                  "usage: bench_compare [--tolerance F] "
                  "[--skip-missing-current] "
                  "<baseline.json> <current.json> [more pairs...]\n"
-                 "       bench_compare --fidelity [--tolerance F] "
+                 "       bench_compare --fidelity [--skip-missing-current] "
                  "<artifact.json> [more...]\n");
     std::exit(2);
-}
-
-bool parseTolerance(const char* text, double& out) {
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(v >= 0) || v > 10) return false;
-    out = v;
-    return true;
-}
-
-bool fileExists(const std::string& path) {
-    std::ifstream in(path);
-    return static_cast<bool>(in);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     double tolerance = 0.15;
-    bool toleranceSet = false;
     bool skipMissingCurrent = false;
     bool fidelity = false;
-    if (const char* env = std::getenv("HOMA_BENCH_TOLERANCE")) {
-        if (!parseTolerance(env, tolerance)) {
-            std::fprintf(stderr,
-                         "bench_compare: HOMA_BENCH_TOLERANCE must be a "
-                         "number in [0, 10], got '%s'\n", env);
-            return 2;
-        }
-        toleranceSet = true;
-    }
     std::vector<std::string> paths;
     for (int i = 1; i < argc; i++) {
         if (std::strcmp(argv[i], "--tolerance") == 0) {
-            if (i + 1 >= argc || !parseTolerance(argv[i + 1], tolerance)) {
+            char* end = nullptr;
+            if (i + 1 >= argc) usage();
+            tolerance = std::strtod(argv[++i], &end);
+            if (end == argv[i] || *end != '\0' || !(tolerance >= 0) ||
+                tolerance > 10) {
                 usage();
             }
-            toleranceSet = true;
-            i++;
         } else if (std::strcmp(argv[i], "--skip-missing-current") == 0) {
             skipMissingCurrent = true;
         } else if (std::strcmp(argv[i], "--fidelity") == 0) {
@@ -473,88 +266,56 @@ int main(int argc, char** argv) {
             paths.push_back(argv[i]);
         }
     }
-    if (paths.empty()) usage();
+    // Pair mode reads (baseline, current) pairs; --fidelity bare artifacts.
+    const size_t step = fidelity ? 1 : 2;
+    if (paths.empty() || paths.size() % step != 0) usage();
 
-    if (fidelity) {
-        // Fidelity bands are simulation-vs-simulation, so the default is
-        // the unit suite's p50 band, not the cross-machine perf default.
-        const double p50Tol = toleranceSet ? tolerance : 0.25;
-        for (const std::string& path : paths) {
-            if (skipMissingCurrent && !fileExists(path)) {
-                std::printf("skip: %s not present (benches have not run "
-                            "on this machine)\n", path.c_str());
-                continue;
-            }
-            Json doc;
-            if (!loadJson(path, doc)) {
-                failures++;
-                continue;
-            }
-            std::printf("--- fidelity gate: %s (p50 tolerance %.0f%%) ---\n",
-                        path.c_str(), 100.0 * p50Tol);
-            // Dispatch on the artifact's declared schema; an artifact the
-            // gate does not understand is a failure, not a silent skip —
-            // otherwise a new BENCH_*.json drops out of CI unnoticed.
-            const std::string kind = doc.str("bench");
-            if (kind == "fluid_speedup") {
-                checkFidelity(path, doc, p50Tol);
-            } else if (kind == "serving") {
-                checkServingGates(path, doc);
-            } else {
-                fail("%s: unrecognized schema '%s' — artifact not gated "
-                     "(teach bench_compare its format or drop it)",
-                     path.c_str(), kind.c_str());
-            }
-        }
-        if (failures > 0) {
-            std::fprintf(stderr, "bench_compare: %d fidelity failure(s)\n",
-                         failures);
-            return 1;
-        }
-        std::printf("bench_compare: all fidelity bands hold\n");
-        return 0;
-    }
-
-    if (paths.size() % 2 != 0) usage();
-
-    for (size_t i = 0; i < paths.size(); i += 2) {
-        const std::string& basePath = paths[i];
-        const std::string& curPath = paths[i + 1];
+    for (size_t i = 0; i < paths.size(); i += step) {
+        const std::string basePath = fidelity ? "" : paths[i];
+        const std::string& curPath = paths[i + step - 1];
         // ctest registers the gate against the gitignored bench outputs,
         // which a fresh checkout does not have — skipping (loudly) beats
         // freezing a fallback path at configure time.
-        if (skipMissingCurrent && !fileExists(curPath)) {
+        if (skipMissingCurrent && !std::ifstream(curPath)) {
             std::printf("skip: %s not present (benches have not run on "
                         "this machine)\n", curPath.c_str());
             continue;
         }
         Json base, cur;
-        if (!loadJson(basePath, base) || !loadJson(curPath, cur)) {
+        if ((!fidelity && !loadJson(basePath, base)) ||
+            !loadJson(curPath, cur)) {
             failures++;
             continue;
         }
-        std::printf("--- %s vs baseline %s (tolerance %.0f%%) ---\n",
-                    curPath.c_str(), basePath.c_str(), 100.0 * tolerance);
-        if (base.get("benchmarks") != nullptr) {
-            compareGoogleBenchmark(basePath, base, curPath, cur, tolerance);
-        } else if (base.str("bench") == "sweep_speedup") {
-            compareSweep(basePath, base, curPath, cur, tolerance);
-        } else if (base.str("bench") == "parallel_speedup") {
-            compareParallel(basePath, base, curPath, cur, tolerance);
-        } else if (base.str("bench") == "fluid_speedup") {
-            compareFluid(basePath, base, curPath, cur, tolerance);
-        } else if (base.str("bench") == "serving") {
-            compareServing(basePath, base, curPath, cur, tolerance);
+        if (fidelity) {
+            std::printf("--- %s (rows that need no baseline) ---\n",
+                        curPath.c_str());
         } else {
-            fail("%s: unrecognized schema '%s' — artifact not gated "
-                 "(teach bench_compare its format or drop it)",
-                 basePath.c_str(), base.str("bench").c_str());
+            std::printf("--- %s vs baseline %s (tolerance %.0f%%) ---\n",
+                        curPath.c_str(), basePath.c_str(), 100.0 * tolerance);
+        }
+        if (!fidelity && base.get("benchmarks") != nullptr) {
+            compareGoogleBenchmark(basePath, base, curPath, cur, tolerance);
+            continue;
+        }
+        const std::string bench = (fidelity ? cur : base).str("bench");
+        if (!hasGates(bench)) {
+            fail("%s: unrecognized schema '%s' — artifact not gated (add "
+                 "its rows to tools/bench_gates.h or drop it)",
+                 (fidelity ? curPath : basePath).c_str(), bench.c_str());
+            continue;
+        }
+        for (const Gate& g : kGates) {
+            if (bench != g.bench || (fidelity && needsBaseline(g.rule))) {
+                continue;
+            }
+            check(g, curPath, cur, basePath, base, tolerance);
         }
     }
     if (failures > 0) {
-        std::fprintf(stderr, "bench_compare: %d regression(s)\n", failures);
+        std::fprintf(stderr, "bench_compare: %d failure(s)\n", failures);
         return 1;
     }
-    std::printf("bench_compare: all metrics within tolerance\n");
+    std::printf("bench_compare: every gate holds\n");
     return 0;
 }

@@ -14,14 +14,13 @@
 // gate was skipped (core-starved runner; bench_compare writes the
 // "speedup_gate_skipped" annotation) are marked, not silently mixed in.
 //
-// Metrics: artifacts with a "bench" field contribute their scalar
-// headline numbers (speedup, wall_seconds_*, the serving harness's
-// p2c/random tail percentiles); google-benchmark artifacts contribute
-// per-benchmark cpu_time (capped at 6 columns — the report says what
-// was dropped). A missing artifact in some run shows as "—". An
-// artifact matching no known schema gets a per-file "unrecognized
-// schema" warning on stderr plus a note in the report — never a silent
-// empty row.
+// Metrics: artifacts with a "bench" field contribute every numeric
+// top-level field; google-benchmark artifacts contribute per-benchmark
+// cpu_time (capped at 6 columns — the report says what was dropped). A
+// missing artifact in some run shows as "—". An artifact whose bench has
+// no rows in the gate table (tools/bench_gates.h) gets a per-file
+// "unrecognized schema" warning on stderr plus a note in the report, so
+// an ungated artifact never passes as a tracked one.
 //
 // Standard library only — this tool must build with a bare g++ in CI.
 #include <algorithm>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "../src/driver/json.h"
+#include "bench_gates.h"
 
 namespace fs = std::filesystem;
 using homa::json::Json;
@@ -50,41 +50,25 @@ struct ArtifactRun {
     std::string skipReason;
 };
 
-/// `recognized` reports whether the document matched a known schema at
-/// all (a "bench"-tagged artifact carrying at least one known headline
-/// key, or a google-benchmark artifact). An unrecognized artifact must
-/// be *warned about*, not silently rendered as empty columns — that is
-/// how a new BENCH_*.json silently falls out of the report.
-Metrics extractMetrics(const Json& doc, int& droppedColumns,
-                       bool& recognized) {
+/// The artifact's headline metrics: per-benchmark cpu_time for Google
+/// Benchmark output (capped at 6 columns), else every numeric top-level
+/// field.
+Metrics extractMetrics(const Json& doc, int& droppedColumns) {
     Metrics out;
-    recognized = false;
-    if (doc.get("bench") != nullptr) {
-        static const char* kHeadline[] = {
-            "speedup", "wall_seconds_packet", "wall_seconds_hybrid",
-            "wall_seconds_1_thread", "wall_seconds_parallel",
-            "p2c_p99_slowdown", "random_p99_slowdown", "tail_win",
-        };
-        for (const char* key : kHeadline) {
-            const Json* v = doc.get(key);
-            if (v != nullptr && v->kind == Json::Number) {
-                out.emplace_back(key, v->number);
-            }
+    const Json* list = doc.get("benchmarks");
+    if (list == nullptr || list->kind != Json::Array) {
+        for (const auto& [key, v] : doc.fields) {
+            if (v.kind == Json::Number) out.emplace_back(key, v.number);
         }
-        recognized = !out.empty();
         return out;
     }
-    const Json* list = doc.get("benchmarks");
-    if (list != nullptr && list->kind == Json::Array) {
-        recognized = true;
-        for (const Json& b : list->items) {
-            if (b.str("run_type") != "iteration") continue;
-            if (out.size() >= 6) {
-                droppedColumns++;
-                continue;
-            }
-            out.emplace_back(b.str("name") + " cpu ns", b.num("cpu_time"));
+    for (const Json& b : list->items) {
+        if (b.str("run_type") != "iteration") continue;
+        if (out.size() >= 6) {
+            droppedColumns++;
+            continue;
         }
+        out.emplace_back(b.str("name") + " cpu ns", b.num("cpu_time"));
     }
     return out;
 }
@@ -156,13 +140,12 @@ int main(int argc, char** argv) {
             runsOf.resize(runs.size());
             ArtifactRun& slot = runsOf[r];
             slot.present = true;
-            bool recognized = false;
-            slot.metrics = extractMetrics(doc, droppedColumns, recognized);
-            if (!recognized) {
+            slot.metrics = extractMetrics(doc, droppedColumns);
+            if (doc.get("benchmarks") == nullptr &&
+                !homa::gates::hasGates(doc.str("bench"))) {
                 std::fprintf(stderr,
                              "bench_trajectory: %s: unrecognized schema — "
-                             "no headline metrics extracted (teach "
-                             "extractMetrics its keys)\n",
+                             "no rows in tools/bench_gates.h\n",
                              e.path().string().c_str());
                 unrecognized++;
             }
@@ -182,21 +165,17 @@ int main(int argc, char** argv) {
     }
 
     std::string md = "# Benchmark trajectory\n\n";
-    {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "%zu run(s), oldest first. Deltas are vs the "
-                      "previous run carrying the metric.\n", runs.size());
-        md += buf;
-    }
+    md += std::to_string(runs.size()) +
+          " run(s), oldest first. Deltas are vs the previous run carrying "
+          "the metric.\n";
     if (parseFailures > 0) {
         md += "\n> " + std::to_string(parseFailures) +
               " artifact file(s) failed to parse and were dropped.\n";
     }
     if (unrecognized > 0) {
         md += "\n> " + std::to_string(unrecognized) +
-              " artifact file(s) had an unrecognized schema (no headline "
-              "metrics extracted); their rows are empty.\n";
+              " artifact file(s) had an unrecognized schema (no rows in "
+              "tools/bench_gates.h); their numbers were never gated.\n";
     }
 
     for (const auto& [artifact, perRun] : series) {
@@ -204,11 +183,10 @@ int main(int argc, char** argv) {
         // Column set: union of metric names, first-seen order.
         std::vector<std::string> columns;
         for (const ArtifactRun& ar : perRun) {
-            for (const auto& [name, value] : ar.metrics) {
-                (void)value;
-                if (std::find(columns.begin(), columns.end(), name) ==
+            for (const auto& metric : ar.metrics) {
+                if (std::find(columns.begin(), columns.end(), metric.first) ==
                     columns.end()) {
-                    columns.push_back(name);
+                    columns.push_back(metric.first);
                 }
             }
         }
