@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include "sim/parse.h"
@@ -60,6 +59,15 @@ namespace {
 uint64_t& pointSeed(ExperimentConfig& p) { return p.traffic.seed; }
 uint64_t& pointSeed(RpcExperimentConfig& p) { return p.seed; }
 
+void setSimThreads(std::vector<ExperimentConfig>& points, int n) {
+    for (ExperimentConfig& p : points) p.parallel.threads = n;
+}
+void setSimThreads(std::vector<RpcExperimentConfig>&, int) {
+    throw std::invalid_argument(
+        "simThreads does not apply to RPC sweeps: the RPC harness runs "
+        "every point on one shard");
+}
+
 template <typename Config>
 void applySweepOptions(std::vector<Config>& points, const SweepOptions& opts) {
     if (opts.deriveSeeds) {
@@ -67,15 +75,7 @@ void applySweepOptions(std::vector<Config>& points, const SweepOptions& opts) {
             pointSeed(points[i]) = deriveSweepSeed(opts.baseSeed, i);
         }
     }
-    if constexpr (std::is_same_v<Config, RpcExperimentConfig>) {
-        if (opts.simThreads > 0) {
-            throw std::invalid_argument(
-                "simThreads does not apply to RPC sweeps: the RPC harness "
-                "runs every point on one shard");
-        }
-    } else if (opts.simThreads > 0) {
-        for (Config& p : points) p.parallel.threads = opts.simThreads;
-    }
+    if (opts.simThreads > 0) setSimThreads(points, opts.simThreads);
 }
 
 // Pre-build the workload caches a point reads. Serving points may touch

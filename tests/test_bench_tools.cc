@@ -226,6 +226,35 @@ TEST(BenchCompareCli, ServingFidelityModeIsSelfContained) {
         << out;
 }
 
+TEST(BenchCompareCli, ServingGateFailsARunThatCompletedNoCall) {
+    // A percentile over no samples reads 0: below random and never above
+    // the baseline, so only the slowdown floor of 1 catches it.
+    const std::string base = tempPath("serving_empty_base.json");
+    const std::string cur = tempPath("serving_empty_cur.json");
+    writeFile(base, kServingArtifact);
+    for (const std::string field : {"\"p2c_p99_slowdown\": 1.85",
+                                     "\"random_p99_slowdown\": 1.96"}) {
+        std::string empty = kServingArtifact;
+        empty.replace(empty.find(field), field.size(),
+                      field.substr(0, field.find(':')) + ": 0");
+        writeFile(cur, empty);
+        std::string out;
+        EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, base + " " + cur, &out), 1)
+            << field;
+        EXPECT_NE(out.find("completed no call"), std::string::npos) << out;
+        EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN, "--fidelity " + cur), 1)
+            << field;
+    }
+}
+
+TEST(BenchCompareCli, FidelityModeRejectsATolerance) {
+    // No baseline-free row reads a tolerance, so passing one is an error.
+    const std::string healthy = tempPath("serving_fid_tol.json");
+    writeFile(healthy, kServingArtifact);
+    EXPECT_EQ(runTool(HOMA_BENCH_COMPARE_BIN,
+                      "--fidelity --tolerance 0.5 " + healthy), 2);
+}
+
 TEST(BenchCompareCli, UnrecognizedSchemaIsAFailureNotASilentSkip) {
     // A new BENCH_*.json with a schema the gate does not know must fail
     // loudly in both modes — this is how BENCH_serving.json was added

@@ -9,8 +9,8 @@
 // the baseline's "bench" field. --fidelity checks bare artifacts through
 // the rows that need no baseline. Either way the tool exits 1 when a row
 // fails. --tolerance (default 0.15 = 15%) bounds the rows that compare
-// with a baseline; CI uses a looser value when baseline and current come
-// from different machines. An artifact whose bench has no rows fails as
+// with a baseline, so --fidelity rejects it; CI uses a looser value when
+// baseline and current come from different machines. An artifact whose bench has no rows fails as
 // an "unrecognized schema", so a new BENCH_*.json cannot drop out of CI
 // unnoticed.
 //
@@ -29,7 +29,6 @@
 // that disappeared fail; new ones are ignored.
 //
 // Standard library only — this tool must build with a bare g++ in CI.
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -74,12 +73,8 @@ void annotateSkip(const std::string& curPath, const std::string& reason) {
     if (text.find("\"speedup_gate_skipped\"") != std::string::npos) return;
     const size_t brace = text.rfind('}');
     if (brace == std::string::npos) return;
-    // Comma unless the object is empty.
-    size_t last = brace;
-    while (last > 0 && std::isspace(static_cast<unsigned char>(
-                           text[last - 1])) != 0) {
-        last--;
-    }
+    // Comma unless the object is empty (npos + 1 wraps to 0).
+    const size_t last = text.find_last_not_of(" \t\r\n", brace - 1) + 1;
     const bool needComma = last > 0 && text[last - 1] != '{';
     std::string note = needComma ? ",\n" : "\n";
     note += "  \"speedup_gate_skipped\": true,\n";
@@ -192,8 +187,7 @@ void check(const Gate& g, const std::string& curPath, const Json& cur,
         return;
     }
     if (g.rule == Rule::True) {
-        const Json* v = cur.get(g.key);
-        if (v == nullptr || v->kind != Json::Bool || !v->boolean) {
+        if (!cur.boolean_(g.key, false)) {
             fail("%s: %s is not true — %s", path, g.key, g.reason);
         } else {
             std::printf("ok: %s\n", g.key);
@@ -246,6 +240,7 @@ void check(const Gate& g, const std::string& curPath, const Json& cur,
 
 int main(int argc, char** argv) {
     double tolerance = 0.15;
+    bool toleranceSet = false;
     bool skipMissingCurrent = false;
     bool fidelity = false;
     std::vector<std::string> paths;
@@ -258,6 +253,7 @@ int main(int argc, char** argv) {
                 tolerance > 10) {
                 usage();
             }
+            toleranceSet = true;
         } else if (std::strcmp(argv[i], "--skip-missing-current") == 0) {
             skipMissingCurrent = true;
         } else if (std::strcmp(argv[i], "--fidelity") == 0) {
@@ -266,9 +262,13 @@ int main(int argc, char** argv) {
             paths.push_back(argv[i]);
         }
     }
-    // Pair mode reads (baseline, current) pairs; --fidelity bare artifacts.
+    // Pair mode reads (baseline, current) pairs; --fidelity bare artifacts,
+    // and none of its rows reads a tolerance.
     const size_t step = fidelity ? 1 : 2;
-    if (paths.empty() || paths.size() % step != 0) usage();
+    if (paths.empty() || paths.size() % step != 0 ||
+        (fidelity && toleranceSet)) {
+        usage();
+    }
 
     for (size_t i = 0; i < paths.size(); i += step) {
         const std::string basePath = fidelity ? "" : paths[i];

@@ -58,6 +58,12 @@ inline constexpr Gate kGates[] = {
      "the serving harness broke its invariants"},
     {"serving", "sweep_identical", Rule::True, 0, nullptr, 0,
      "the serving harness broke its invariants"},
+    // A slowdown is at least 1 by definition; a percentile over no
+    // completed calls reads 0.
+    {"serving", "p2c_p99_slowdown", Rule::AtLeast, 1, nullptr, 0,
+     "the p2c run completed no call for the incast tenant"},
+    {"serving", "random_p99_slowdown", Rule::AtLeast, 1, nullptr, 0,
+     "the random run completed no call for the incast tenant"},
     {"serving", "p2c_p99_slowdown", Rule::Below, 0, "random_p99_slowdown", 0,
      "power-of-two-choices lost its tail win over random selection"},
     {"serving", "p2c_p99_slowdown", Rule::NoRise, 0, nullptr, 0,

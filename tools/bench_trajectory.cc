@@ -149,12 +149,8 @@ int main(int argc, char** argv) {
                              e.path().string().c_str());
                 unrecognized++;
             }
-            const Json* skipped = doc.get("speedup_gate_skipped");
-            if (skipped != nullptr && skipped->kind == Json::Bool &&
-                skipped->boolean) {
-                slot.gateSkipped = true;
-                slot.skipReason = doc.str("speedup_gate_skip_reason");
-            }
+            slot.gateSkipped = doc.boolean_("speedup_gate_skipped", false);
+            slot.skipReason = doc.str("speedup_gate_skip_reason");
         }
     }
     if (series.empty()) {
