@@ -164,6 +164,15 @@ int requestedShards(const ExperimentConfig& cfg) {
     return shardable ? std::max(1, cfg.parallel.threads) : 1;
 }
 
+/// Per-edge unloaded cost for DAG tree slowdown: Oracle::bestOneWay with
+/// the intra-rack path when src/dst share a rack. `net` and `oracle` must
+/// outlive the returned function.
+DagCostFn dagOracleCost(Network& net, const Oracle& oracle) {
+    return [&net, &oracle](HostId a, HostId b, uint32_t bytes) {
+        return oracle.bestOneWay(bytes, net.rackOf(a) == net.rackOf(b));
+    };
+}
+
 }  // namespace
 
 std::string homaConfigError(const HomaConfig& cfg) {
@@ -534,12 +543,6 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         static_cast<double>(deliveredSum) >=
             0.99 * static_cast<double>(generatedSum);
     return result;
-}
-
-DagCostFn dagOracleCost(Network& net, const Oracle& oracle) {
-    return [&net, &oracle](HostId a, HostId b, uint32_t bytes) {
-        return oracle.bestOneWay(bytes, net.rackOf(a) == net.rackOf(b));
-    };
 }
 
 double findMaxLoad(ExperimentConfig base, double startPct, double stepPct,

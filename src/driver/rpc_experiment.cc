@@ -8,7 +8,7 @@
 namespace homa {
 
 // Unchecked, these configs crash (an empty server pool reaches
-// Rng::below(0)), hang (a Pareto ON-OFF shape <= 1) or run empty.
+// Rng::below(0)), never return (an open loop at load 0) or run empty.
 std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg) {
     const std::string topo = validateTopoConfig(cfg.net);
     if (!topo.empty()) return topo;
@@ -18,25 +18,16 @@ std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg) {
     }
     const int hosts = cfg.net.hostCount();
     if (cfg.serving.enabled()) {
-        if (cfg.dagMode) return "dagMode and serving tenants are exclusive";
         // A valid config leaves >= 1 server host and resolves its replica
         // groups.
         return validateServingConfig(cfg.serving, hosts);
     }
     if (cfg.clients < 1) return "clients must be >= 1";
     if (cfg.clients >= hosts) return "clients leave no server host";
-    if (cfg.dagMode) {
-        if (const char* why = validateDagConfig(cfg.dag)) {
-            return std::string("dag: ") + why;
-        }
-        if (cfg.dag.depth >= 2 && hosts - cfg.clients < 2) {
-            return "dag depth >= 2 needs at least two server hosts";
-        }
-    } else if (cfg.closedLoopWindow <= 0 &&
-               !(cfg.load > 0 && std::isfinite(cfg.load))) {
+    if (!(cfg.load > 0 && std::isfinite(cfg.load))) {
         return "open-loop load must be finite and > 0";
     }
-    return onOffError(cfg.onOff);
+    return "";
 }
 
 namespace {
@@ -47,13 +38,13 @@ NetworkConfig withSwitchQdisc(const RpcExperimentConfig& cfg) {
     return netCfg;
 }
 
-// What every mode shares: the network, oracle and one endpoint per host
+// What both modes share: the network, oracle and one endpoint per host
 // (hosts [0, clients) are clients, the rest servers); the per-client
-// window tracker; one forked RNG stream and optional ON-OFF modulator per
-// client; the closed-loop (ON-OFF-gated) and open-loop issue schedules;
-// and the window tallies the run closes with. A mode adds its own
-// trackers, sets `issue`, starts its clients, then calls finish().
-// Scheduled events capture its address, so it neither copies nor moves.
+// window tracker; one forked RNG stream per client; the closed-loop and
+// open-loop issue schedules; and the window tallies the run closes with.
+// A mode adds its own trackers, sets `issue`, starts its clients, then
+// calls finish(). Scheduled events capture its address, so it neither
+// copies nor moves.
 struct RpcRun {
     explicit RpcRun(const RpcExperimentConfig& config)
         : cfg(config),
@@ -78,41 +69,17 @@ struct RpcRun {
             std::make_unique<ClosedLoopTracker>(clients, windowStart, cfg.stop);
         Rng master(cfg.seed);
         for (int c = 0; c < clients; c++) rngs.push_back(master.fork());
-        // Modulator seeds draw from the master stream after the client
-        // forks, so enabling ON-OFF never perturbs the per-client RPC
-        // streams. Serving tenants carry no ON-OFF knob.
-        if (cfg.onOff.enabled && !cfg.serving.enabled()) {
-            mods.reserve(clients);
-            for (int c = 0; c < clients; c++) {
-                mods.emplace_back(cfg.onOff, /*start=*/0, master.next());
-            }
-        }
     }
     RpcRun(const RpcRun&) = delete;
     RpcRun& operator=(const RpcRun&) = delete;
 
-    // Closed-loop issue point: waits out an OFF period before calling
-    // `issue`, and issues nothing once the window has closed.
-    void issueGated(int c) {
-        if (net.loop().now() >= cfg.stop) return;
-        if (!mods.empty()) {
-            const Time go = mods[c].gate(net.loop().now());
-            if (go > net.loop().now()) {
-                net.loop().at(go, [this, c] { issueGated(c); });
-                return;
-            }
-        }
-        issue(c);
-    }
-
     // Prime client c's closed-loop window; a small stagger keeps
-    // clients * W calls from firing in lockstep at t=0 (ON-OFF gating then
-    // pushes gated slots to each client's first burst).
+    // clients * W calls from firing in lockstep at t=0.
     void primeWindow(int c, int window) {
         for (int w = 0; w < window; w++) {
             const Duration jitter = static_cast<Duration>(
                 rngs[c].uniform() * static_cast<double>(microseconds(5)));
-            net.loop().at(jitter, [this, c] { issueGated(c); });
+            net.loop().at(jitter, [this, c] { issue(c); });
         }
     }
 
@@ -121,22 +88,13 @@ struct RpcRun {
     void refill(int c, Duration think) {
         const Duration gap =
             think <= 0 ? 1 : exponentialDuration(rngs[c], toSeconds(think));
-        net.loop().after(gap, [this, c] { issueGated(c); });
+        net.loop().after(gap, [this, c] { issue(c); });
     }
 
     // Open loop: schedule client c's next Poisson arrival at `meanGap`.
-    // With ON-OFF it runs on the client's ON-time clock at rate base/duty,
-    // mapped to wall clock by the modulator.
     void scheduleArrival(int c, Duration meanGap) {
-        if (mods.empty()) {
-            const Duration gap =
-                exponentialDuration(rngs[c], toSeconds(meanGap));
-            net.loop().after(gap, [this, c] { issue(c); });
-            return;
-        }
-        const Duration onClock = exponentialDuration(
-            rngs[c], toSeconds(meanGap) * cfg.onOff.dutyCycle());
-        net.loop().at(mods[c].advance(onClock), [this, c] { issue(c); });
+        const Duration gap = exponentialDuration(rngs[c], toSeconds(meanGap));
+        net.loop().after(gap, [this, c] { issue(c); });
     }
 
     // Runs to stop + drainGrace, lets the mode close its own books, then
@@ -171,8 +129,7 @@ struct RpcRun {
     std::vector<std::unique_ptr<RpcEndpoint>> endpoints;
     RpcExperimentResult result;
     std::vector<Rng> rngs;
-    std::vector<OnOffModulator> mods;
-    std::function<void(int)> issue;  // the mode's issue, past gating
+    std::function<void(int)> issue;  // the mode's issue
     uint64_t issuedInWindow = 0;
     uint64_t completedInWindow = 0;
 };
@@ -442,176 +399,8 @@ RpcExperimentResult runServing(RpcRun& run) {
     });
 }
 
-// Fan-out/fan-in trees as real RPCs: the coordinator (client) calls its
-// stage-1 workers; each worker's *deferred* response fires only after its
-// own child RPCs complete (RpcEndpoint::setAsyncHandler), so retries,
-// incast marks, and at-least-once re-execution all apply per edge. The
-// harness orchestrates centrally: it samples each tree up front, issues
-// every call itself, and maps request RpcIds back to tree nodes.
-RpcExperimentResult runDag(RpcRun& run) {
-    const RpcExperimentConfig& cfg = run.cfg;
-    EventLoop& loop = run.net.loop();
-    // No slowdown tracker: per-edge RPCs are not echoes, so the echo
-    // oracle has no meaningful denominator — `dag` carries the metrics.
-    run.result.dag = std::make_unique<DagTracker>(cfg.clients, run.windowStart,
-                                                  cfg.stop);
-
-    struct NodeState {
-        // Deferred answers, one per parent whose request arrived before
-        // the node's subtree completed (join children have two parents).
-        std::vector<RpcEndpoint::Responder> responders;
-        int pending = 0;     // unanswered children + join children
-        bool issued = false;  // child RPCs already sent
-    };
-    struct TreeRun {
-        DagTreeSpec spec;
-        std::vector<NodeState> state;
-        std::vector<std::vector<int>> joinKids;  // dagJoinChildren(spec)
-        std::vector<RpcId> rpcIds;
-        int client = 0;
-        Time issued = 0;
-        bool inWindow = false;
-        int64_t bytes = 0;
-    };
-    std::unordered_map<uint64_t, TreeRun> trees;
-    std::unordered_map<RpcId, std::pair<uint64_t, int>> byRpc;
-    uint64_t nextTree = 1;
-
-    const DagCostFn cost = dagOracleCost(run.net, run.oracle);
-    // Node hosts come from the server pool, never the parent's own host
-    // (siblings may repeat — that repetition *is* the incast).
-    auto pickChild = [&](HostId parent, Rng& rng) -> HostId {
-        if (parent < cfg.clients) {
-            return static_cast<HostId>(cfg.clients + rng.below(run.servers));
-        }
-        return static_cast<HostId>(
-            cfg.clients +
-            uniformHostExcept(run.servers, parent - cfg.clients, rng));
-    };
-
-    // Issue the request RPC for `node` on behalf of `parent` (its primary
-    // parent, or a join edge's extra parent).
-    std::function<void(uint64_t, int, int)> callNode;
-
-    auto completeTree = [&](uint64_t treeId, TreeRun& t) {
-        const Time now = loop.now();
-        const Duration elapsed = now - t.issued;
-        run.result.dag->record(
-            t.client, static_cast<int>(t.spec.nodes.size()) - 1, t.bytes,
-            elapsed, dagTreeIdeal(t.spec, cfg.dag.requestBytes, cost), now);
-        run.result.perClient->record(t.client, t.bytes, elapsed, now);
-        if (t.inWindow) run.completedInWindow++;
-        const int c = t.client;
-        for (RpcId id : t.rpcIds) byRpc.erase(id);
-        trees.erase(treeId);
-        if (loop.now() < cfg.stop) run.refill(c, 0);
-    };
-
-    // A child's response came back to `parent`: fan-in accounting there.
-    auto onChildDone = [&](uint64_t treeId, int parent) {
-        const auto it = trees.find(treeId);
-        assert(it != trees.end());
-        TreeRun& t = it->second;
-        NodeState& ps = t.state[parent];
-        assert(ps.pending > 0);
-        if (--ps.pending > 0) return;
-        if (parent == 0) {
-            completeTree(treeId, t);
-            return;
-        }
-        // Answer every parent whose request arrived so far (a join
-        // child's late second parent is answered straight from the
-        // handler's completed-subtree branch).
-        for (RpcEndpoint::Responder& r : ps.responders) {
-            r(t.spec.nodes[parent].respBytes);
-        }
-        ps.responders.clear();
-    };
-
-    callNode = [&](uint64_t treeId, int node, int parent) {
-        TreeRun& t = trees[treeId];
-        const DagNodeSpec& n = t.spec.nodes[node];
-        const HostId parentHost = t.spec.nodes[parent].host;
-        const RpcId id = run.endpoints[parentHost]->call(
-            n.host, cfg.dag.requestBytes,
-            [&, treeId, parent](RpcId, uint32_t, uint32_t, Duration) {
-                onChildDone(treeId, parent);
-            });
-        t.rpcIds.push_back(id);
-        byRpc.emplace(id, std::make_pair(treeId, node));
-    };
-
-    // Every server runs the same deferred handler: leaves answer at once;
-    // internal nodes fan out and answer when their last child returns.
-    for (HostId h = cfg.clients; h < run.net.hostCount(); h++) {
-        run.endpoints[h]->setAsyncHandler(
-            [&](const Message& req, RpcEndpoint::Responder respond) {
-                const auto it = byRpc.find(req.id);
-                if (it == byRpc.end()) {
-                    respond(1);  // stale retry of an already-completed tree
-                    return;
-                }
-                const auto [treeId, node] = it->second;
-                TreeRun& t = trees[treeId];
-                const DagNodeSpec& n = t.spec.nodes[node];
-                if (n.childCount == 0) {
-                    respond(n.respBytes);
-                    return;
-                }
-                NodeState& ns = t.state[node];
-                if (!ns.issued) {
-                    // First request triggers the single fan-out: own
-                    // children plus join children this node is the extra
-                    // parent of.
-                    ns.issued = true;
-                    ns.pending = n.childCount +
-                                 static_cast<int>(t.joinKids[node].size());
-                    ns.responders.push_back(std::move(respond));
-                    for (int c = 0; c < n.childCount; c++) {
-                        callNode(treeId, n.firstChild + c, node);
-                    }
-                    for (int jc : t.joinKids[node]) {
-                        callNode(treeId, jc, node);
-                    }
-                } else if (ns.pending == 0) {
-                    // Subtree already complete (a join child's second
-                    // parent, or a re-executed retry): answer now.
-                    respond(n.respBytes);
-                } else {
-                    ns.responders.push_back(std::move(respond));
-                }
-            });
-    }
-
-    run.issue = [&](int c) {
-        const uint64_t treeId = nextTree++;
-        TreeRun t;
-        t.client = c;
-        t.issued = loop.now();
-        t.inWindow = t.issued >= run.windowStart;
-        if (t.inWindow) run.issuedInWindow++;
-        t.spec = sampleDagTree(cfg.dag, &run.dist, run.rngs[c],
-                               static_cast<HostId>(c), pickChild);
-        t.bytes = dagTreeBytes(cfg.dag, t.spec);
-        t.state.resize(t.spec.nodes.size());
-        t.joinKids = dagJoinChildren(t.spec);
-        // The root never has join children (extra parents sit at stage
-        // >= 1), so its pending is its own fan-out alone.
-        t.state[0].pending = t.spec.nodes[0].childCount;
-        TreeRun& placed = trees.emplace(treeId, std::move(t)).first->second;
-        const DagNodeSpec& root = placed.spec.nodes[0];
-        for (int i = 0; i < root.childCount; i++) {
-            callNode(treeId, root.firstChild + i, 0);
-        }
-    };
-    for (int c = 0; c < cfg.clients; c++) run.primeWindow(c, cfg.dag.window);
-
-    return run.finish();
-}
-
 // Echo RPCs (§5.1): each client sends `size` bytes to a random server,
-// which returns them. Open loop is Poisson at `load`; closed loop keeps
-// `closedLoopWindow` RPCs in flight.
+// which returns them, at Poisson arrivals calibrated to `load`.
 RpcExperimentResult runEcho(RpcRun& run) {
     const RpcExperimentConfig& cfg = run.cfg;
     const SizeDistribution& dist = run.dist;
@@ -624,7 +413,6 @@ RpcExperimentResult runEcho(RpcRun& run) {
     const double psPerByte = static_cast<double>(run.netCfg.hostLink.psPerByte);
     const Duration meanGap = static_cast<Duration>(
         std::llround(dist.meanWireBytes() * psPerByte / cfg.load));
-    const bool closedLoop = cfg.closedLoopWindow > 0;
 
     run.issue = [&](int c) {
         if (loop.now() >= cfg.stop) return;
@@ -645,21 +433,10 @@ RpcExperimentResult runEcho(RpcRun& run) {
                     run.completedInWindow++;
                     run.result.slowdown->record(reqSize, elapsed);
                 }
-                // Refill the freed slot after the think time. (An RPC
-                // abort would leak a slot, but an abort takes ~500 ms of
-                // backed-off retries — beyond these runs.)
-                if (closedLoop) run.refill(c, cfg.thinkTime);
             });
-        // Closed loop: the response callback drives the loop.
-        if (!closedLoop) run.scheduleArrival(c, meanGap);
+        run.scheduleArrival(c, meanGap);
     };
-    for (int c = 0; c < cfg.clients; c++) {
-        if (closedLoop) {
-            run.primeWindow(c, cfg.closedLoopWindow);
-        } else {
-            run.scheduleArrival(c, meanGap);
-        }
-    }
+    for (int c = 0; c < cfg.clients; c++) run.scheduleArrival(c, meanGap);
 
     return run.finish();
 }
@@ -674,7 +451,6 @@ RpcExperimentResult runRpcExperiment(const RpcExperimentConfig& cfg) {
     }
     RpcRun run(cfg);
     if (cfg.serving.enabled()) return runServing(run);
-    if (cfg.dagMode) return runDag(run);
     return runEcho(run);
 }
 

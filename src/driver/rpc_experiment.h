@@ -2,19 +2,15 @@
 //
 // Mirrors the paper's CloudLab setup: a single-switch cluster whose hosts
 // [0, clients) are clients and the rest servers. runRpcExperiment runs
-// one of three modes on one shared harness (network and endpoints,
-// per-client RNG streams, ON-OFF-gated issue schedules, run and close):
+// one of two modes on one shared harness (network and endpoints,
+// per-client RNG streams, issue schedules, run and close):
 //  * Echo RPCs (default): clients send `size` bytes to random servers,
-//    which return them. Slowdown is measured against the best-case RPC
-//    time on an unloaded network. Open loop issues Poisson arrivals
-//    calibrated to `load`; closed loop (`closedLoopWindow` > 0) keeps that
-//    many RPCs in flight per client, each refilled after an optional think
-//    time. Either composes with ON-OFF burst/idle modulation (`onOff`):
-//    open-loop arrivals run on the client's ON-time clock at a boosted
-//    rate, closed-loop clients pause during idle periods and refill their
-//    window at burst start.
-//  * Fan-out/fan-in trees of real RPCs (`dagMode`).
+//    which return them, at open-loop Poisson arrivals calibrated to
+//    `load`. Slowdown is measured against the best-case RPC time on an
+//    unloaded network.
 //  * Multi-tenant serving against replica groups (`serving.tenants`).
+// Closed-loop windows, ON-OFF bursts and fan-out/fan-in trees are
+// message-level scenarios (runExperiment, workload/scenario.h).
 // It checks the config before building anything, in every build type, and
 // throws std::invalid_argument("runRpcExperiment: <reason>") when
 // rpcExperimentConfigError rejects it.
@@ -27,7 +23,6 @@
 #include "core/rpc.h"
 #include "driver/experiment.h"
 #include "stats/tenant.h"
-#include "workload/rpc_dag.h"
 #include "workload/serving.h"
 
 namespace homa {
@@ -36,29 +31,12 @@ struct RpcExperimentConfig {
     NetworkConfig net = NetworkConfig::singleRack16();
     ProtocolConfig proto;
     WorkloadId workload = WorkloadId::W3;
-    double load = 0.8;  // open loop only; closed loop sets its own rate
+    double load = 0.8;
     uint64_t seed = 17;
     Time stop = milliseconds(20);
     double warmupFraction = 0.2;
     Duration drainGrace = milliseconds(30);
     int clients = 8;  // hosts [0, clients) are clients, the rest servers
-
-    /// Closed-loop mode when > 0: RPCs each client keeps outstanding.
-    int closedLoopWindow = 0;
-    /// Closed loop: mean exponential think time before the next request.
-    Duration thinkTime = 0;
-    /// ON-OFF burst/idle modulation of request issue (both modes).
-    OnOffConfig onOff;
-
-    /// Fan-out/fan-in mode: instead of independent echo RPCs, each client
-    /// issues partition-aggregate trees (workload/rpc_dag.h) as *real*
-    /// RPCs — internal nodes answer their parent via deferred responses
-    /// only after all their child RPCs return. Tree node hosts are drawn
-    /// from the servers; clients run closed-loop over trees (`dag.window`
-    /// each; `load` and `closedLoopWindow` are ignored). ON-OFF gates
-    /// tree issues. Requires >= 2 servers when dag.depth >= 2.
-    bool dagMode = false;
-    DagConfig dag;
 
     /// Multi-tenant serving mode when `serving.tenants` is non-empty:
     /// each tenant owns a client subset (serving.totalClients() replaces
@@ -66,9 +44,8 @@ struct RpcExperimentConfig {
     /// replica group (named server pool) through a ReplicaSelector —
     /// round-robin, random, or power-of-two-choices on outstanding-RPC
     /// depth — with optional SLO-aware hedging (workload/serving.h).
-    /// Mutually exclusive with `dagMode`; `workload`, `load`,
-    /// `closedLoopWindow`, `thinkTime`, and `onOff` are ignored (each
-    /// tenant carries its own).
+    /// `workload` and `load` are then ignored (each tenant carries its
+    /// own).
     ServingConfig serving;
 };
 
@@ -105,15 +82,10 @@ struct RpcExperimentResult {
     uint64_t completed = 0;
     uint64_t retries = 0;
     uint64_t reexecutions = 0;
-    /// Slowdown vs best echo RPC time (null in dag mode — per-edge RPCs
-    /// are not echoes, so the echo oracle has no denominator there).
+    /// Slowdown vs best echo RPC time (echo mode only).
     std::unique_ptr<SlowdownTracker> slowdown;
-    /// Per-client in-window throughput and RPC latency percentiles (dag
-    /// mode: one op per completed tree).
+    /// Per-client in-window throughput and RPC latency percentiles.
     std::unique_ptr<ClosedLoopTracker> perClient;
-    /// Dag mode only (null otherwise): per-tree completion and slowdown.
-    /// `issued`/`completed` then count trees, not individual RPCs.
-    std::unique_ptr<DagTracker> dag;
     /// Serving mode only (null otherwise): per-tenant SLO metrics.
     std::unique_ptr<TenantTracker> tenants;
     /// Serving mode conservation ledgers (all-zero otherwise).
@@ -121,12 +93,10 @@ struct RpcExperimentResult {
     bool keptUp = false;
 };
 
-/// Why `cfg` cannot run, or "" when it can: a bad topology, serving or DAG
-/// config (a serving config's reason is validateServingConfig's); `dagMode`
-/// with serving tenants; no client or no server host (a DAG deeper than 1
-/// needs two servers); Homa knobs homaConfigError rejects (under Homa); an
-/// open-loop echo `load` that is not finite and > 0; and, outside serving
-/// mode, ON-OFF periods onOffError rejects.
+/// Why `cfg` cannot run, or "" when it can: a bad topology or serving
+/// config (a serving config's reason is validateServingConfig's); no client
+/// or no server host; Homa knobs homaConfigError rejects (under Homa); and
+/// an echo `load` that is not finite and > 0.
 std::string rpcExperimentConfigError(const RpcExperimentConfig& cfg);
 
 /// Throws std::invalid_argument on a config it cannot run (see

@@ -330,18 +330,6 @@ std::string resultFingerprint(const RpcExperimentResult& r) {
         appendNum(s, "clLatP50", r.perClient->latencyPercentileUs(0.50));
         appendNum(s, "clLatP99", r.perClient->latencyPercentileUs(0.99));
     }
-    if (r.dag) {
-        appendInt(s, "dagTrees", r.dag->trees());
-        appendInt(s, "dagNodes", r.dag->totalNodes());
-        appendInt(s, "dagBytes", static_cast<uint64_t>(r.dag->totalBytes()));
-        appendInt(s, "dagMaxRoot", r.dag->maxRootTrees());
-        appendInt(s, "dagMinRoot", r.dag->minRootTrees());
-        appendNum(s, "dagTreesPerSec", r.dag->treesPerSec());
-        appendNum(s, "dagCompP50", r.dag->completionPercentileUs(0.50));
-        appendNum(s, "dagCompP99", r.dag->completionPercentileUs(0.99));
-        appendNum(s, "dagSlowP50", r.dag->slowdownPercentile(0.50));
-        appendNum(s, "dagSlowP99", r.dag->slowdownPercentile(0.99));
-    }
     if (r.tenants) {
         // Serving block only: non-serving fingerprints are byte-identical
         // to the pre-serving format (the no-tenants golden relies on it).

@@ -259,15 +259,12 @@ std::string faultSpecToString(const FaultSpec& spec) {
             break;
         case FaultKind::Kill:
             break;
-        case FaultKind::Degrade: {
+        case FaultKind::Degrade:
             if (spec.duration > 0) addDur("for", spec.duration);
-            char b[96];
-            std::snprintf(b, sizeof(b), ",bw=%g,drop=%g", spec.bwFactor,
-                          spec.dropProb);
-            s += b;
+            s += ",bw=" + numberText(spec.bwFactor) +
+                 ",drop=" + numberText(spec.dropProb);
             if (spec.extraDelay > 0) addDur("delay", spec.extraDelay);
             break;
-        }
         case FaultKind::FlapTrain: {
             char b[48];
             std::snprintf(b, sizeof(b), ",count=%d", spec.count);

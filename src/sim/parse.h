@@ -1,15 +1,17 @@
 // Checked readers for the numbers in command lines, spec strings and
-// traces, and the one reader of the spec grammars' `k=v` lists. Each
-// number reader reads a whole token or fails with a reason: integers must
-// fit their type, doubles must be finite, unsigned types and counts take
-// no sign, and durations must fit a Duration. Each returns why the token
-// cannot be read, or "" after storing the value.
+// traces, the one reader of the spec grammars' `k=v` lists, and the one
+// printer of the numbers the spec printers write. Each number reader
+// reads a whole token or fails with a reason: integers must fit their
+// type, doubles must be finite, unsigned types and counts take no sign,
+// and durations must fit a Duration. Each returns why the token cannot be
+// read, or "" after storing the value.
 #pragma once
 
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -48,6 +50,17 @@ std::string count(const std::string& text, T& out,
     }
     out = static_cast<T>(v);
     return "";
+}
+
+/// Finite `v` as text that number() reads back to the same double: the
+/// "%g" form when that holds (so short values keep their familiar text),
+/// else the shortest form that does.
+inline std::string numberText(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    double back = 0;
+    if (number(buf, back).empty() && back == v) return buf;
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 /// `count` `unit`s as a Duration, rounded to the nearest picosecond (so

@@ -78,9 +78,6 @@ public:
     /// the analogous peak count of outstanding *trees*. 0 otherwise.
     int maxOutstanding() const { return maxOutstanding_; }
 
-    /// The scenario's pattern (null for trace replay).
-    const TrafficPattern* pattern() const { return pattern_.get(); }
-
     /// Dag mode only (null otherwise): the tree orchestrator, exposed for
     /// the fan-in semantics tests.
     const DagEngine* dag() const { return dag_.get(); }

@@ -283,7 +283,6 @@ void DagEngine::issueTree(HostId root, Rng& rng) {
     st.fanned.assign(st.spec.nodes.size(), 0);
     st.waiting.resize(st.spec.nodes.size());
     st.bytes = dagTreeBytes(cfg_, st.spec);
-    issued_++;
     TreeState& placed = trees_.emplace(id, std::move(st)).first->second;
     // The root's fan-out: requests to every stage-1 child, sent now (the
     // caller already bounced through the event loop). The root never has

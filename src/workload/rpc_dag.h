@@ -9,14 +9,11 @@
 // (uniform, incast, closed-loop) can express that dependency structure;
 // this module does.
 //
-// Two harnesses drive the same tree description:
-//  * `DagEngine` — message-level orchestration inside `TrafficGenerator`
-//    (`TrafficPatternKind::Dag`): every edge is a one-way request message
-//    down and a response message up, so every transport in the repo runs
-//    the workload unmodified and `runExperiment`/`SweepRunner`/
-//    `resultFingerprint` apply as-is.
-//  * `runRpcExperiment` dag mode — the same trees as *real* RPCs through
-//    `RpcEndpoint` (deferred fan-in responses, retries, incast marks).
+// `DagEngine` orchestrates the trees inside `TrafficGenerator`
+// (`TrafficPatternKind::Dag`): every edge is a one-way request message
+// down and a response message up, so every transport in the repo runs the
+// workload unmodified and `runExperiment`/`SweepRunner`/
+// `resultFingerprint` apply as-is.
 //
 // Trees are closed-loop: each root keeps `DagConfig::window` trees in
 // flight and issues the next one when a tree completes, riding the same
@@ -86,7 +83,7 @@ const char* validateDagConfig(const DagConfig& cfg);
 int dagRootCount(const DagConfig& cfg, int hostCount);
 
 /// Uniform pick over [0, hostCount) excluding `exclude` — the skip-one
-/// sampling shared by the flat patterns (scenario.cc), the DAG engines,
+/// sampling shared by the flat patterns (scenario.cc), the DAG engine,
 /// and the tests. Requires hostCount >= 2 and exclude in range.
 inline HostId uniformHostExcept(int hostCount, HostId exclude, Rng& rng) {
     HostId h = static_cast<HostId>(rng.below(hostCount - 1));
@@ -209,7 +206,6 @@ public:
     /// exactly once.
     void onDelivered(const Message& m);
 
-    uint64_t treesIssued() const { return issued_; }
     uint64_t treesCompleted() const { return completed_; }
 
     /// Introspection for the fan-in semantics tests. `parent` is the node
@@ -258,7 +254,6 @@ private:
     std::unordered_map<uint64_t, TreeState> trees_;
     std::unordered_map<MsgId, MsgRole> byMsg_;
     uint64_t nextTree_ = 1;
-    uint64_t issued_ = 0;
     uint64_t completed_ = 0;
 };
 

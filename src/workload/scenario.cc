@@ -332,19 +332,11 @@ namespace {
                                 what);
 }
 
-/// Uniform destination over all hosts except `src`.
-HostId uniformDst(HostId src, int hostCount, Rng& rng) {
-    return uniformHostExcept(hostCount, src, rng);
-}
-
 class UniformPattern final : public TrafficPattern {
 public:
     explicit UniformPattern(int hostCount) : hosts_(hostCount) {}
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::Uniform;
-    }
     HostId pickDestination(HostId src, Rng& rng) const override {
-        return uniformDst(src, hosts_, rng);
+        return uniformHostExcept(hosts_, src, rng);
     }
 
 private:
@@ -365,9 +357,6 @@ public:
         }
         dst_ = std::move(p);
     }
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::Permutation;
-    }
     HostId pickDestination(HostId src, Rng&) const override {
         return dst_[src];
     }
@@ -382,9 +371,6 @@ public:
         : hosts_(hostCount),
           perRack_(hostsPerRack),
           local_(perRack_ > 1 ? localFraction : 0.0) {}
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::RackSkew;
-    }
     HostId pickDestination(HostId src, Rng& rng) const override {
         if (rng.chance(local_)) {
             const HostId rackBase = src / perRack_ * perRack_;
@@ -392,7 +378,7 @@ public:
             if (dst >= src) dst++;
             return dst;
         }
-        return uniformDst(src, hosts_, rng);
+        return uniformHostExcept(hosts_, src, rng);
     }
 
 private:
@@ -422,16 +408,11 @@ public:
             target_[hot + i] = static_cast<HostId>(i % hot);
         }
     }
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::Incast;
-    }
     HostId pickDestination(HostId src, Rng& rng) const override {
         const HostId hot = target_[src];
         if (hot != kNone && rng.chance(fraction_)) return hot;
-        return uniformDst(src, hosts_, rng);
+        return uniformHostExcept(hosts_, src, rng);
     }
-    /// Fan-in target of `src`, or -1 when `src` is background traffic.
-    HostId targetOf(HostId src) const { return target_[src]; }
 
 private:
     static constexpr HostId kNone = -1;
@@ -459,50 +440,14 @@ public:
             weight_[rank[i]] = std::pow(static_cast<double>(i + 1), -alpha);
         }
     }
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::ParetoSenders;
-    }
     double senderWeight(HostId h) const override { return weight_[h]; }
     HostId pickDestination(HostId src, Rng& rng) const override {
-        return uniformDst(src, hosts_, rng);
+        return uniformHostExcept(hosts_, src, rng);
     }
 
 private:
     int hosts_;
     std::vector<double> weight_;
-};
-
-// Closed-loop clients pick servers uniformly (the §5.1 client/server echo
-// setup); the arrival process — window refill on delivery — lives in
-// TrafficGenerator, which keys off kind() == ClosedLoop.
-class ClosedLoopPattern final : public TrafficPattern {
-public:
-    explicit ClosedLoopPattern(int hostCount) : hosts_(hostCount) {}
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::ClosedLoop;
-    }
-    HostId pickDestination(HostId src, Rng& rng) const override {
-        return uniformDst(src, hosts_, rng);
-    }
-
-private:
-    int hosts_;
-};
-
-// Dag destinations are chosen per tree node by the DagEngine (uniform,
-// never the parent's host); the pattern object only carries the kind.
-class DagPattern final : public TrafficPattern {
-public:
-    explicit DagPattern(int hostCount) : hosts_(hostCount) {}
-    TrafficPatternKind kind() const override {
-        return TrafficPatternKind::Dag;
-    }
-    HostId pickDestination(HostId src, Rng& rng) const override {
-        return uniformDst(src, hosts_, rng);
-    }
-
-private:
-    int hosts_;
 };
 
 }  // namespace
@@ -566,7 +511,12 @@ std::unique_ptr<TrafficPattern> makeTrafficPattern(const ScenarioConfig& cfg,
                                                    uint64_t seed) {
     assert(hostCount >= 2);
     switch (cfg.kind) {
+        // Closed-loop clients pick servers uniformly (the §5.1 echo setup);
+        // their window refill lives in TrafficGenerator. DagEngine places
+        // DAG nodes itself, so the pattern is never asked.
         case TrafficPatternKind::Uniform:
+        case TrafficPatternKind::ClosedLoop:
+        case TrafficPatternKind::Dag:
             return std::make_unique<UniformPattern>(hostCount);
         case TrafficPatternKind::Permutation:
             return std::make_unique<PermutationPattern>(hostCount, seed);
@@ -578,10 +528,6 @@ std::unique_ptr<TrafficPattern> makeTrafficPattern(const ScenarioConfig& cfg,
         case TrafficPatternKind::ParetoSenders:
             return std::make_unique<ParetoSendersPattern>(
                 hostCount, cfg.paretoAlpha, seed);
-        case TrafficPatternKind::ClosedLoop:
-            return std::make_unique<ClosedLoopPattern>(hostCount);
-        case TrafficPatternKind::Dag:
-            return std::make_unique<DagPattern>(hostCount);
         case TrafficPatternKind::TraceReplay:
             break;
     }

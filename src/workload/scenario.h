@@ -250,8 +250,6 @@ class TrafficPattern {
 public:
     virtual ~TrafficPattern() = default;
 
-    virtual TrafficPatternKind kind() const = 0;
-
     /// Relative Poisson arrival weight of host h; 0 = host never sends.
     /// The generator normalizes weights so the aggregate offered load is
     /// independent of the pattern, and water-fills so no single sender is

@@ -181,12 +181,6 @@ std::string validateServingConfig(const ServingConfig& cfg, int hostCount) {
 
 namespace {
 
-std::string fmtDouble(double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
-
 /// Reads `body`, ';'-separated entries of the grammar's keys, into `out`;
 /// each entry must be named. `check`, if set, gets each entry and the
 /// keys it gave. Returns why the body cannot be read, or "".
@@ -336,11 +330,11 @@ std::string tenantsSpecToString(const std::vector<TenantConfig>& tenants) {
         s += ",wl=" + std::string(workloadName(t.workload));
         s += ",mode=" + std::string(arrivalModeName(t.mode));
         if (t.mode == ArrivalMode::Open) {
-            s += ",load=" + fmtDouble(t.load);
+            s += ",load=" + numberText(t.load);
         } else {
             s += ",window=" + std::to_string(t.window);
             if (t.think > 0) {
-                s += ",think_us=" + fmtDouble(toMicros(t.think));
+                s += ",think_us=" + numberText(toMicros(t.think));
             }
         }
         s += ",clients=" + std::to_string(t.clients);
@@ -361,7 +355,7 @@ std::string replicasSpecToString(
         if (g.hedging()) {
             s += ",hedge=p" + std::to_string(static_cast<int>(
                                   g.hedgePercentile * 100 + 0.5));
-            s += ",hedge_floor_us=" + fmtDouble(toMicros(g.hedgeFloor));
+            s += ",hedge_floor_us=" + numberText(toMicros(g.hedgeFloor));
             s += ",hedge_min=" + std::to_string(g.hedgeMinSamples);
         }
     }

@@ -165,9 +165,6 @@ public:
     /// pick() never returns a replica deeper than both.
     std::pair<int, int> candidates(uint64_t rpcSeq) const;
 
-    int replicas() const { return replicas_; }
-    LbPolicy policy() const { return policy_; }
-
 private:
     uint64_t draw(uint64_t salt, uint64_t rpcSeq) const;
 

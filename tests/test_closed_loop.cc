@@ -1,12 +1,11 @@
 // Closed-loop workload tests: the outstanding-window invariant (verified
 // with accounting external to the generator), stall behavior without
 // deliveries, think-time pacing, ON-OFF gating, and the end-to-end
-// closed-loop metrics reported by runExperiment / runRpcExperiment.
+// closed-loop metrics reported by runExperiment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "driver/rpc_experiment.h"
 #include "driver/sweep.h"
 #include "workload/generator.h"
 
@@ -162,58 +161,6 @@ TEST(ClosedLoop, OpenLoopResultsCarryNoClosedLoopTracker) {
     EXPECT_GT(r.delivered, 0u);
     EXPECT_FALSE(r.closedLoop);
     EXPECT_EQ(r.maxOutstanding, 0);
-}
-
-TEST(ClosedLoopRpc, ClosedLoopEchoRpcsReportPerClientThroughput) {
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(4);
-    cfg.closedLoopWindow = 2;
-    RpcExperimentResult r = runRpcExperiment(cfg);
-    EXPECT_GT(r.completed, 0u);
-    EXPECT_TRUE(r.keptUp);
-    ASSERT_TRUE(r.perClient);
-    EXPECT_EQ(r.perClient->clients(), cfg.clients);
-    for (int c = 0; c < cfg.clients; c++) {
-        EXPECT_GT(r.perClient->client(c).completed, 0u) << "client " << c;
-    }
-    EXPECT_GT(r.perClient->latencyPercentileUs(0.50), 0.0);
-}
-
-TEST(ClosedLoopRpc, RpcModesAreDeterministic) {
-    for (bool onOff : {false, true}) {
-        RpcExperimentConfig cfg;
-        cfg.workload = WorkloadId::W1;
-        cfg.stop = milliseconds(3);
-        cfg.closedLoopWindow = 2;
-        cfg.thinkTime = microseconds(5);
-        cfg.onOff.enabled = onOff;
-        RpcExperimentResult a = runRpcExperiment(cfg);
-        RpcExperimentResult b = runRpcExperiment(cfg);
-        EXPECT_GT(a.completed, 0u) << "onOff=" << onOff;
-        EXPECT_EQ(a.completed, b.completed) << "onOff=" << onOff;
-        EXPECT_EQ(a.perClient->totalCompleted(), b.perClient->totalCompleted());
-        EXPECT_EQ(a.perClient->latencyPercentileUs(0.99),
-                  b.perClient->latencyPercentileUs(0.99));
-    }
-}
-
-TEST(ClosedLoopRpc, OnOffOpenLoopStillCalibrates) {
-    // Open-loop RPC arrivals under ON-OFF: the long-run issue rate tracks
-    // `load`; compare completed counts with and without modulation.
-    RpcExperimentConfig base;
-    base.workload = WorkloadId::W1;
-    base.load = 0.4;
-    base.stop = milliseconds(8);
-    RpcExperimentConfig bursty = base;
-    bursty.onOff.enabled = true;
-    bursty.onOff.onMean = microseconds(50);
-    bursty.onOff.offMean = microseconds(150);
-    RpcExperimentResult a = runRpcExperiment(base);
-    RpcExperimentResult b = runRpcExperiment(bursty);
-    ASSERT_GT(a.issued, 1000u);
-    EXPECT_NEAR(static_cast<double>(b.issued), static_cast<double>(a.issued),
-                0.10 * static_cast<double>(a.issued));
 }
 
 }  // namespace

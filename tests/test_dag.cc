@@ -3,8 +3,7 @@
 // (a parent's response must never be emitted before its last child's
 // response is delivered — verified with accounting external to the
 // engine, as in test_closed_loop.cc), straggler dominance of tree
-// latency, end-to-end metrics from runExperiment, the RPC-level
-// partition-aggregate mode of runRpcExperiment, and the CLI runner's
+// latency, end-to-end metrics from runExperiment, and the CLI runner's
 // contradictory-flag validation.
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <sys/wait.h>
 #endif
 
-#include "driver/rpc_experiment.h"
 #include "driver/sweep.h"
 #include "workload/generator.h"
 
@@ -584,68 +582,6 @@ TEST(DagEndToEnd, SpecRunsForAllSixProtocolsWithSweepIdentity) {
                   resultFingerprint(many.results[i]))
             << proto;
     }
-}
-
-// ----------------------------------------------------- RPC-level trees
-
-TEST(DagRpc, PartitionAggregateOverRealRpcs) {
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(4);
-    cfg.dagMode = true;
-    cfg.dag.fanout = 3;
-    cfg.dag.depth = 2;
-    cfg.dag.stageResponseBytes = {4000, 1000};
-    RpcExperimentResult r = runRpcExperiment(cfg);
-    EXPECT_GT(r.completed, 10u);
-    EXPECT_TRUE(r.keptUp);
-    ASSERT_TRUE(r.dag);
-    EXPECT_EQ(r.dag->roots(), cfg.clients);
-    // `completed` counts trees issued in the window; the tracker counts
-    // trees *finishing* in it — the same loop seen at its two edges.
-    EXPECT_GT(r.dag->trees(), 10u);
-    EXPECT_EQ(r.dag->totalNodes(), r.dag->trees() * 12u);
-    EXPECT_GE(r.dag->completionPercentileUs(0.99),
-              r.dag->completionPercentileUs(0.50));
-    EXPECT_GE(r.dag->slowdownPercentile(0.50), 1.0);
-    ASSERT_TRUE(r.perClient);
-    for (int c = 0; c < cfg.clients; c++) {
-        EXPECT_GT(r.perClient->client(c).completed, 0u) << "client " << c;
-    }
-}
-
-TEST(DagRpc, WideFanoutRevisitsServers) {
-    // Fan-out beyond the server pool: siblings repeat hosts — that
-    // repetition is the deliberate incast.
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(4);
-    cfg.dagMode = true;
-    cfg.dag.fanout = 12;  // 8 servers
-    cfg.dag.depth = 1;
-    cfg.dag.stageResponseBytes = {2000};
-    RpcExperimentResult r = runRpcExperiment(cfg);
-    EXPECT_GT(r.completed, 10u);
-    ASSERT_TRUE(r.dag);
-    EXPECT_GE(r.dag->slowdownPercentile(0.50), 1.0);
-}
-
-TEST(DagRpc, RpcTreesAreDeterministic) {
-    RpcExperimentConfig cfg;
-    cfg.workload = WorkloadId::W1;
-    cfg.stop = milliseconds(3);
-    cfg.dagMode = true;
-    cfg.dag.fanout = 4;
-    cfg.dag.depth = 2;
-    cfg.dag.stageResponseBytes = {2000, 500};
-    RpcExperimentResult a = runRpcExperiment(cfg);
-    RpcExperimentResult b = runRpcExperiment(cfg);
-    EXPECT_GT(a.completed, 0u);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.dag->trees(), b.dag->trees());
-    EXPECT_EQ(a.dag->completionPercentileUs(0.99),
-              b.dag->completionPercentileUs(0.99));
-    EXPECT_EQ(a.dag->slowdownPercentile(0.99), b.dag->slowdownPercentile(0.99));
 }
 
 // ------------------------------------------------- CLI misuse validation

@@ -151,47 +151,17 @@ TEST(RpcExperiment, HomaBeatsStreamingTail) {
 TEST(RpcExperiment, CallerMisuseThrows) {
     // Checked before anything is built, in every build type. Unchecked,
     // each would crash (an empty server pool divides by zero in
-    // Rng::below), never return (an open loop at load 0), run silently
-    // empty, or run serving and ignore dagMode.
+    // Rng::below), never return (an open loop at load 0) or run silently
+    // empty.
     struct Case {
         const char* expect;
         std::function<void(RpcExperimentConfig&)> mutate;
     };
     const Case cases[] = {
         {"no server host", [](RpcExperimentConfig& c) { c.clients = 16; }},
-        {"at least two server hosts",
-         [](RpcExperimentConfig& c) {
-             c.dagMode = true;
-             c.dag.depth = 2;
-             c.clients = 15;
-         }},
-        {"fanout must be >= 1",
-         [](RpcExperimentConfig& c) {
-             c.dagMode = true;
-             c.dag.fanout = 0;
-         }},
         {"load must be finite and > 0",
          [](RpcExperimentConfig& c) { c.load = 0; }},
         {"clients must be >= 1", [](RpcExperimentConfig& c) { c.clients = 0; }},
-        {"dagMode and serving tenants are exclusive",
-         [](RpcExperimentConfig& c) {
-             c.dagMode = true;
-             c.serving.tenants.emplace_back();
-         }},
-        // Unchecked, never returns: a Pareto period of shape 1 has an
-        // infinite mean.
-        {"on-off pareto shape must be > 1",
-         [](RpcExperimentConfig& c) {
-             c.onOff.enabled = true;
-             c.onOff.dist = OnOffDist::Pareto;
-             c.onOff.paretoShape = 1.0;
-         }},
-        // Unchecked, runs a handful of RPCs in zero-length bursts.
-        {"on-off onMean must be > 0",
-         [](RpcExperimentConfig& c) {
-             c.onOff.enabled = true;
-             c.onOff.onMean = 0;
-         }},
         {"Homa wire priorities must be in [1, 8]",
          [](RpcExperimentConfig& c) { c.proto.homa.wirePriorities = 9; }},
     };

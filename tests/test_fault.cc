@@ -74,7 +74,9 @@ TEST(FaultSpec, CanonicalStringRoundTrips) {
          {"flap=aggr0,at=50ms,for=10ms", "kill=tor2,at=30ms",
           "degrade=host5,at=1ms,for=5ms,bw=0.25,delay=10us,drop=0.01",
           "flap-train=aggr1,at=10ms,count=5,gap=2ms,for=500us",
-          "flap-train=tor1,at=2.5ns,count=3,gap=0.2ns,for=1.0005us"}) {
+          "flap-train=tor1,at=2.5ns,count=3,gap=0.2ns,for=1.0005us",
+          // Seven significant digits, past what "%g" keeps.
+          "degrade=host2,at=1ms,bw=0.1234567,drop=0.01234567"}) {
         FaultSpec f, again;
         ASSERT_TRUE(parseFaultSpec(body, f)) << body;
         ASSERT_TRUE(parseFaultSpec(faultSpecToString(f), again))
@@ -83,7 +85,18 @@ TEST(FaultSpec, CanonicalStringRoundTrips) {
         EXPECT_EQ(again.at, f.at) << body;
         EXPECT_EQ(again.duration, f.duration) << body;
         EXPECT_EQ(again.gap, f.gap) << body;
+        EXPECT_EQ(again.bwFactor, f.bwFactor) << faultSpecToString(f);
+        EXPECT_EQ(again.dropProb, f.dropProb) << faultSpecToString(f);
+        EXPECT_EQ(again.extraDelay, f.extraDelay) << body;
+        EXPECT_EQ(again.count, f.count) << body;
     }
+    // Values "%g" reads back exactly keep its text.
+    FaultSpec plain;
+    ASSERT_TRUE(parseFaultSpec(
+        "degrade=host5,at=1ms,for=5ms,bw=0.25,delay=10us,drop=0.01", plain));
+    EXPECT_EQ(faultSpecToString(plain),
+              "degrade=host5,at=1000.000us,for=5000.000us,bw=0.25,drop=0.01,"
+              "delay=10.000us");
     // Whole nanoseconds keep the "%.3fus" form, a sub-nanosecond part
     // prints exactly in ns, and either reads back to the same picosecond.
     FaultSpec sub;

@@ -230,6 +230,22 @@ TEST(ServingSpec, TenantsRoundTripThroughTheCanonicalString) {
         EXPECT_EQ(again[i].clients, tenants[i].clients);
         EXPECT_EQ(again[i].group, tenants[i].group);
     }
+    // Short values keep their "%g" text; seven significant digits read
+    // back to the same double and the same picosecond.
+    EXPECT_EQ(canonical,
+              "name=web,wl=W1,mode=open,load=0.6,clients=4;"
+              "name=batch,wl=W5,mode=closed,window=8,think_us=12.5,"
+              "clients=2,group=bulk");
+    ASSERT_TRUE(parseTenantsSpec(
+        "name=web,wl=W1,load=0.1234567,clients=4;"
+        "name=batch,wl=W5,mode=closed,window=8,think_us=12.34567,clients=2",
+        tenants, &err))
+        << err;
+    ASSERT_TRUE(parseTenantsSpec(tenantsSpecToString(tenants), again, &err))
+        << tenantsSpecToString(tenants);
+    ASSERT_EQ(again.size(), 2u);
+    EXPECT_EQ(again[0].load, 0.1234567) << tenantsSpecToString(tenants);
+    EXPECT_EQ(again[1].think, 12'345'670) << tenantsSpecToString(tenants);
 }
 
 TEST(ServingSpec, ReplicasRoundTripThroughTheCanonicalString) {
@@ -253,6 +269,18 @@ TEST(ServingSpec, ReplicasRoundTripThroughTheCanonicalString) {
     std::vector<ReplicaGroupConfig> again;
     ASSERT_TRUE(parseReplicasSpec(canonical, again, &err)) << canonical;
     EXPECT_EQ(replicasSpecToString(again), canonical);
+    EXPECT_EQ(canonical,
+              "name=fast,n=2,lb=p2c,hedge=p95,hedge_floor_us=15,hedge_min=16;"
+              "name=bulk,n=0,lb=rr");
+    // Seven significant digits read back to the same picosecond.
+    ASSERT_TRUE(parseReplicasSpec(
+        "name=fast,n=2,lb=p2c,hedge=p95,hedge_floor_us=15.123456", groups,
+        &err))
+        << err;
+    ASSERT_TRUE(parseReplicasSpec(replicasSpecToString(groups), again, &err))
+        << replicasSpecToString(groups);
+    ASSERT_EQ(again.size(), 1u);
+    EXPECT_EQ(again[0].hedgeFloor, 15'123'456) << replicasSpecToString(groups);
 }
 
 TEST(ServingSpec, ParseErrorsAreTargeted) {

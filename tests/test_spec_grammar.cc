@@ -160,12 +160,18 @@ const std::pair<const char*, const char*> kSeeds[] = {
     // Sub-nanosecond and not-quite-exact durations.
     {"fault", "flap=aggr0,at=1.009us,for=0.4ns"},
     {"fault", "flap-train=tor1,at=2.5ns,count=3,gap=0.2ns,for=1.0005us"},
+    // Seven significant digits, one past what "%g" prints.
+    {"fault", "degrade=host2,at=1ms,bw=0.1234567,drop=0.01234567"},
     {"tenants",
      "name=web,wl=W1,load=0.6,clients=4;name=batch,wl=W5,mode=closed,"
      "window=8,think_us=12.5,clients=2,group=bulk"},
     {"replicas",
      "name=fast,n=2,lb=p2c,hedge=p95,hedge_floor_us=15,hedge_min=16;"
      "name=bulk,n=0,lb=rr"},
+    {"tenants",
+     "name=web,wl=W1,load=0.1234567,clients=4;name=batch,wl=W2,mode=closed,"
+     "window=2,think_us=12.34567,clients=2"},
+    {"replicas", "name=fast,n=2,lb=p2c,hedge=p95,hedge_floor_us=15.123456"},
 };
 
 TEST(SpecGrammar, SeedsParse) {
