@@ -102,9 +102,8 @@ bool parseDagSpec(const std::string& body, DagConfig& out, std::string* err) {
     return true;
 }
 
-DagTreeSpec sampleDagTree(
-    const DagConfig& cfg, const SizeDistribution* sizes, Rng& rng,
-    HostId root, const std::function<HostId(HostId, Rng&)>& pickChild) {
+DagTreeSpec sampleDagTree(const DagConfig& cfg, const SizeDistribution* sizes,
+                          Rng& rng, HostId root, int hostCount) {
     assert(validateDagConfig(cfg) == nullptr);
     assert(sizes != nullptr || !cfg.stageResponseBytes.empty());
     DagTreeSpec tree;
@@ -131,7 +130,7 @@ DagTreeSpec sampleDagTree(
             tree.nodes[p].childCount = cfg.fanout;
             for (int c = 0; c < cfg.fanout; c++) {
                 DagNodeSpec n;
-                n.host = pickChild(tree.nodes[p].host, rng);
+                n.host = uniformHostExcept(hostCount, tree.nodes[p].host, rng);
                 assert(n.host != tree.nodes[p].host);
                 n.parent = static_cast<int>(p);
                 n.stage = stage;
@@ -270,10 +269,7 @@ void DagEngine::issueTree(HostId root, Rng& rng) {
     TreeState st;
     st.root = root;
     st.issued = loop_.now();
-    st.spec = sampleDagTree(
-        cfg_, sizes_, rng, root, [this](HostId parent, Rng& r) {
-            return uniformHostExcept(hostCount_, parent, r);
-        });
+    st.spec = sampleDagTree(cfg_, sizes_, rng, root, hostCount_);
     st.pending.resize(st.spec.nodes.size());
     for (size_t i = 0; i < st.spec.nodes.size(); i++) {
         st.pending[i] = st.spec.nodes[i].childCount;

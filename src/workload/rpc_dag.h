@@ -83,8 +83,8 @@ const char* validateDagConfig(const DagConfig& cfg);
 int dagRootCount(const DagConfig& cfg, int hostCount);
 
 /// Uniform pick over [0, hostCount) excluding `exclude` — the skip-one
-/// sampling shared by the flat patterns (scenario.cc), the DAG engine,
-/// and the tests. Requires hostCount >= 2 and exclude in range.
+/// sampling shared by the flat patterns (scenario.cc) and sampleDagTree.
+/// Requires hostCount >= 2 and exclude in range.
 inline HostId uniformHostExcept(int hostCount, HostId exclude, Rng& rng) {
     HostId h = static_cast<HostId>(rng.below(hostCount - 1));
     if (h >= exclude) h++;
@@ -136,14 +136,12 @@ struct DagTreeSpec {
 /// node p, in edge order. Nodes with no joins get empty lists.
 std::vector<std::vector<int>> dagJoinChildren(const DagTreeSpec& tree);
 
-/// Samples one tree: shape from `cfg`, node hosts from `pickChild`
-/// (must never return the parent's host), response sizes from
-/// `cfg.stageResponseBytes` or — when that is empty — from `sizes`
+/// Samples one tree: shape from `cfg`, each node's host uniform over
+/// [0, hostCount) except its parent's (uniformHostExcept), response sizes
+/// from `cfg.stageResponseBytes` or — when that is empty — from `sizes`
 /// (required in that case). All randomness draws from `rng`.
-DagTreeSpec sampleDagTree(
-    const DagConfig& cfg, const SizeDistribution* sizes, Rng& rng,
-    HostId root,
-    const std::function<HostId(HostId parent, Rng&)>& pickChild);
+DagTreeSpec sampleDagTree(const DagConfig& cfg, const SizeDistribution* sizes,
+                          Rng& rng, HostId root, int hostCount);
 
 /// Payload bytes the tree moves end-to-end: one request per edge plus
 /// every node's response — join edges carry their own request and

@@ -97,10 +97,7 @@ TEST(DagSpec, PatternNameRoundTrips) {
 DagTreeSpec sampleTree(const DagConfig& cfg, uint64_t seed = 7,
                        int hosts = 16) {
     Rng rng(seed);
-    return sampleDagTree(cfg, nullptr, rng, /*root=*/0,
-                         [hosts](HostId parent, Rng& r) {
-                             return uniformHostExcept(hosts, parent, r);
-                         });
+    return sampleDagTree(cfg, nullptr, rng, /*root=*/0, hosts);
 }
 
 TEST(DagTree, SamplesTheConfiguredShape) {
