@@ -5,62 +5,25 @@
 
 namespace homa {
 
-size_t HomaReceiver::CompletedIds::home(MsgId id) const {
-    // Per-host id streams keep the source above bit 40 and a counter
-    // below; the multiply spreads both upwards and the fold brings the
-    // high half back down to the bits the mask keeps.
-    uint64_t h = id * 0x9e3779b97f4a7c15ull;
-    h ^= h >> 32;
-    return static_cast<size_t>(h) & (index_.size() - 1);
-}
-
 bool HomaReceiver::CompletedIds::contains(MsgId id) const {
-    if (index_.empty()) return false;
-    const size_t mask = index_.size() - 1;
-    for (size_t s = home(id);; s = (s + 1) & mask) {
-        if (index_[s] == 0) return false;
-        if (ring_[index_[s] - 1] == id) return true;
-    }
-}
-
-void HomaReceiver::CompletedIds::link(uint32_t pos) {
-    const size_t mask = index_.size() - 1;
-    size_t s = home(ring_[pos]);
-    while (index_[s] != 0) s = (s + 1) & mask;
-    index_[s] = static_cast<uint16_t>(pos + 1);
-}
-
-void HomaReceiver::CompletedIds::unlink(uint32_t pos) {
-    const size_t mask = index_.size() - 1;
-    size_t hole = home(ring_[pos]);
-    while (index_[hole] != pos + 1) hole = (hole + 1) & mask;
-    // Backward-shift deletion: pull each later entry of the probe run
-    // into the hole unless that would move it before its home slot.
-    for (size_t s = (hole + 1) & mask; index_[s] != 0; s = (s + 1) & mask) {
-        const size_t from = home(ring_[index_[s] - 1]);
-        if (((s - from) & mask) >= ((s - hole) & mask)) {
-            index_[hole] = index_[s];
-            hole = s;
-        }
-    }
-    index_[hole] = 0;
+    return index_.find(id, idAt()) != IdIndex<uint16_t>::kNotFound;
 }
 
 void HomaReceiver::CompletedIds::note(MsgId id) {
     if (ring_.size() == kCapacity) {  // evict the oldest call's entry
-        unlink(head_);
+        index_.unlink(head_, idAt());
         ring_[head_] = id;
-        link(head_);
+        index_.link(head_, idAt());
         head_ = (head_ + 1) % kCapacity;
         return;
     }
     ring_.push_back(id);
-    const uint32_t n = static_cast<uint32_t>(ring_.size());
-    if (index_.size() < 2 * size_t{n}) {
-        index_.assign(std::max<size_t>(16, 2 * index_.size()), 0);
-        for (uint32_t pos = 0; pos < n; pos++) link(pos);
+    const size_t n = ring_.size();
+    if (index_.needsGrowth(n)) {
+        index_.grow();
+        for (size_t pos = 0; pos < n; pos++) index_.link(pos, idAt());
     } else {
-        link(n - 1);
+        index_.link(n - 1, idAt());
     }
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/homa_context.h"
+#include "core/id_index.h"
 #include "sched/grant_scheduler.h"
 #include "sim/event_loop.h"
 #include "transport/message.h"
@@ -60,11 +61,9 @@ private:
     /// The ids of the last kCapacity note() calls, for dropping
     /// retransmitted tails of messages that already completed (§3.7). A
     /// ring holds the ids in call order (an id noted twice takes two
-    /// entries, and eviction counts calls); a linear-probing index of
-    /// ring positions, at most half full, finds them. Ids use all 64
-    /// bits, so the index stores position + 1 and 0 marks an empty slot.
-    /// Both arrays start empty and grow by doubling, so an idle host
-    /// holds no heap and a completion allocates no node.
+    /// entries, and eviction counts calls); an IdIndex of ring positions
+    /// finds them. Both arrays start empty and grow by doubling, so an
+    /// idle host holds no heap and a completion allocates no node.
     class CompletedIds {
     public:
         static constexpr uint32_t kCapacity = 8192;
@@ -73,13 +72,13 @@ private:
         void note(MsgId id);
 
     private:
-        size_t home(MsgId id) const;
-        void link(uint32_t pos);
-        void unlink(uint32_t pos);
+        auto idAt() const {
+            return [this](size_t pos) { return ring_[pos]; };
+        }
 
-        std::vector<MsgId> ring_;      // oldest at head_ once full
+        std::vector<MsgId> ring_;  // oldest at head_ once full
         uint32_t head_ = 0;
-        std::vector<uint16_t> index_;  // ring position + 1; 0 = empty
+        IdIndex<uint16_t> index_;
         static_assert(kCapacity < UINT16_MAX);
     };
 

@@ -39,10 +39,9 @@ void HomaSender::handleResend(const Packet& p) {
     if (it == out_.end()) {
         // Fully-sent message: revive it from the linger table so the
         // retransmission flows through the normal SRPT path.
-        auto lit = lingering_.find(p.msg);
-        if (lit == lingering_.end()) return;
-        it = out_.emplace(p.msg, std::move(lit->second)).first;
-        lingering_.erase(lit);
+        Lingering rec;
+        if (!linger_.take(p.msg, rec)) return;
+        it = out_.emplace(p.msg, revive(rec)).first;
     }
     OutMessage& om = it->second;
 
@@ -81,6 +80,22 @@ void HomaSender::handleResend(const Packet& p) {
     ctx_.host.kickNic();
 }
 
+HomaSender::OutMessage HomaSender::revive(const Lingering& rec) const {
+    OutMessage om;
+    om.msg.id = rec.id;
+    om.msg.src = ctx_.host.id();
+    om.msg.dst = rec.dst;
+    om.msg.length = rec.length;
+    om.msg.created = rec.created;
+    om.msg.flags = rec.flags;
+    om.unschedLimit = ctx_.unschedLimitFor(rec.length, rec.flags);
+    om.nextOffset = rec.length;
+    om.grantedTo = rec.length;
+    om.schedPriority = rec.schedPriority;
+    om.lastSend = rec.lastSend;
+    return om;
+}
+
 Packet HomaSender::makeDataPacket(OutMessage& om, uint32_t offset, uint32_t len,
                                   bool retransmit) const {
     Packet p = dataPacket(om.msg, offset, len);
@@ -99,7 +114,8 @@ Packet HomaSender::makeDataPacket(OutMessage& om, uint32_t offset, uint32_t len,
 std::optional<Packet> HomaSender::pullPacket() {
     const auto best = sendable_.best();
     if (!best) return std::nullopt;
-    OutMessage* om = &out_.at(*best);
+    const auto it = out_.find(*best);
+    OutMessage* om = &it->second;
 
     Packet p;
     if (!om->resends.empty()) {
@@ -125,11 +141,18 @@ std::optional<Packet> HomaSender::pullPacket() {
     if (om->fullySent()) {
         // Keep state briefly so RESENDs can still be answered (§3.8), then
         // reap. Lingering state is bounded by the linger window.
-        om->lingerUntil = ctx_.host.loop().now() + ctx_.cfg.senderLinger;
-        const MsgId id = om->msg.id;
-        sendable_.erase(id);
-        auto it = out_.find(id);
-        lingering_.emplace(id, std::move(it->second));
+        const Message& m = om->msg;
+        Lingering rec;
+        rec.id = m.id;
+        rec.created = m.created;
+        rec.lastSend = om->lastSend;
+        rec.dst = m.dst;
+        rec.length = m.length;
+        rec.schedPriority = om->schedPriority;
+        rec.flags = m.flags;
+        rec.live = true;
+        linger_.push(rec);
+        sendable_.erase(m.id);
         out_.erase(it);
         scheduleReap();
     } else {
@@ -143,16 +166,84 @@ void HomaSender::scheduleReap() {
     reapScheduled_ = true;
     ctx_.host.loop().after(ctx_.cfg.senderLinger, [this] {
         reapScheduled_ = false;
-        const Time now = ctx_.host.loop().now();
-        for (auto it = lingering_.begin(); it != lingering_.end();) {
-            if (it->second.lingerUntil <= now) {
-                it = lingering_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        if (!lingering_.empty()) scheduleReap();
+        linger_.expire(ctx_.host.loop().now(), ctx_.cfg.senderLinger);
+        if (!linger_.empty()) scheduleReap();
     });
+}
+
+bool HomaSender::LingerTable::contains(MsgId id) const {
+    return index_.find(id, idAt()) != IdIndex<uint32_t>::kNotFound;
+}
+
+void HomaSender::LingerTable::push(const Lingering& rec) {
+    if (headOff_ + size_ == chunks_.size() * chunkCap_) makeRoom();
+    const size_t pos = (headPos_ + size_) & kPosMask;
+    size_++;
+    at(pos) = rec;
+    if (index_.needsGrowth(++live_)) {
+        index_.grow();
+        for (size_t i = 0; i < size_; i++) {
+            const size_t p = (headPos_ + i) & kPosMask;
+            if (at(p).live) index_.link(p, idAt());
+        }
+    } else {
+        index_.link(pos, idAt());
+    }
+}
+
+void HomaSender::LingerTable::makeRoom() {
+    if (chunkCap_ == kChunk) {
+        chunks_.push_back(std::make_unique<Lingering[]>(kChunk));
+        return;
+    }
+    // The one small chunk (if any) is full up to its end: slide the
+    // records to its front, into a chunk twice its size if they fill more
+    // than half. Positions count from the oldest record, so none changes.
+    if (chunks_.empty()) {
+        chunkCap_ = 2;
+        chunks_.push_back(std::make_unique<Lingering[]>(chunkCap_));
+    } else {
+        Lingering* from = chunks_[0].get();
+        Lingering* to = from;
+        if (2 * size_ > chunkCap_) {
+            chunkCap_ *= 2;
+            chunks_.push_back(std::make_unique<Lingering[]>(chunkCap_));
+            to = chunks_.back().get();
+        }
+        std::copy(from + headOff_, from + headOff_ + size_, to);
+        if (to != from) chunks_.erase(chunks_.begin());
+    }
+    headOff_ = 0;
+}
+
+bool HomaSender::LingerTable::take(MsgId id, Lingering& out) {
+    const size_t pos = index_.find(id, idAt());
+    if (pos == IdIndex<uint32_t>::kNotFound) return false;
+    index_.unlink(pos, idAt());
+    Lingering& rec = at(pos);
+    out = rec;
+    rec.live = false;
+    live_--;
+    return true;
+}
+
+void HomaSender::LingerTable::expire(Time now, Duration linger) {
+    while (size_ > 0) {
+        const Lingering& rec = chunks_[0][headOff_];
+        if (rec.live) {
+            if (rec.lastSend + linger > now) break;
+            index_.unlink(headPos_, idAt());
+            live_--;
+        }
+        headPos_ = (headPos_ + 1) & kPosMask;
+        size_--;
+        if (++headOff_ == chunkCap_ && size_ > 0) {
+            // The front chunk is spent: reuse it after the last one.
+            std::rotate(chunks_.begin(), chunks_.begin() + 1, chunks_.end());
+            headOff_ = 0;
+        }
+    }
+    if (size_ == 0) headOff_ = 0;
 }
 
 }  // namespace homa

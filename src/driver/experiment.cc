@@ -190,6 +190,9 @@ std::string homaConfigError(const HomaConfig& cfg) {
     if (!(cfg.oldestReservation >= 0 && cfg.oldestReservation <= 1)) {
         return "Homa oldest-message reservation must be in [0, 1]";
     }
+    if (cfg.resendTimeout <= 0) return "Homa resend timeout must be > 0";
+    if (cfg.maxResends < 0) return "Homa max resends must be >= 0";
+    if (cfg.senderLinger < 0) return "Homa sender linger must be >= 0";
     return "";
 }
 

@@ -142,7 +142,9 @@ struct ExperimentResult {
 /// priority levels, so `wirePriorities` is in [1, 8] and
 /// `logicalPriorities` in [2, 8] (one unscheduled and one scheduled level
 /// at least); an explicit `unschedPriorities` (> 0) stays below
-/// `logicalPriorities`; `oldestReservation` is a fraction in [0, 1].
+/// `logicalPriorities`; `oldestReservation` is a fraction in [0, 1]. Loss
+/// recovery needs `resendTimeout` > 0 (at 0 or below, a run silently
+/// loses messages), `maxResends` >= 0 and `senderLinger` >= 0.
 std::string homaConfigError(const HomaConfig& cfg);
 
 /// Why `cfg` cannot run, or "" when it can — the one validation point the

@@ -164,6 +164,12 @@ TEST(RpcExperiment, CallerMisuseThrows) {
         {"clients must be >= 1", [](RpcExperimentConfig& c) { c.clients = 0; }},
         {"Homa wire priorities must be in [1, 8]",
          [](RpcExperimentConfig& c) { c.proto.homa.wirePriorities = 9; }},
+        {"Homa resend timeout must be > 0",
+         [](RpcExperimentConfig& c) { c.proto.homa.resendTimeout = 0; }},
+        {"Homa max resends must be >= 0",
+         [](RpcExperimentConfig& c) { c.proto.homa.maxResends = -1; }},
+        {"Homa sender linger must be >= 0",
+         [](RpcExperimentConfig& c) { c.proto.homa.senderLinger = -1; }},
     };
     for (const Case& c : cases) {
         RpcExperimentConfig cfg;
@@ -361,6 +367,18 @@ TEST(ExperimentDriver, CallerMisuseThrows) {
          [](ExperimentConfig& c) { c.proto.homa.unschedPriorities = 8; }},
         {"Homa oldest-message reservation must be in [0, 1]",
          [](ExperimentConfig& c) { c.proto.homa.oldestReservation = 5; }},
+        // Loss recovery: a zero or negative timeout ran silently and lost
+        // messages, and a negative linger forgot every message at once.
+        {"Homa resend timeout must be > 0",
+         [](ExperimentConfig& c) { c.proto.homa.resendTimeout = 0; }},
+        {"Homa resend timeout must be > 0",
+         [](ExperimentConfig& c) {
+             c.proto.homa.resendTimeout = -milliseconds(1);
+         }},
+        {"Homa max resends must be >= 0",
+         [](ExperimentConfig& c) { c.proto.homa.maxResends = -1; }},
+        {"Homa sender linger must be >= 0",
+         [](ExperimentConfig& c) { c.proto.homa.senderLinger = -1; }},
     };
     for (const Case& c : cases) {
         ExperimentConfig cfg = smallConfig(WorkloadId::W1, 0.5);

@@ -5,9 +5,14 @@
 // can be inspected without a network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <random>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/homa_transport.h"
+#include "core/id_index.h"
 #include "workload/workloads.h"
 
 namespace homa {
@@ -545,6 +550,265 @@ TEST(HomaLoss, RevivedMessageLingersAgainFromItsRetransmission) {
     h.transport->handlePacket(resendFor(1, 0, 1442));
     EXPECT_EQ(unknown, 1);
     EXPECT_TRUE(h.pullAll().empty());
+}
+
+TEST(HomaLoss, LingeringThousandsStillAnswersEachResend) {
+    // One sender finishes 3,000 one-packet messages at once, so it keeps
+    // all of them to answer RESENDs. A late RESEND for the first, a middle
+    // or the last one revives exactly that message: one BUSY, then one
+    // retransmission with its length, creation time, flags and
+    // unscheduled priority.
+    Harness h;
+    std::vector<Packet> unknown;
+    h.transport->setUnknownResendHandler(
+        [&unknown](const Packet& p) { unknown.push_back(p); });
+    constexpr int kMessages = 3000;
+    auto idOf = [](int k) { return (MsgId{7} << 40) | static_cast<MsgId>(k); };
+    std::vector<Message> sent;
+    for (int k = 0; k < kMessages; k++) {
+        // Incast-marked messages blind-send at most 320 bytes, so every
+        // length stays below that to finish in one packet.
+        Message m = h.makeMessage(idOf(k), 100 + k % 200, 0);
+        m.dst = 1 + k % 15;
+        m.created = microseconds(k);
+        m.flags = k % 3 == 0   ? kFlagRequest
+                  : k % 3 == 1 ? kFlagIncastMark
+                               : 0;
+        h.transport->sendMessage(m);
+        sent.push_back(m);
+    }
+    std::unordered_map<MsgId, Packet> firstCopy;
+    for (const Packet& p : h.pullAll()) firstCopy.emplace(p.msg, p);
+    ASSERT_EQ(firstCopy.size(), size_t{kMessages});
+
+    h.host.loop_.runUntil(HomaConfig{}.resendTimeout / 2);
+    for (int k : {0, kMessages / 2, kMessages - 1}) {
+        const Message& m = sent[k];
+        SCOPED_TRACE(k);
+        h.host.pushed.clear();
+        h.transport->handlePacket(resendFor(m.id, 0, m.length));
+        ASSERT_EQ(h.host.pushed.size(), 1u);
+        EXPECT_EQ(h.host.pushed[0].type, PacketType::Busy);
+        EXPECT_EQ(h.host.pushed[0].msg, m.id);
+        EXPECT_EQ(h.host.pushed[0].dst, m.dst);
+        const std::vector<Packet> re = h.pullAll();
+        ASSERT_EQ(re.size(), 1u);
+        EXPECT_EQ(re[0].type, PacketType::Data);
+        EXPECT_EQ(re[0].msg, m.id);
+        EXPECT_EQ(re[0].dst, m.dst);
+        EXPECT_EQ(re[0].offset, 0u);
+        EXPECT_EQ(re[0].length, m.length);
+        EXPECT_EQ(re[0].messageLength, m.length);
+        EXPECT_EQ(re[0].created, m.created);
+        EXPECT_EQ(re[0].flags, m.flags | kFlagLast | kFlagRetransmit);
+        EXPECT_EQ(re[0].priority, firstCopy.at(m.id).priority);
+        EXPECT_EQ(re[0].remaining, 0u);
+    }
+    EXPECT_TRUE(unknown.empty());
+
+    // An id this sender never sent is not its to answer.
+    h.host.pushed.clear();
+    h.transport->handlePacket(resendFor(idOf(kMessages), 0, 100));
+    ASSERT_EQ(unknown.size(), 1u);
+    EXPECT_EQ(unknown[0].msg, idOf(kMessages));
+    EXPECT_TRUE(h.host.pushed.empty());
+    EXPECT_TRUE(h.pullAll().empty());
+}
+
+TEST(HomaLoss, RevivedMessageResendsScheduledBytesAtItsLastGrantPriority) {
+    // A revived message rebuilds its sending state from what it kept: a
+    // retransmitted byte past the unscheduled region goes out at the
+    // priority of the last GRANT, as its first copy did.
+    Harness h;
+    Message m = h.makeMessage(7, 20000, 0);
+    m.dst = 5;
+    h.transport->sendMessage(m);
+    ASSERT_FALSE(h.pullAll().empty());
+    Packet g;
+    g.type = PacketType::Grant;
+    g.msg = 7;
+    g.grantOffset = 20000;
+    g.grantPriority = 3;
+    h.transport->handlePacket(g);
+    const std::vector<Packet> scheduled = h.pullAll();
+    ASSERT_FALSE(scheduled.empty());
+    const Packet last = scheduled.back();
+    ASSERT_TRUE(last.hasFlag(kFlagLast));
+    ASSERT_GE(last.offset, kRtt);
+    EXPECT_EQ(last.priority, 3);  // wire = logical with 8 levels
+
+    h.host.loop_.runUntil(HomaConfig{}.resendTimeout / 2);
+    h.transport->handlePacket(resendFor(7, last.offset, last.length));
+    const std::vector<Packet> re = h.pullAll();
+    ASSERT_EQ(re.size(), 1u);
+    EXPECT_TRUE(re[0].hasFlag(kFlagRetransmit));
+    EXPECT_EQ(re[0].offset, last.offset);
+    EXPECT_EQ(re[0].length, last.length);
+    EXPECT_EQ(re[0].priority, last.priority);
+}
+
+/// Sends `messages` one-packet messages `step` apart from t = 0 and checks,
+/// just before and at every reap pass, which ones the sender still knows.
+/// While anything lingers, one reap runs every senderLinger from the first
+/// finish, and it forgets a message at the first pass at or after its
+/// deadline (last send + senderLinger); the steps here keep something
+/// lingering throughout, so the passes fall on multiples of senderLinger.
+/// Message `revived` is asked again (and retransmits) at message
+/// `reviveAt`'s send time, which moves its deadline: its old record must
+/// neither forget it at the old deadline's pass nor keep it past the new
+/// one's. Message `busyOnly` is asked again as it finishes, while it is
+/// still active: it gets a BUSY only and stays with the in-progress
+/// messages, which no reap touches.
+void expectEachForgottenAtTheFirstPassAfterItsDeadline(Duration step,
+                                                       int messages,
+                                                       int revived,
+                                                       int reviveAt,
+                                                       int busyOnly) {
+    Harness h;
+    const Duration linger = HomaConfig{}.senderLinger;
+    auto idOf = [](int k) { return (MsgId{3} << 40) | static_cast<MsgId>(k); };
+    auto forgottenAt = [&](int k) -> Time {
+        const Time deadline = (k == revived ? reviveAt : k) * step + linger;
+        return (deadline + linger - 1) / linger * linger;  // the next pass
+    };
+    Time lastPass = 0;
+    for (int k = 0; k < messages; k++) {
+        if (k != busyOnly) lastPass = std::max(lastPass, forgottenAt(k));
+    }
+
+    std::vector<Time> checks;
+    for (Time pass = linger; pass <= lastPass; pass += linger) {
+        checks.push_back(pass - 1);
+        checks.push_back(pass);
+    }
+    size_t nextCheck = 0;
+    int sent = 0;
+    auto runTo = [&](Time t) {
+        for (; nextCheck < checks.size() && checks[nextCheck] <= t;
+             nextCheck++) {
+            const Time now = checks[nextCheck];
+            h.host.loop_.runUntil(now);
+            for (int k = 0; k < sent; k++) {
+                EXPECT_EQ(h.transport->sender().knowsMessage(idOf(k)),
+                          k == busyOnly || now < forgottenAt(k))
+                    << "message " << k << " at " << now << " ps";
+            }
+            EXPECT_EQ(h.host.loop_.pendingEvents(), now < lastPass ? 1u : 0u)
+                << "at " << now << " ps";
+        }
+        h.host.loop_.runUntil(t);
+    };
+
+    for (int k = 0; k < messages; k++) {
+        runTo(k * step);
+        if (k == reviveAt) {
+            h.transport->handlePacket(resendFor(idOf(revived), 0, 1000));
+            const std::vector<Packet> re = h.pullAll();
+            ASSERT_EQ(re.size(), 1u);
+            EXPECT_TRUE(re[0].hasFlag(kFlagRetransmit));
+        }
+        Message m = h.makeMessage(idOf(k), 1000, 0);
+        m.dst = 5;
+        h.transport->sendMessage(m);
+        ASSERT_EQ(h.pullAll().size(), 1u);
+        sent = k + 1;
+        if (k == busyOnly) {
+            h.host.pushed.clear();
+            h.transport->handlePacket(resendFor(idOf(k), 0, 1000));
+            ASSERT_EQ(h.host.pushed.size(), 1u);
+            EXPECT_EQ(h.host.pushed[0].type, PacketType::Busy);
+            EXPECT_TRUE(h.pullAll().empty());
+        }
+    }
+    runTo(lastPass + linger);
+    EXPECT_EQ(nextCheck, checks.size());
+}
+
+TEST(HomaLoss, LingerReapForgetsEachMessageAtTheFirstPassAfterItsDeadline) {
+    {
+        // Up to ~200 lingering at a time over 40 ms, so records fill several
+        // chunks and the front chunk is recycled while sends go on.
+        // Message 50 (finished at 5 ms, deadline 15 ms) is revived at 12 ms
+        // (new deadline 22 ms): the pass at 20 ms keeps it, 30 ms forgets.
+        SCOPED_TRACE("100 us apart");
+        expectEachForgottenAtTheFirstPassAfterItsDeadline(
+            microseconds(100), 400, /*revived=*/50, /*reviveAt=*/120,
+            /*busyOnly=*/60);
+    }
+    {
+        // At most seven records at a time, so one small chunk holds them
+        // and slides them forward as the front leaves. Message 5 (deadline
+        // 25 ms) is revived at 21 ms (new deadline 31 ms): kept at 30 ms,
+        // forgotten at 40 ms.
+        SCOPED_TRACE("3 ms apart");
+        expectEachForgottenAtTheFirstPassAfterItsDeadline(
+            milliseconds(3), 20, /*revived=*/5, /*reviveAt=*/7,
+            /*busyOnly=*/10);
+    }
+}
+
+TEST(IdIndex, AgreesWithAHashSetUnderRandomInsertAndErase) {
+    // The index behind the completed-id memory and the linger table, as a
+    // caller drives it: ids sit in an array, the index finds their
+    // positions, and the caller grows it (re-linking every position) before
+    // it passes half full. Ids take the per-host stream form, the source
+    // above bit 40, over a few hundred live entries, so probe runs wrap
+    // past the end of the slot array and backward shifts cross it.
+    std::mt19937_64 rng(2718);
+    IdIndex<uint32_t> index;
+    std::vector<MsgId> ids(512);  // the caller's array
+    auto idAt = [&ids](size_t pos) { return ids[pos]; };
+    std::vector<size_t> live;  // positions in use
+    std::vector<size_t> free;
+    for (size_t pos = ids.size(); pos-- > 0;) free.push_back(pos);
+    std::unordered_set<MsgId> expect;
+    auto drawId = [&rng] {
+        const MsgId h = rng() % 24;
+        const MsgId k = rng() % 32;
+        return ((h + 1) << 40) | k;
+    };
+    auto agree = [&](MsgId id) {
+        const size_t pos = index.find(id, idAt);
+        if (expect.count(id) == 0) return pos == IdIndex<uint32_t>::kNotFound;
+        return pos != IdIndex<uint32_t>::kNotFound && ids[pos] == id;
+    };
+
+    for (int op = 0; op < 40000; op++) {
+        // Fill towards the array's size, then drain, then fill again.
+        const bool filling = (op / 5000) % 2 == 0;
+        const MsgId id = drawId();
+        if (rng() % 100 < (filling ? 70u : 30u)) {
+            if (expect.count(id) == 0 && !free.empty()) {
+                const size_t pos = free.back();
+                free.pop_back();
+                ids[pos] = id;
+                live.push_back(pos);
+                expect.insert(id);
+                if (index.needsGrowth(live.size())) {
+                    index.grow();
+                    for (size_t p : live) index.link(p, idAt);
+                } else {
+                    index.link(pos, idAt);
+                }
+            }
+        } else if (!live.empty()) {
+            const size_t i = rng() % live.size();
+            const size_t pos = live[i];
+            index.unlink(pos, idAt);
+            expect.erase(ids[pos]);
+            live[i] = live.back();
+            live.pop_back();
+            free.push_back(pos);
+        }
+        ASSERT_TRUE(agree(id)) << "op " << op;
+        if (op % 500 == 0) {
+            for (MsgId h = 1; h <= 24; h++) {
+                for (MsgId k = 0; k < 32; k++) {
+                    ASSERT_TRUE(agree((h << 40) | k)) << "op " << op;
+                }
+            }
+        }
+    }
 }
 
 TEST(HomaLoss, ReceiverAbortsAfterMaxResends) {
