@@ -23,29 +23,17 @@ struct Variant {
 
 std::vector<Variant> variants() {
     std::vector<Variant> v;
-    {
-        ProtocolConfig p;
-        v.push_back({"Homa", p});
-    }
+    v.push_back({protocolName(Protocol::Homa), ProtocolConfig{}});
     for (int x : {4, 2, 1}) {
         ProtocolConfig p;
         p.homa.wirePriorities = x;
         v.push_back({"HomaP" + std::to_string(x), p});
     }
-    {
+    for (Protocol kind :
+         {Protocol::Basic, Protocol::StreamMC, Protocol::StreamSC}) {
         ProtocolConfig p;
-        p.kind = Protocol::Basic;
-        v.push_back({"Basic", p});
-    }
-    {
-        ProtocolConfig p;
-        p.kind = Protocol::StreamMC;
-        v.push_back({"Stream-MC", p});
-    }
-    {
-        ProtocolConfig p;
-        p.kind = Protocol::StreamSC;
-        v.push_back({"Stream-SC", p});
+        p.kind = kind;
+        v.push_back({protocolName(kind), p});
     }
     return v;
 }

@@ -17,19 +17,18 @@ using namespace homa::bench;
 namespace {
 
 struct Entry {
-    std::string name;
     Protocol kind;
     double loadCap;  // highest load this protocol sustains (paper, Fig 15)
 };
 
 std::vector<Entry> entries(WorkloadId wl) {
     std::vector<Entry> out = {
-        {"Homa", Protocol::Homa, 0.90},
-        {"pFabric", Protocol::PFabric, 0.85},
-        {"pHost", Protocol::PHost, 0.62},
-        {"PIAS", Protocol::Pias, 0.75},
+        {Protocol::Homa, 0.90},
+        {Protocol::PFabric, 0.85},
+        {Protocol::PHost, 0.62},
+        {Protocol::Pias, 0.75},
     };
-    if (wl == WorkloadId::W5) out.push_back({"NDP", Protocol::Ndp, 0.70});
+    if (wl == WorkloadId::W5) out.push_back({Protocol::Ndp, 0.70});
     return out;
 }
 
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
                 cfg.traffic.load = std::min(requestedLoad, e.loadCap);
                 cfg.traffic.stop = simWindow();
                 cfg.traffic.scenario = scenario;
-                std::string label = e.name;
+                std::string label = protocolName(e.kind);
                 if (cfg.traffic.load < requestedLoad) {
                     label += '@';
                     label += std::to_string(

@@ -11,16 +11,9 @@ int main() {
     printHeader("Figure 15: maximum sustainable network load",
                 "highest load (%) each protocol supports per workload");
 
-    struct Entry {
-        std::string name;
-        Protocol kind;
-    };
-    const std::vector<Entry> protos = {
-        {"Homa", Protocol::Homa},
-        {"pFabric", Protocol::PFabric},
-        {"pHost", Protocol::PHost},
-        {"PIAS", Protocol::Pias},
-        {"NDP", Protocol::Ndp},  // W5 only, like the paper
+    const Protocol protos[] = {
+        Protocol::Homa, Protocol::PFabric, Protocol::PHost, Protocol::Pias,
+        Protocol::Ndp,  // W5 only, like the paper
     };
 
     const std::vector<WorkloadId> workloads =
@@ -30,18 +23,18 @@ int main() {
                                               WorkloadId::W4, WorkloadId::W5};
 
     Table table({"Protocol", "W1", "W2", "W3", "W4", "W5"});
-    for (const Entry& e : protos) {
-        std::vector<std::string> row{e.name};
+    for (Protocol kind : protos) {
+        std::vector<std::string> row{protocolName(kind)};
         for (WorkloadId wl : kAllWorkloads) {
             const bool selected =
                 std::find(workloads.begin(), workloads.end(), wl) !=
                 workloads.end();
-            if (!selected || (e.kind == Protocol::Ndp && wl != WorkloadId::W5)) {
+            if (!selected || (kind == Protocol::Ndp && wl != WorkloadId::W5)) {
                 row.push_back("-");
                 continue;
             }
             ExperimentConfig cfg;
-            cfg.proto.kind = e.kind;
+            cfg.proto.kind = kind;
             cfg.traffic.workload = wl;
             cfg.traffic.stop = simWindow();
             cfg.drainGrace = milliseconds(fullScale() ? 150 : 60);

@@ -58,24 +58,23 @@ int main(int argc, char** argv) {
                 "per-tree completion and slowdown, partition-aggregate "
                 "workloads, 144-host fat-tree");
 
-    const std::vector<std::pair<const char*, Protocol>> protocols = {
-        {"Homa", Protocol::Homa},   {"Basic", Protocol::Basic},
-        {"pHost", Protocol::PHost}, {"PIAS", Protocol::Pias},
-        {"pFabric", Protocol::PFabric}, {"NDP", Protocol::Ndp},
-    };
+    const Protocol protocols[] = {Protocol::Homa,  Protocol::Basic,
+                                  Protocol::PHost, Protocol::Pias,
+                                  Protocol::PFabric, Protocol::Ndp};
 
     std::vector<Shape> grid = shapes();
     std::vector<ExperimentConfig> configs;
     std::vector<std::string> labels;
     for (const Shape& shape : grid) {
-        for (const auto& [name, kind] : protocols) {
+        for (Protocol kind : protocols) {
             ExperimentConfig cfg;
             cfg.proto.kind = kind;
             cfg.traffic.workload = WorkloadId::W1;  // sizes fixed per stage
             cfg.traffic.stop = fullScale() ? milliseconds(40) : milliseconds(4);
             cfg.traffic.scenario.kind = TrafficPatternKind::Dag;
             cfg.traffic.scenario.dag = shape.dag;
-            labels.push_back(std::string(name) + "/" + shape.name);
+            labels.push_back(std::string(protocolName(kind)) + "/" +
+                             shape.name);
             configs.push_back(std::move(cfg));
         }
     }
@@ -91,9 +90,9 @@ int main(int argc, char** argv) {
                     shape.dag.window, shape.dag.roots);
         Table t({"protocol", "trees", "p50 us", "p99 us", "slow p50",
                  "slow p99", "trees/s", "keptUp"});
-        for (const auto& [name, kind] : protocols) {
+        for (Protocol kind : protocols) {
             const ExperimentResult& r = sweep.results[i++];
-            t.addRow({name, std::to_string(r.dag->trees()),
+            t.addRow({protocolName(kind), std::to_string(r.dag->trees()),
                       Table::num(r.dag->completionPercentileUs(0.50)),
                       Table::num(r.dag->completionPercentileUs(0.99)),
                       Table::num(r.dag->slowdownPercentile(0.50)),

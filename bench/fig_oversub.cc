@@ -34,15 +34,12 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const std::vector<std::pair<const char*, Protocol>> protocols = {
-        {"Homa", Protocol::Homa},
-        {"pFabric", Protocol::PFabric},
-        {"NDP", Protocol::Ndp},
-    };
+    const Protocol protocols[] = {Protocol::Homa, Protocol::PFabric,
+                                  Protocol::Ndp};
     const double oversubs[] = {1, 2, 4, 8};
 
     std::vector<ExperimentConfig> configs;
-    for (const auto& [name, kind] : protocols) {
+    for (Protocol kind : protocols) {
         for (double oversub : oversubs) {
             ExperimentConfig cfg;
             cfg.proto.kind = kind;
@@ -62,8 +59,8 @@ int main(int argc, char** argv) {
         SweepRunner(sweepOptionsFromEnv()).run(std::move(configs));
 
     size_t i = 0;
-    for (const auto& [name, kind] : protocols) {
-        std::printf("--- %s ---\n", name);
+    for (Protocol kind : protocols) {
+        std::printf("--- %s ---\n", protocolName(kind));
         Table t({"oversub", "slow p50", "slow p99", "aggr util", "core util",
                  "coreQ mean B", "coreQ max B", "keptUp"});
         for (double oversub : oversubs) {

@@ -49,7 +49,7 @@ Result overHoma() {
 
 Result overTcpLikeStream() {
     NetworkConfig cfg = NetworkConfig::singleRack16();
-    Network net(cfg, StreamingTransport::factory({}));  // one conn per peer
+    Network net(cfg, StreamingTransport::factory(/*multiConnection=*/false));
     Time bulkDone = 0, requestDone = 0;
     Time requestStart = microseconds(10);
     net.setDeliveryCallback([&](const Message& m, const DeliveryInfo& info) {

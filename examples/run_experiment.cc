@@ -30,12 +30,17 @@ using namespace homa;
 namespace {
 
 [[noreturn]] void usage() {
+    std::string protocols;
+    for (int i = 0; i < kProtocolCount; i++) {
+        if (i > 0) protocols += '|';
+        protocols += protocolName(static_cast<Protocol>(i));
+    }
     std::fprintf(
         stderr,
         "usage: example_run_experiment [options]\n"
         "  --workload W1..W5       message size distribution (default W3)\n"
-        "  --protocol NAME         Homa|Basic|pHost|PIAS|pFabric|NDP|\n"
-        "                          Stream-SC|Stream-MC (default Homa)\n"
+        "  --protocol NAME         %s\n"
+        "                          (default Homa)\n"
         "  --load F                offered load fraction (default 0.8)\n"
         "  --window-ms N           traffic generation window (default 10)\n"
         "  --seed N                RNG seed (default 99)\n"
@@ -112,7 +117,8 @@ namespace {
         "              --cutoff BYTES, --unsched-bytes N, --reservation F,\n"
         "              --overcommit N, --no-incast-control,\n"
         "              --grant-policy srpt|fifo|rr|unlimited\n"
-        "  --wasted-bw             sample the Figure 16 wasted-bw probe\n");
+        "  --wasted-bw             sample the Figure 16 wasted-bw probe\n",
+        protocols.c_str());
     std::exit(2);
 }
 
@@ -138,17 +144,6 @@ struct Cli {
 };
 
 using Arg = const std::string&;
-
-const Protocol kProtocols[] = {Protocol::Homa,     Protocol::Basic,
-                               Protocol::PHost,    Protocol::Pias,
-                               Protocol::PFabric,  Protocol::Ndp,
-                               Protocol::StreamSC, Protocol::StreamMC};
-
-bool isProtocolName(const char* name) {
-    return std::any_of(
-        std::begin(kProtocols), std::end(kProtocols),
-        [name](Protocol p) { return std::strcmp(name, protocolName(p)) == 0; });
-}
 
 // --sched and --unsched count priority levels. They exist only here (main()
 // turns them into HomaConfig's level counts), so their rule does too.
@@ -201,13 +196,9 @@ const Flag kFlags[] = {
      }},
     {"--protocol", nullptr, nullptr,
      [](Cli& c, Arg v) -> std::string {
-         for (Protocol p : kProtocols) {
-             if (v == protocolName(p)) {
-                 c.cfg.proto.kind = p;
-                 return "";
-             }
-         }
-         return "unknown protocol (names are case-sensitive, e.g. Homa)";
+         return protocolFromName(v, c.cfg.proto.kind)
+                    ? ""
+                    : "unknown protocol (names are case-sensitive, e.g. Homa)";
      }},
     {"--load", nullptr,
      "--load does not apply to --tenants: each tenant sets its own (load=F)",
@@ -426,8 +417,8 @@ int main(int argc, char** argv) {
         if (f->owner == nullptr) continue;
         if (f->owner[0] == '-') {
             if (!has(f->owner)) fail("%s needs %s", f->name, f->owner);
-        } else if (isProtocolName(f->owner)) {
-            if (std::strcmp(f->owner, protocolName(cfg.proto.kind)) != 0) {
+        } else if (Protocol owner; protocolFromName(f->owner, owner)) {
+            if (owner != cfg.proto.kind) {
                 fail("%s needs --protocol %s (current protocol: %s)", f->name,
                      f->owner, protocolName(cfg.proto.kind));
             }

@@ -5,9 +5,10 @@
 
 namespace homa {
 
-NdpTransport::NdpTransport(HostServices& host, NdpConfig cfg, Duration packetTime)
+NdpTransport::NdpTransport(HostServices& host, int64_t initialWindow,
+                           Duration packetTime)
     : host_(host),
-      cfg_(cfg),
+      initialWindow_(initialWindow),
       packetTime_(packetTime),
       pacer_(host.loop(), [this] { pacerTick(); }) {}
 
@@ -23,7 +24,7 @@ void NdpTransport::sendMessage(const Message& m) {
     // Blast the first window into the NIC immediately (blind start).
     OutMessage om;
     om.msg = m;
-    const int64_t burst = std::min<int64_t>(cfg_.initialWindow, m.length);
+    const int64_t burst = std::min<int64_t>(initialWindow_, m.length);
     while (om.sentTo < burst) {
         const uint32_t chunk = static_cast<uint32_t>(
             std::min<int64_t>(kMaxPayload, burst - om.sentTo));
@@ -42,7 +43,7 @@ void NdpTransport::sendMessage(const Message& m) {
 }
 
 void NdpTransport::syncPull(InMessage& im) {
-    if (im.wantsPull(cfg_.initialWindow)) {
+    if (im.wantsPull(initialWindow_)) {
         pullRing_.insert(im.meta.id);
     } else {
         pullRing_.erase(im.meta.id);
@@ -104,7 +105,7 @@ void NdpTransport::handlePacket(const Packet& p) {
             }
             if (it == in_.end()) {
                 it = in_.try_emplace(p.msg, p).first;
-                it->second.pulledTo = std::min<int64_t>(cfg_.initialWindow,
+                it->second.pulledTo = std::min<int64_t>(initialWindow_,
                                                         p.messageLength);
             }
             InMessage& im = it->second;
@@ -135,13 +136,11 @@ void NdpTransport::handlePacket(const Packet& p) {
     }
 }
 
-TransportFactory NdpTransport::factory(NdpConfig cfg, const NetworkConfig& net) {
-    if (cfg.initialWindow <= 0) {
-        cfg.initialWindow = NetworkTimings::compute(net).rttBytes;
-    }
+TransportFactory NdpTransport::factory(const NetworkConfig& net) {
+    const int64_t window = NetworkTimings::compute(net).rttBytes;
     const Duration packetTime = net.hostLink.serialize(kFullPacketWireBytes);
-    return [cfg, packetTime](HostServices& host) {
-        return std::make_unique<NdpTransport>(host, cfg, packetTime);
+    return [window, packetTime](HostServices& host) {
+        return std::make_unique<NdpTransport>(host, window, packetTime);
     };
 }
 

@@ -25,20 +25,22 @@
 
 namespace homa {
 
-struct NdpConfig {
-    int64_t initialWindow = 0;            // <= 0: rttBytes
-    int64_t switchBufferBytes = 8 * 1500;  // trim threshold per egress port
-};
-
 class NdpTransport final : public Transport {
 public:
-    NdpTransport(HostServices& host, NdpConfig cfg, Duration packetTime);
+    /// Trim threshold per switch egress port.
+    static constexpr int64_t kSwitchBufferBytes = 8 * 1500;
+
+    /// `initialWindow`: bytes blasted blind at a message's start;
+    /// `packetTime`: the downlink serialization time of a full packet.
+    NdpTransport(HostServices& host, int64_t initialWindow,
+                 Duration packetTime);
 
     void sendMessage(const Message& m) override;
     void handlePacket(const Packet& p) override;
     // NDP pushes everything (FIFO NIC); pullPacket stays empty.
 
-    static TransportFactory factory(NdpConfig cfg, const NetworkConfig& net);
+    /// An initial window of rttBytes.
+    static TransportFactory factory(const NetworkConfig& net);
 
 private:
     struct OutMessage {
@@ -66,7 +68,7 @@ private:
     void syncPull(InMessage& im);
 
     HostServices& host_;
-    NdpConfig cfg_;
+    int64_t initialWindow_;
     Duration packetTime_;
     std::map<MsgId, OutMessage> out_;
     std::map<MsgId, InMessage> in_;

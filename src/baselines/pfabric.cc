@@ -5,20 +5,24 @@
 
 namespace homa {
 
-PFabricTransport::PFabricTransport(HostServices& host, PFabricConfig cfg)
-    : host_(host), cfg_(cfg), rtoScan_(host.loop(), [this] { checkTimeouts(); }) {}
+PFabricTransport::PFabricTransport(HostServices& host, int64_t windowBytes,
+                                   Duration rto)
+    : host_(host),
+      windowBytes_(windowBytes),
+      rto_(rto),
+      rtoScan_(host.loop(), [this] { checkTimeouts(); }) {}
 
 void PFabricTransport::sendMessage(const Message& m) {
     OutMessage om(m);
     om.lastAckActivity = host_.loop().now();
     auto it = out_.emplace(m.id, std::move(om)).first;
     syncSendable(it->second);
-    if (!rtoScan_.armed()) rtoScan_.schedule(cfg_.rto);
+    if (!rtoScan_.armed()) rtoScan_.schedule(rto_);
     host_.kickNic();
 }
 
 void PFabricTransport::syncSendable(const OutMessage& om) {
-    if (om.sendable(cfg_.windowBytes)) {
+    if (om.sendable(windowBytes_)) {
         sendable_.upsert(om.msg.id, om.remaining());
     } else {
         sendable_.erase(om.msg.id);
@@ -103,7 +107,7 @@ void PFabricTransport::checkTimeouts() {
     bool any = false;
     for (auto& [id, om] : out_) {
         any = true;
-        if (now - om.lastAckActivity < cfg_.rto) continue;
+        if (now - om.lastAckActivity < rto_) continue;
         if (om.retransmit.has_value()) continue;
         // Retransmit the first unacked range; the in-flight estimate for
         // lost packets is stale, so reset it to what the window allows.
@@ -122,18 +126,16 @@ void PFabricTransport::checkTimeouts() {
         syncSendable(om);
     }
     if (any) {
-        rtoScan_.schedule(cfg_.rto / 2);
+        rtoScan_.schedule(rto_ / 2);
         host_.kickNic();
     }
 }
 
-TransportFactory PFabricTransport::factory(PFabricConfig cfg,
-                                           const NetworkConfig& net) {
+TransportFactory PFabricTransport::factory(const NetworkConfig& net) {
     const auto timings = NetworkTimings::compute(net);
-    if (cfg.windowBytes <= 0) cfg.windowBytes = timings.rttBytes;
-    if (cfg.rto <= 0) cfg.rto = 3 * timings.rttSmallGrant;
-    return [cfg](HostServices& host) {
-        return std::make_unique<PFabricTransport>(host, cfg);
+    return [window = timings.rttBytes,
+            rto = 3 * timings.rttSmallGrant](HostServices& host) {
+        return std::make_unique<PFabricTransport>(host, window, rto);
     };
 }
 

@@ -21,22 +21,21 @@
 
 namespace homa {
 
-struct PFabricConfig {
-    int64_t windowBytes = 0;    // <= 0: rttBytes (BDP)
-    Duration rto = 0;           // <= 0: 3x network RTT
-    /// Switch buffer per egress port (the paper's setup uses ~2 BDP).
-    int64_t switchBufferBytes = 36 * 1500;
-};
-
 class PFabricTransport final : public Transport {
 public:
-    PFabricTransport(HostServices& host, PFabricConfig cfg);
+    /// Switch buffer per egress port (the paper's setup uses ~2 BDP).
+    static constexpr int64_t kSwitchBufferBytes = 36 * 1500;
+
+    /// `windowBytes`: bytes each message may have in flight; `rto`: how
+    /// long without an ACK before the first unacked range is resent.
+    PFabricTransport(HostServices& host, int64_t windowBytes, Duration rto);
 
     void sendMessage(const Message& m) override;
     void handlePacket(const Packet& p) override;
     std::optional<Packet> pullPacket() override;
 
-    static TransportFactory factory(PFabricConfig cfg, const NetworkConfig& net);
+    /// A window of rttBytes (the BDP) and an RTO of 3x the network RTT.
+    static TransportFactory factory(const NetworkConfig& net);
 
     uint64_t retransmissions() const { return retransmissions_; }
 
@@ -63,7 +62,8 @@ private:
     void syncSendable(const OutMessage& om);
 
     HostServices& host_;
-    PFabricConfig cfg_;
+    int64_t windowBytes_;
+    Duration rto_;
     std::map<MsgId, OutMessage> out_;
     std::map<MsgId, Inbound> in_;
     // SRPT order over the sendable subset of out_, keyed by remaining().

@@ -5,17 +5,17 @@
 
 namespace homa {
 
-PHostTransport::PHostTransport(HostServices& host, PHostConfig cfg,
+PHostTransport::PHostTransport(HostServices& host, int64_t rttBytes,
                                Duration packetTime)
     : host_(host),
-      cfg_(cfg),
+      rttBytes_(rttBytes),
       packetTime_(packetTime),
       pacer_(host.loop(), [this] { pacerTick(); }) {}
 
 void PHostTransport::sendMessage(const Message& m) {
     OutMessage om;
     om.msg = m;
-    om.unschedLimit = std::min<int64_t>(cfg_.rttBytes, m.length);
+    om.unschedLimit = std::min<int64_t>(rttBytes_, m.length);
     auto it = out_.emplace(m.id, std::move(om)).first;
     sendable_.upsert(m.id, it->second.remaining());
     host_.kickNic();
@@ -32,11 +32,8 @@ std::optional<Packet> PHostTransport::pullPacket() {
         const auto id = sendable_.best();
         if (!id) return std::nullopt;
         OutMessage& om = out_.at(*id);
-        if (cfg_.tokenTtl > 0) {
-            while (!om.tokens.empty() &&
-                   now - om.tokens.front() > cfg_.tokenTtl) {
-                om.tokens.pop_front();
-            }
+        while (!om.tokens.empty() && now - om.tokens.front() > kTokenTtl) {
+            om.tokens.pop_front();
         }
         if (!om.sendable()) {
             sendable_.erase(*id);  // re-enters when a fresh token arrives
@@ -54,7 +51,7 @@ std::optional<Packet> PHostTransport::pullPacket() {
 
     Packet p =
         dataPacket(best->msg, static_cast<uint32_t>(best->nextOffset), chunk);
-    p.priority = unscheduled ? cfg_.unschedPriority : cfg_.schedPriority;
+    p.priority = unscheduled ? kUnschedPriority : kSchedPriority;
     best->nextOffset += chunk;
     if (!unscheduled) best->tokens.pop_front();
     if (best->nextOffset >= best->msg.length) {
@@ -109,7 +106,7 @@ void PHostTransport::pacerTick() {
     // stops at the first still-live entry, so it touches only actually
     // stale messages instead of scanning the whole table per tick.
     while (!staleness_.empty() &&
-           now - staleness_.begin()->first > cfg_.freeTokenTimeout) {
+           now - staleness_.begin()->first > kFreeTokenTimeout) {
         InMessage& im = in_.at(staleness_.begin()->second);
         im.demoted = true;
         im.tokensSent = im.reasm.receivedBytes();
@@ -124,7 +121,7 @@ void PHostTransport::pacerTick() {
             // Nothing grantable right now (all granted or demoted), but
             // incomplete messages remain: check back on the free-token
             // timescale so expired-token messages get re-scheduled.
-            pacer_.schedule(cfg_.freeTokenTimeout);
+            pacer_.schedule(kFreeTokenTimeout);
             return;
         }
         pacerRunning_ = false;
@@ -156,8 +153,7 @@ void PHostTransport::handlePacket(const Packet& p) {
             auto [it, first] = in_.try_emplace(p.msg, p);
             InMessage& im = it->second;
             if (first) {
-                im.tokensSent =
-                    std::min<int64_t>(cfg_.rttBytes, p.messageLength);
+                im.tokensSent = std::min<int64_t>(rttBytes_, p.messageLength);
             }
             const Time now = host_.loop().now();
             im.lastData = now;
@@ -189,13 +185,12 @@ bool PHostTransport::hasWithheldWork() const {
     return eligible_.size() + demotedIdx_.size() > 1;
 }
 
-TransportFactory PHostTransport::factory(PHostConfig cfg,
-                                         const NetworkConfig& net) {
-    if (cfg.rttBytes <= 0) cfg.rttBytes = NetworkTimings::compute(net).rttBytes;
+TransportFactory PHostTransport::factory(const NetworkConfig& net) {
+    const int64_t rttBytes = NetworkTimings::compute(net).rttBytes;
     const Duration packetTime =
         net.hostLink.serialize(kFullPacketWireBytes);
-    return [cfg, packetTime](HostServices& host) {
-        return std::make_unique<PHostTransport>(host, cfg, packetTime);
+    return [rttBytes, packetTime](HostServices& host) {
+        return std::make_unique<PHostTransport>(host, rttBytes, packetTime);
     };
 }
 

@@ -22,30 +22,30 @@
 
 namespace homa {
 
-struct PHostConfig {
-    int64_t rttBytes = 0;  // <= 0: derive from topology
-    /// Receiver gives up on an unresponsive sender after this long without
-    /// a data packet for the granted message.
-    Duration freeTokenTimeout = microseconds(15);
-    /// Tokens expire if unused this long after arriving at the sender
-    /// (the pHost paper uses 1.5 packet transmission times). Expired
-    /// tokens are the bandwidth pHost wastes: the receiver scheduled a
-    /// packet slot that nobody used. 0 disables expiry.
-    Duration tokenTtl = microseconds(2);
-    uint8_t unschedPriority = kHighestPriority;  // static, all messages
-    uint8_t schedPriority = 0;                   // static, all messages
-};
-
 class PHostTransport final : public Transport {
 public:
-    PHostTransport(HostServices& host, PHostConfig cfg, Duration packetTime);
+    /// The receiver gives up on an unresponsive sender after this long
+    /// without a data packet for the granted message.
+    static constexpr Duration kFreeTokenTimeout = microseconds(15);
+    /// Tokens expire if unused this long after arriving at the sender (the
+    /// pHost paper uses 1.5 packet transmission times). Expired tokens are
+    /// the bandwidth pHost wastes: the receiver scheduled a packet slot
+    /// that nobody used.
+    static constexpr Duration kTokenTtl = microseconds(2);
+    /// The two static priorities, the same for every message.
+    static constexpr uint8_t kUnschedPriority = kHighestPriority;
+    static constexpr uint8_t kSchedPriority = 0;
+
+    /// `rttBytes` is the blind first-RTT prefix; `packetTime` the downlink
+    /// serialization time of a full packet.
+    PHostTransport(HostServices& host, int64_t rttBytes, Duration packetTime);
 
     void sendMessage(const Message& m) override;
     void handlePacket(const Packet& p) override;
     std::optional<Packet> pullPacket() override;
     bool hasWithheldWork() const override;
 
-    static TransportFactory factory(PHostConfig cfg, const NetworkConfig& net);
+    static TransportFactory factory(const NetworkConfig& net);
 
 private:
     struct OutMessage {
@@ -82,8 +82,8 @@ private:
     void dropGrantee(InMessage& im);
 
     HostServices& host_;
-    PHostConfig cfg_;
-    Duration packetTime_;  // downlink serialization time of a full packet
+    int64_t rttBytes_;
+    Duration packetTime_;
     std::map<MsgId, OutMessage> out_;
     std::map<MsgId, InMessage> in_;
     // Sender-side SRPT over (possibly stale-)sendable messages; token

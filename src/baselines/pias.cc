@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 namespace homa {
@@ -51,15 +52,20 @@ std::vector<uint32_t> piasThresholdsFor(const SizeDistribution& dist) {
     return thresholds;
 }
 
-PiasTransport::PiasTransport(HostServices& host, PiasConfig cfg)
-    : host_(host), cfg_(cfg) {
-    assert(!cfg_.thresholds.empty());
-    assert(cfg_.initialWindow > 0);
+PiasTransport::PiasTransport(HostServices& host,
+                             std::vector<uint32_t> thresholds,
+                             int64_t initialWindow, Duration rtt)
+    : host_(host),
+      thresholds_(std::move(thresholds)),
+      initialWindow_(initialWindow),
+      rtt_(rtt) {
+    assert(!thresholds_.empty());
+    assert(initialWindow_ > 0);
 }
 
 uint8_t PiasTransport::priorityForBytesSent(int64_t bytesSent) const {
     int level = 0;
-    for (uint32_t t : cfg_.thresholds) {
+    for (uint32_t t : thresholds_) {
         if (bytesSent >= static_cast<int64_t>(t)) level++;
     }
     return static_cast<uint8_t>(
@@ -69,7 +75,7 @@ uint8_t PiasTransport::priorityForBytesSent(int64_t bytesSent) const {
 void PiasTransport::sendMessage(const Message& m) {
     OutMessage om;
     om.msg = m;
-    om.cwnd = static_cast<double>(cfg_.initialWindow);
+    om.cwnd = static_cast<double>(initialWindow_);
     om.rttStart = host_.loop().now();
     auto it = out_.emplace(m.id, std::move(om)).first;
     syncSend(it->second);
@@ -110,11 +116,10 @@ void PiasTransport::onAck(const Packet& p) {
 
     // One DCTCP window update per RTT.
     const Time now = host_.loop().now();
-    if (now - om.rttStart >= cfg_.rtt && om.acksInRtt > 0) {
+    if (now - om.rttStart >= rtt_ && om.acksInRtt > 0) {
         const double frac = static_cast<double>(om.marksInRtt) /
                             static_cast<double>(om.acksInRtt);
-        om.markedEwma = (1 - cfg_.dctcpGain) * om.markedEwma +
-                        cfg_.dctcpGain * frac;
+        om.markedEwma = (1 - kDctcpGain) * om.markedEwma + kDctcpGain * frac;
         if (om.marksInRtt > 0) {
             om.cwnd *= (1.0 - om.markedEwma / 2.0);
         } else {
@@ -163,17 +168,18 @@ void PiasTransport::handlePacket(const Packet& p) {
     }
 }
 
-TransportFactory PiasTransport::factory(PiasConfig cfg, const NetworkConfig& net,
+TransportFactory PiasTransport::factory(const NetworkConfig& net,
                                         const SizeDistribution* workload) {
-    const auto timings = NetworkTimings::compute(net);
-    if (cfg.initialWindow <= 0) cfg.initialWindow = timings.rttBytes;
-    if (cfg.rtt <= 0) cfg.rtt = timings.rttSmallGrant;
-    if (cfg.thresholds.empty()) {
-        assert(workload != nullptr);
-        cfg.thresholds = piasThresholdsFor(*workload);
+    if (workload == nullptr) {
+        throw std::invalid_argument(
+            "PIAS derives its demotion thresholds from the workload's "
+            "message sizes: a workload is required");
     }
-    return [cfg](HostServices& host) {
-        return std::make_unique<PiasTransport>(host, cfg);
+    const auto timings = NetworkTimings::compute(net);
+    return [thresholds = piasThresholdsFor(*workload),
+            window = timings.rttBytes,
+            rtt = timings.rttSmallGrant](HostServices& host) {
+        return std::make_unique<PiasTransport>(host, thresholds, window, rtt);
     };
 }
 

@@ -27,28 +27,31 @@
 
 namespace homa {
 
-struct PiasConfig {
-    /// Bytes-sent demotion thresholds, ascending; level = #thresholds
-    /// crossed; priority = highest - level. Empty: derive from workload.
-    std::vector<uint32_t> thresholds;
-
-    int64_t initialWindow = 0;  // <= 0: rttBytes (BDP)
-    Duration rtt = 0;           // <= 0: derive (for the additive-increase clock)
-    double dctcpGain = 1.0 / 16.0;  // EWMA gain g for the marked fraction
-};
-
 /// Equal-bytes demotion thresholds for a workload (7 thresholds, 8 levels).
 std::vector<uint32_t> piasThresholdsFor(const SizeDistribution& dist);
 
 class PiasTransport final : public Transport {
 public:
-    PiasTransport(HostServices& host, PiasConfig cfg);
+    /// DCTCP's EWMA gain g for the marked fraction.
+    static constexpr double kDctcpGain = 1.0 / 16.0;
+    /// The switches' DCTCP-style ECN marking threshold (the PIAS paper's K
+    /// for 10 Gbps).
+    static constexpr int64_t kEcnThresholdBytes = 78000;
+
+    /// `thresholds`: bytes-sent demotion thresholds, ascending; level =
+    /// thresholds crossed, priority = highest - level. `initialWindow`:
+    /// each flow's first window in bytes. `rtt`: the additive-increase
+    /// clock.
+    PiasTransport(HostServices& host, std::vector<uint32_t> thresholds,
+                  int64_t initialWindow, Duration rtt);
 
     void sendMessage(const Message& m) override;
     void handlePacket(const Packet& p) override;
     std::optional<Packet> pullPacket() override;
 
-    static TransportFactory factory(PiasConfig cfg, const NetworkConfig& net,
+    /// Windows of rttBytes (the BDP), and thresholds from `workload`;
+    /// throws std::invalid_argument when `workload` is null.
+    static TransportFactory factory(const NetworkConfig& net,
                                     const SizeDistribution* workload);
 
 private:
@@ -73,7 +76,9 @@ private:
     void syncSend(const OutMessage& om);
 
     HostServices& host_;
-    PiasConfig cfg_;
+    std::vector<uint32_t> thresholds_;
+    int64_t initialWindow_;
+    Duration rtt_;
     std::map<MsgId, OutMessage> out_;
     std::map<MsgId, Inbound> in_;
     // Fair round-robin over exactly the windowed (sendable) flows;

@@ -8,9 +8,9 @@
 // removing sender HOL but still lacking priorities and SRPT.
 //
 // Delivery respects stream order within a connection (a real byte stream
-// cannot deliver message N+1 before N). Data travels at one priority.
-// A finite window adds per-packet ACK clocking (TCP flow control); window
-// 0 means unbounded in-flight (InfRC reliable connections).
+// cannot deliver message N+1 before N). Data travels at one priority, and
+// in-flight bytes are unbounded (InfRC reliable connections), so no ACKs
+// flow.
 #pragma once
 
 #include <deque>
@@ -22,20 +22,16 @@
 
 namespace homa {
 
-struct StreamingConfig {
-    bool multiConnection = false;  // one connection per message vs per peer
-    int64_t windowBytes = 0;       // 0 = unbounded (no ACKs needed)
-};
-
 class StreamingTransport final : public Transport {
 public:
-    StreamingTransport(HostServices& host, StreamingConfig cfg);
+    /// `multiConnection`: one connection per message instead of per peer.
+    StreamingTransport(HostServices& host, bool multiConnection);
 
     void sendMessage(const Message& m) override;
     void handlePacket(const Packet& p) override;
     std::optional<Packet> pullPacket() override;
 
-    static TransportFactory factory(StreamingConfig cfg);
+    static TransportFactory factory(bool multiConnection);
 
 private:
     // Sender side: a connection is an ordered queue of messages; bytes of
@@ -45,7 +41,6 @@ private:
         HostId peer;
         std::deque<Message> sendQueue;
         int64_t headSent = 0;    // bytes of the head message already sent
-        int64_t inFlight = 0;    // unacked bytes (windowed mode)
     };
 
     // Receiver side: per-connection in-order delivery. Each stream, keyed
@@ -57,7 +52,7 @@ private:
     void tryDeliver(InboundStreams::iterator stream);
 
     HostServices& host_;
-    StreamingConfig cfg_;
+    bool multiConnection_;
     std::vector<Connection> connections_;
     size_t rrCursor_ = 0;
     uint32_t nextConn_ = 1;

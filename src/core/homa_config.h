@@ -53,10 +53,9 @@ struct HomaConfig {
     Duration resendTimeout = milliseconds(2);
     int maxResends = 5;
 
-    /// Incast control (§3.6): requests beyond this many outstanding RPCs
-    /// are marked; marked responses cap their unscheduled bytes.
+    /// Incast control (§3.6): messages the RPC layer marks (past
+    /// RpcEndpoint's outstanding-RPC threshold) cap their unscheduled bytes.
     bool incastControl = true;
-    int incastThreshold = 25;
     int64_t incastUnschedBytes = 320;
 
     /// Keep sender state around after the last byte is sent so RESENDs can

@@ -1,5 +1,7 @@
 #include "core/homa_sender.h"
 
+#include <cassert>
+
 namespace homa {
 
 void HomaSender::sendMessage(const Message& m) {
@@ -35,20 +37,24 @@ void HomaSender::handleGrant(const Packet& p) {
 }
 
 void HomaSender::handleResend(const Packet& p) {
-    auto it = out_.find(p.msg);
-    if (it == out_.end()) {
-        // Fully-sent message: revive it from the linger table so the
-        // retransmission flows through the normal SRPT path.
-        Lingering rec;
-        if (!linger_.take(p.msg, rec)) return;
-        it = out_.emplace(p.msg, revive(rec)).first;
+    const auto it = out_.find(p.msg);
+    OutMessage* om = it != out_.end() ? &it->second : nullptr;
+    OutMessage revived;
+    if (om == nullptr) {
+        // Fully sent message: answer from its linger record. Only a
+        // retransmission brings it back to out_ (below), so after a BUSY
+        // alone it keeps lingering until its deadline.
+        const Lingering* rec = linger_.find(p.msg);
+        if (rec == nullptr) return;
+        revived = revive(*rec);
+        om = &revived;
     }
-    OutMessage& om = it->second;
 
     // A RESEND also acts as a grant for any not-yet-sent bytes it covers
     // (it proves the receiver wants them, e.g. after a lost GRANT).
     const int64_t end = static_cast<int64_t>(p.offset) + p.length;
-    om.grantedTo = std::max(om.grantedTo, std::min<int64_t>(end, om.msg.length));
+    om->grantedTo =
+        std::max(om->grantedTo, std::min<int64_t>(end, om->msg.length));
 
     // Always answer BUSY first (Figure 3): it travels at the highest
     // priority, so even when the actual data is starved at a low priority
@@ -56,8 +62,8 @@ void HomaSender::handleResend(const Packet& p) {
     // is alive and does not escalate to an abort.
     Packet busy;
     busy.type = PacketType::Busy;
-    busy.dst = om.msg.dst;
-    busy.msg = om.msg.id;
+    busy.dst = om->msg.dst;
+    busy.msg = om->msg.id;
     busy.priority = ctx_.controlPriority();
     ctx_.host.pushPacket(busy);
 
@@ -67,16 +73,21 @@ void HomaSender::handleResend(const Packet& p) {
     // lost; the BUSY alone is the right answer (no duplicate spraying).
     const Time now = ctx_.host.loop().now();
     const bool activelySending =
-        om.sendable() || (now - om.lastSend) < ctx_.cfg.resendTimeout / 2;
+        om->sendable() || (now - om->lastSend) < ctx_.cfg.resendTimeout / 2;
     if (!activelySending) {
         // Retransmit only what was already sent; fresh bytes flow normally.
-        const int64_t resendEnd = std::min<int64_t>(end, om.nextOffset);
+        const int64_t resendEnd = std::min<int64_t>(end, om->nextOffset);
         if (static_cast<int64_t>(p.offset) < resendEnd) {
-            om.resends.emplace_back(p.offset,
-                                    static_cast<uint32_t>(resendEnd - p.offset));
+            om->resends.emplace_back(
+                p.offset, static_cast<uint32_t>(resendEnd - p.offset));
         }
     }
-    syncSendable(om);
+    if (om == &revived && !revived.resends.empty()) {
+        // The retransmission flows through the normal SRPT path.
+        linger_.erase(p.msg);
+        om = &out_.emplace(p.msg, std::move(revived)).first->second;
+    }
+    syncSendable(*om);
     ctx_.host.kickNic();
 }
 
@@ -171,8 +182,9 @@ void HomaSender::scheduleReap() {
     });
 }
 
-bool HomaSender::LingerTable::contains(MsgId id) const {
-    return index_.find(id, idAt()) != IdIndex<uint32_t>::kNotFound;
+const HomaSender::Lingering* HomaSender::LingerTable::find(MsgId id) const {
+    const size_t pos = index_.find(id, idAt());
+    return pos == IdIndex<uint32_t>::kNotFound ? nullptr : &at(pos);
 }
 
 void HomaSender::LingerTable::push(const Lingering& rec) {
@@ -216,15 +228,12 @@ void HomaSender::LingerTable::makeRoom() {
     headOff_ = 0;
 }
 
-bool HomaSender::LingerTable::take(MsgId id, Lingering& out) {
+void HomaSender::LingerTable::erase(MsgId id) {
     const size_t pos = index_.find(id, idAt());
-    if (pos == IdIndex<uint32_t>::kNotFound) return false;
+    assert(pos != IdIndex<uint32_t>::kNotFound);
     index_.unlink(pos, idAt());
-    Lingering& rec = at(pos);
-    out = rec;
-    rec.live = false;
+    at(pos).live = false;
     live_--;
-    return true;
 }
 
 void HomaSender::LingerTable::expire(Time now, Duration linger) {

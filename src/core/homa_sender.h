@@ -37,7 +37,7 @@ public:
     std::optional<Packet> pullPacket();
 
     bool knowsMessage(MsgId id) const {
-        return out_.count(id) != 0 || linger_.contains(id);
+        return out_.count(id) != 0 || linger_.find(id) != nullptr;
     }
 
 private:
@@ -92,11 +92,12 @@ private:
     class LingerTable {
     public:
         bool empty() const { return live_ == 0; }
-        bool contains(MsgId id) const;
+        /// `id`'s record, or null if it has none.
+        const Lingering* find(MsgId id) const;
         /// Append `rec`, whose deadline is no earlier than any other's.
         void push(const Lingering& rec);
-        /// Remove `id`'s record into `out`; false if it has none.
-        bool take(MsgId id, Lingering& out);
+        /// Forget `id`'s record, which it must have.
+        void erase(MsgId id);
         /// Forget every record with lastSend + linger <= now.
         void expire(Time now, Duration linger);
 

@@ -63,7 +63,8 @@ public:
     size_t outstanding() const { return pending_.size(); }
     const Stats& stats() const { return stats_; }
 
-    /// Incast control knobs (§3.6); mirrored from HomaConfig defaults.
+    /// Incast control (§3.6): requests issued while at least `t` RPCs are
+    /// outstanding carry kFlagIncastMark (default 25).
     void setIncastThreshold(int t) { incastThreshold_ = t; }
 
 private:

@@ -1,91 +1,130 @@
 #include "driver/experiment.h"
 
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
+
+#include "baselines/basic_transport.h"
+#include "baselines/ndp.h"
+#include "baselines/pfabric.h"
+#include "baselines/phost.h"
+#include "baselines/pias.h"
+#include "baselines/streaming.h"
 
 namespace homa {
 
-const char* protocolName(Protocol p) {
-    switch (p) {
-        case Protocol::Homa: return "Homa";
-        case Protocol::Basic: return "Basic";
-        case Protocol::PHost: return "pHost";
-        case Protocol::Pias: return "PIAS";
-        case Protocol::PFabric: return "pFabric";
-        case Protocol::Ndp: return "NDP";
-        case Protocol::StreamSC: return "Stream-SC";
-        case Protocol::StreamMC: return "Stream-MC";
+namespace {
+
+// A transport factory's parameters, as the rows below spell them.
+using Proto = const ProtocolConfig&;
+using Net = const NetworkConfig&;
+using Workload = const SizeDistribution*;
+
+/// Homa and Basic seed their unscheduled priorities from the workload
+/// only when asked to (§4); otherwise they allocate them online (§3.4).
+Workload precomputed(Proto proto, Workload workload) {
+    return proto.precomputePriorities ? workload : nullptr;
+}
+
+/// A commodity switch, with buffers large enough that Homa, Basic, pHost
+/// and the streams do not drop (Table 1 validates).
+std::unique_ptr<Qdisc> commoditySwitch() {
+    return std::make_unique<StrictPriorityQdisc>();
+}
+
+/// Everything the driver knows about one protocol.
+struct ProtocolRow {
+    Protocol kind;
+    const char* name;
+    TransportFactory (*factory)(Proto, Net, Workload);
+    std::unique_ptr<Qdisc> (*switchQdisc)();
+};
+
+/// One row per Protocol, in enumerator order.
+constexpr ProtocolRow kProtocols[] = {
+    {Protocol::Homa, "Homa",
+     [](Proto proto, Net net, Workload wl) {
+         return HomaTransport::factory(proto.homa, net, precomputed(proto, wl));
+     },
+     commoditySwitch},
+    {Protocol::Basic, "Basic",
+     [](Proto proto, Net net, Workload wl) {
+         HomaConfig cfg = basicTransportConfig();
+         cfg.rttBytes = proto.homa.rttBytes;
+         return HomaTransport::factory(cfg, net, precomputed(proto, wl));
+     },
+     commoditySwitch},
+    {Protocol::PHost, "pHost",
+     [](Proto, Net net, Workload) { return PHostTransport::factory(net); },
+     commoditySwitch},
+    {Protocol::Pias, "PIAS",
+     [](Proto, Net net, Workload wl) { return PiasTransport::factory(net, wl); },
+     []() -> std::unique_ptr<Qdisc> {
+         StrictPriorityOptions o;
+         o.ecnThresholdBytes = PiasTransport::kEcnThresholdBytes;
+         return std::make_unique<StrictPriorityQdisc>(o);
+     }},
+    {Protocol::PFabric, "pFabric",
+     [](Proto, Net net, Workload) { return PFabricTransport::factory(net); },
+     []() -> std::unique_ptr<Qdisc> {
+         return std::make_unique<PFabricQdisc>(
+             PFabricOptions{PFabricTransport::kSwitchBufferBytes});
+     }},
+    {Protocol::Ndp, "NDP",
+     [](Proto, Net net, Workload) { return NdpTransport::factory(net); },
+     []() -> std::unique_ptr<Qdisc> {
+         StrictPriorityOptions o;
+         o.capBytes = NdpTransport::kSwitchBufferBytes;
+         o.trimOnOverflow = true;
+         return std::make_unique<StrictPriorityQdisc>(o);
+     }},
+    {Protocol::StreamSC, "Stream-SC",
+     [](Proto, Net, Workload) {
+         return StreamingTransport::factory(/*multiConnection=*/false);
+     },
+     commoditySwitch},
+    {Protocol::StreamMC, "Stream-MC",
+     [](Proto, Net, Workload) {
+         return StreamingTransport::factory(/*multiConnection=*/true);
+     },
+     commoditySwitch},
+};
+static_assert([] {
+    for (size_t i = 0; i < std::size(kProtocols); i++) {
+        if (kProtocols[i].kind != static_cast<Protocol>(i)) return false;
     }
-    return "?";
+    return std::size(kProtocols) == static_cast<size_t>(kProtocolCount);
+}(), "kProtocols needs one row per Protocol, in enumerator order");
+
+const ProtocolRow& rowOf(Protocol p) {
+    const auto i = static_cast<size_t>(p);
+    assert(i < std::size(kProtocols));
+    return kProtocols[i];
+}
+
+}  // namespace
+
+const char* protocolName(Protocol p) { return rowOf(p).name; }
+
+bool protocolFromName(const std::string& name, Protocol& out) {
+    for (const ProtocolRow& row : kProtocols) {
+        if (name == row.name) {
+            out = row.kind;
+            return true;
+        }
+    }
+    return false;
 }
 
 TransportFactory makeTransportFactory(const ProtocolConfig& proto,
                                       const NetworkConfig& net,
                                       const SizeDistribution* workload) {
-    const SizeDistribution* precompute =
-        proto.precomputePriorities ? workload : nullptr;
-    switch (proto.kind) {
-        case Protocol::Homa:
-            return HomaTransport::factory(proto.homa, net, precompute);
-        case Protocol::Basic: {
-            HomaConfig cfg = basicTransportConfig();
-            cfg.rttBytes = proto.homa.rttBytes;
-            return HomaTransport::factory(cfg, net, precompute);
-        }
-        case Protocol::PHost:
-            return PHostTransport::factory(proto.phost, net);
-        case Protocol::Pias:
-            return PiasTransport::factory(proto.pias, net, workload);
-        case Protocol::PFabric:
-            return PFabricTransport::factory(proto.pfabric, net);
-        case Protocol::Ndp:
-            return NdpTransport::factory(proto.ndp, net);
-        case Protocol::StreamSC: {
-            StreamingConfig cfg = proto.streaming;
-            cfg.multiConnection = false;
-            return StreamingTransport::factory(cfg);
-        }
-        case Protocol::StreamMC: {
-            StreamingConfig cfg = proto.streaming;
-            cfg.multiConnection = true;
-            return StreamingTransport::factory(cfg);
-        }
-    }
-    assert(false);
-    return {};
+    return rowOf(proto.kind).factory(proto, net, workload);
 }
 
 std::function<std::unique_ptr<Qdisc>()> switchQdiscFor(
     const ProtocolConfig& proto) {
-    switch (proto.kind) {
-        case Protocol::PFabric: {
-            const int64_t cap = proto.pfabric.switchBufferBytes;
-            return [cap] {
-                return std::make_unique<PFabricQdisc>(PFabricOptions{cap});
-            };
-        }
-        case Protocol::Ndp: {
-            const int64_t cap = proto.ndp.switchBufferBytes;
-            return [cap] {
-                StrictPriorityOptions o;
-                o.capBytes = cap;
-                o.trimOnOverflow = true;
-                return std::make_unique<StrictPriorityQdisc>(o);
-            };
-        }
-        case Protocol::Pias: {
-            // DCTCP-style ECN marking (the PIAS paper's K for 10 Gbps).
-            return [] {
-                StrictPriorityOptions o;
-                o.ecnThresholdBytes = 78000;
-                return std::make_unique<StrictPriorityQdisc>(o);
-            };
-        }
-        default:
-            // Homa/Basic/pHost/streams: commodity switch, buffers large
-            // enough that these protocols do not drop (Table 1 validates).
-            return [] { return std::make_unique<StrictPriorityQdisc>(); };
-    }
+    return rowOf(proto.kind).switchQdisc;
 }
 
 namespace {

@@ -5,12 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "baselines/basic_transport.h"
-#include "baselines/ndp.h"
-#include "baselines/pfabric.h"
-#include "baselines/phost.h"
-#include "baselines/pias.h"
-#include "baselines/streaming.h"
 #include "core/homa_transport.h"
 #include "driver/oracle.h"
 #include "sim/fault.h"
@@ -24,6 +18,10 @@
 
 namespace homa {
 
+/// The transports an experiment can run. Each has one row in the protocol
+/// table (src/driver/experiment.cc): its name, transport factory and
+/// switch queue. The baselines run at their papers' settings, which are
+/// constants beside each transport (src/baselines/).
 enum class Protocol {
     Homa,
     Basic,
@@ -34,23 +32,28 @@ enum class Protocol {
     StreamSC,  // single connection per peer (InfRC-like, infinite window)
     StreamMC,  // connection per message (InfRC-MC / TCP-MC-like)
 };
+/// The number of Protocols, whose values run 0 .. kProtocolCount - 1
+/// (StreamMC is the last).
+constexpr int kProtocolCount = static_cast<int>(Protocol::StreamMC) + 1;
 
+/// The protocol's name as the CLI and the benches print it, e.g. "pHost".
 const char* protocolName(Protocol p);
+/// The protocol named `name` (case-sensitive); false if none is.
+bool protocolFromName(const std::string& name, Protocol& out);
 
 struct ProtocolConfig {
     Protocol kind = Protocol::Homa;
-    HomaConfig homa;               // Homa and Basic
-    PHostConfig phost;
-    PiasConfig pias;
-    PFabricConfig pfabric;
-    NdpConfig ndp;
-    StreamingConfig streaming;
-    /// Seed unscheduled priorities / PIAS thresholds from the workload
-    /// (paper §4); false = Homa adapts online.
+    HomaConfig homa;  // Homa; Basic takes only its rttBytes
+    /// Homa and Basic: seed the unscheduled priorities from the workload
+    /// (paper §4); false = allocate them online from measured traffic
+    /// (§3.4).
     bool precomputePriorities = true;
 };
 
 /// Transport factory + the switch queue discipline the protocol expects.
+/// Values a transport derives come from `net` (its RTT bytes and packet
+/// time) and, for PIAS's demotion thresholds, from `workload`: PIAS
+/// throws std::invalid_argument without one.
 TransportFactory makeTransportFactory(const ProtocolConfig& proto,
                                       const NetworkConfig& net,
                                       const SizeDistribution* workload);

@@ -30,8 +30,8 @@
 
 namespace homa {
 
-/// Thread-count knob for the parallel engine, carried by
-/// ExperimentConfig/RpcExperimentConfig and the sweep layer.
+/// Thread-count knob for the parallel engine, carried by ExperimentConfig
+/// (a sweep may override every point's: SweepOptions::simThreads).
 struct ParallelConfig {
     /// Number of event-loop shards (worker threads) to aim for; values
     /// <= 1 select the classic serial engine. The effective shard count is

@@ -61,11 +61,9 @@ public:
 
 TEST(PiasSender, PriorityDropsAsBytesAreSent) {
     MockHost host;
-    PiasConfig cfg;
-    cfg.thresholds = piasThresholdsFor(workload(WorkloadId::W4));
-    cfg.initialWindow = 1 << 30;  // no window limit for this test
-    cfg.rtt = microseconds(8);
-    PiasTransport t(host, cfg);
+    PiasTransport t(host, piasThresholdsFor(workload(WorkloadId::W4)),
+                    /*initialWindow=*/1 << 30,  // no window limit here
+                    /*rtt=*/microseconds(8));
 
     Message m;
     m.id = 1;
@@ -88,11 +86,8 @@ TEST(PiasSender, PriorityDropsAsBytesAreSent) {
 
 TEST(PiasSender, WindowGatesTransmission) {
     MockHost host;
-    PiasConfig cfg;
-    cfg.thresholds = piasThresholdsFor(workload(WorkloadId::W4));
-    cfg.initialWindow = 3 * kMaxPayload;
-    cfg.rtt = microseconds(8);
-    PiasTransport t(host, cfg);
+    PiasTransport t(host, piasThresholdsFor(workload(WorkloadId::W4)),
+                    /*initialWindow=*/3 * kMaxPayload, /*rtt=*/microseconds(8));
     Message m;
     m.id = 1;
     m.src = 0;
@@ -116,9 +111,8 @@ TEST(PiasSender, WindowGatesTransmission) {
 
 TEST(PHostSender, BlindRegionThenTokens) {
     MockHost host;
-    PHostConfig cfg;
-    cfg.rttBytes = 9640;
-    PHostTransport t(host, cfg, k10Gbps.serialize(kFullPacketWireBytes));
+    PHostTransport t(host, /*rttBytes=*/9640,
+                     k10Gbps.serialize(kFullPacketWireBytes));
     Message m;
     m.id = 1;
     m.src = 0;
@@ -148,10 +142,8 @@ TEST(PHostSender, BlindRegionThenTokens) {
 
 TEST(PHostReceiver, PacesTokensAndStopsWhenDone) {
     MockHost host;
-    PHostConfig cfg;
-    cfg.rttBytes = 9640;
     const Duration packetTime = k10Gbps.serialize(kFullPacketWireBytes);
-    PHostTransport t(host, cfg, packetTime);
+    PHostTransport t(host, /*rttBytes=*/9640, packetTime);
 
     // A 3-packet-beyond-RTT message announces itself.
     Packet first;

@@ -396,6 +396,22 @@ TEST(ExperimentDriver, CallerMisuseThrows) {
     }
 }
 
+TEST(ExperimentDriver, PiasFactoryWithoutAWorkloadThrows) {
+    // PIAS's demotion thresholds come from the workload's sizes, so a
+    // caller that passes none gets the reason, in every build type, instead
+    // of a null dereference.
+    ProtocolConfig proto;
+    proto.kind = Protocol::Pias;
+    try {
+        (void)makeTransportFactory(proto, NetworkConfig::singleRack16(),
+                                   nullptr);
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("workload"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ExperimentDriver, UnreadableTraceThrowsInsteadOfExiting) {
     // The trace is read while the config is checked, so a missing file or
     // a malformed line is a reason for the caller, before anything is

@@ -656,9 +656,9 @@ TEST(HomaLoss, RevivedMessageResendsScheduledBytesAtItsLastGrantPriority) {
 /// Message `revived` is asked again (and retransmits) at message
 /// `reviveAt`'s send time, which moves its deadline: its old record must
 /// neither forget it at the old deadline's pass nor keep it past the new
-/// one's. Message `busyOnly` is asked again as it finishes, while it is
-/// still active: it gets a BUSY only and stays with the in-progress
-/// messages, which no reap touches.
+/// one's. Message `busyOnly` is asked again as it finishes, once while it
+/// is still active and once for bytes past its end: each RESEND gets a
+/// BUSY only, which leaves its deadline and its record where they were.
 void expectEachForgottenAtTheFirstPassAfterItsDeadline(Duration step,
                                                        int messages,
                                                        int revived,
@@ -673,7 +673,7 @@ void expectEachForgottenAtTheFirstPassAfterItsDeadline(Duration step,
     };
     Time lastPass = 0;
     for (int k = 0; k < messages; k++) {
-        if (k != busyOnly) lastPass = std::max(lastPass, forgottenAt(k));
+        lastPass = std::max(lastPass, forgottenAt(k));
     }
 
     std::vector<Time> checks;
@@ -690,7 +690,7 @@ void expectEachForgottenAtTheFirstPassAfterItsDeadline(Duration step,
             h.host.loop_.runUntil(now);
             for (int k = 0; k < sent; k++) {
                 EXPECT_EQ(h.transport->sender().knowsMessage(idOf(k)),
-                          k == busyOnly || now < forgottenAt(k))
+                          now < forgottenAt(k))
                     << "message " << k << " at " << now << " ps";
             }
             EXPECT_EQ(h.host.loop_.pendingEvents(), now < lastPass ? 1u : 0u)
@@ -713,11 +713,14 @@ void expectEachForgottenAtTheFirstPassAfterItsDeadline(Duration step,
         ASSERT_EQ(h.pullAll().size(), 1u);
         sent = k + 1;
         if (k == busyOnly) {
-            h.host.pushed.clear();
-            h.transport->handlePacket(resendFor(idOf(k), 0, 1000));
-            ASSERT_EQ(h.host.pushed.size(), 1u);
-            EXPECT_EQ(h.host.pushed[0].type, PacketType::Busy);
-            EXPECT_TRUE(h.pullAll().empty());
+            for (const Packet& resend :
+                 {resendFor(idOf(k), 0, 1000), resendFor(idOf(k), 1000, 100)}) {
+                h.host.pushed.clear();
+                h.transport->handlePacket(resend);
+                ASSERT_EQ(h.host.pushed.size(), 1u);
+                EXPECT_EQ(h.host.pushed[0].type, PacketType::Busy);
+                EXPECT_TRUE(h.pullAll().empty());
+            }
         }
     }
     runTo(lastPass + linger);
@@ -730,6 +733,7 @@ TEST(HomaLoss, LingerReapForgetsEachMessageAtTheFirstPassAfterItsDeadline) {
         // chunks and the front chunk is recycled while sends go on.
         // Message 50 (finished at 5 ms, deadline 15 ms) is revived at 12 ms
         // (new deadline 22 ms): the pass at 20 ms keeps it, 30 ms forgets.
+        // Message 60 (finished and answered BUSY at 6 ms) goes at 20 ms.
         SCOPED_TRACE("100 us apart");
         expectEachForgottenAtTheFirstPassAfterItsDeadline(
             microseconds(100), 400, /*revived=*/50, /*reviveAt=*/120,
@@ -739,11 +743,35 @@ TEST(HomaLoss, LingerReapForgetsEachMessageAtTheFirstPassAfterItsDeadline) {
         // At most seven records at a time, so one small chunk holds them
         // and slides them forward as the front leaves. Message 5 (deadline
         // 25 ms) is revived at 21 ms (new deadline 31 ms): kept at 30 ms,
-        // forgotten at 40 ms.
+        // forgotten at 40 ms, as is message 10 (answered BUSY at 30 ms).
         SCOPED_TRACE("3 ms apart");
         expectEachForgottenAtTheFirstPassAfterItsDeadline(
             milliseconds(3), 20, /*revived=*/5, /*reviveAt=*/7,
             /*busyOnly=*/10);
+    }
+    {
+        // A message answered with a BUSY alone still retransmits once
+        // resendTimeout/2 has passed since its last send.
+        SCOPED_TRACE("BUSY, then a retransmission");
+        Harness h;
+        Message m = h.makeMessage(9, 1000, 0);
+        m.dst = 5;
+        h.transport->sendMessage(m);
+        ASSERT_EQ(h.pullAll().size(), 1u);  // its last send, at t = 0
+        const Duration half = HomaConfig{}.resendTimeout / 2;
+        h.host.loop_.runUntil(half - 1);
+        h.transport->handlePacket(resendFor(9, 0, 1000));
+        EXPECT_TRUE(h.pullAll().empty());
+        h.host.loop_.runUntil(half);
+        h.host.pushed.clear();
+        h.transport->handlePacket(resendFor(9, 0, 1000));
+        ASSERT_EQ(h.host.pushed.size(), 1u);
+        EXPECT_EQ(h.host.pushed[0].type, PacketType::Busy);
+        const std::vector<Packet> re = h.pullAll();
+        ASSERT_EQ(re.size(), 1u);
+        EXPECT_TRUE(re[0].hasFlag(kFlagRetransmit));
+        EXPECT_EQ(re[0].offset, 0u);
+        EXPECT_EQ(re[0].length, 1000u);
     }
 }
 

@@ -1,6 +1,13 @@
 // Guard tests for pieces the CLI runner and Figure 1 bench rely on:
-// workload name round-trips and byte-weighted CDF sanity.
+// protocol and workload name round-trips and byte-weighted CDF sanity.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
+
+#ifdef HOMA_RUN_EXPERIMENT_BIN
+#include <sys/wait.h>
+#endif
 
 #include "driver/experiment.h"
 #include "workload/workloads.h"
@@ -14,6 +21,44 @@ TEST(ProtocolNames, RoundTripAllProtocols) {
                        Protocol::StreamSC, Protocol::StreamMC}) {
         EXPECT_STRNE(protocolName(p), "?");
     }
+}
+
+TEST(ProtocolTable, EveryRowRoundTripsItsNameAndBuilds) {
+    // One row per Protocol (src/driver/experiment.cc): its name reads back
+    // to it, and its transport factory and switch queue build a network.
+    for (int i = 0; i < kProtocolCount; i++) {
+        ProtocolConfig proto;
+        proto.kind = static_cast<Protocol>(i);
+        const std::string name = protocolName(proto.kind);
+        SCOPED_TRACE(name);
+        Protocol parsed = proto.kind == Protocol::Homa ? Protocol::Basic
+                                                       : Protocol::Homa;
+        ASSERT_TRUE(protocolFromName(name, parsed));
+        EXPECT_EQ(parsed, proto.kind);
+
+        NetworkConfig net = NetworkConfig::singleRack16();
+        net.switchQdisc = switchQdiscFor(proto);
+        ASSERT_TRUE(net.switchQdisc);
+        EXPECT_NE(net.switchQdisc(), nullptr);
+        const TransportFactory factory =
+            makeTransportFactory(proto, net, &workload(WorkloadId::W3));
+        ASSERT_TRUE(factory);
+        const Network network(net, factory);
+        EXPECT_EQ(network.hostCount(), 16);
+    }
+    // Names are case-sensitive; nothing outside the table reads.
+    Protocol parsed = Protocol::Homa;
+    EXPECT_FALSE(protocolFromName("homa", parsed));
+    EXPECT_FALSE(protocolFromName("Foo", parsed));
+    EXPECT_FALSE(protocolFromName("", parsed));
+#ifdef HOMA_RUN_EXPERIMENT_BIN
+    for (const char* bad : {"homa", "Foo"}) {
+        const std::string cmd = std::string(HOMA_RUN_EXPERIMENT_BIN) +
+                                " --protocol " + bad + " > /dev/null 2>&1";
+        const int status = std::system(cmd.c_str());
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << bad;
+    }
+#endif
 }
 
 TEST(ByteWeightedCdf, MonotoneAndBounded) {
