@@ -358,7 +358,7 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     }
 
     ExperimentResult result;
-    result.slowdown = std::make_unique<SlowdownTracker>(dist, oracle.oneWayFn());
+    result.shards = net.shardCount();
 
     const Time genStart = cfg.traffic.start;
     const Time genStop = cfg.traffic.stop;
@@ -368,20 +368,23 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     result.windowStart = windowStart;
     result.windowEnd = genStop;
 
-    // All counters and sample collections are per-host, with cell h only
-    // ever touched from host h's shard: creation-side cells are indexed by
-    // m.src (the generator emits on the source shard), delivery-side cells
-    // by m.dst (transports deliver on the destination shard). Merging in
+    // All counters are per-host, with cell h only ever touched from host
+    // h's shard: creation-side cells are indexed by m.src (the generator
+    // emits on the source shard), delivery-side cells by m.dst
+    // (transports deliver on the destination shard). Reducing them in
     // ascending host order afterwards — in the serial engine too — makes
-    // every statistic, including floating-point accumulation order, a pure
-    // function of the simulated events. The Oracle is immutable, so every
-    // shard reads the one above.
+    // every statistic a pure function of the simulated events. Slowdowns
+    // go into one tracker per shard, which keeps per-host decile sums so
+    // its means add in host order as well (stats/slowdown.h). The Oracle
+    // is immutable, so every shard reads the one above.
     std::vector<uint64_t> inWindowGenerated(n, 0), inWindowDelivered(n, 0);
     std::vector<uint64_t> deliveredTotal(n, 0);
     std::vector<int64_t> generatedBytesAll(n, 0), deliveredBytesAll(n, 0);
     std::vector<SlowdownTracker> slowdowns;
-    slowdowns.reserve(n);
-    for (int h = 0; h < n; h++) slowdowns.emplace_back(dist, oracle.oneWayFn());
+    slowdowns.reserve(static_cast<size_t>(result.shards));
+    for (int s = 0; s < result.shards; s++) {
+        slowdowns.emplace_back(dist, oracle.oneWayFn(), n);
+    }
 
     TrafficGenerator gen(net, cfg.traffic, [&](const Message& m) {
         generatedBytesAll[m.src] += m.length;
@@ -433,10 +436,10 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
         if (m.created < windowStart || m.created >= genStop) return;
         inWindowDelivered[m.dst]++;
         const bool intraRack = net.rackOf(m.src) == net.rackOf(m.dst);
-        slowdowns[m.dst].recordWithBest(
+        slowdowns[net.shardOfHost(m.dst)].recordWithBest(
             m.length, info.completed - m.created,
             oracle.bestOneWay(m.length, intraRack), info.queueingDelay,
-            info.preemptionLag);
+            info.preemptionLag, m.dst);
     };
     net.setDeliveryCallback(onDelivery);
     if (fluidEngine) fluidEngine->setDeliveryCallback(onDelivery);
@@ -499,8 +502,9 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
             startTotals.prioWire[p] += startSnap[h].prioWire[p];
             endTotals.prioWire[p] += endSnap[h].prioWire[p];
         }
-        result.slowdown->absorb(slowdowns[h]);
     }
+    result.slowdown = std::make_unique<SlowdownTracker>(
+        SlowdownTracker::merge(std::move(slowdowns)));
 
     result.generated = generatedSum;
     result.delivered = deliveredSum;

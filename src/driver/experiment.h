@@ -71,9 +71,11 @@ struct ExperimentConfig {
     Duration drainGrace = milliseconds(50);
     bool measureWastedBandwidth = false;
     /// Parallel engine: shard the simulation across this many threads
-    /// (sim/parallel.h). Results are byte-identical at any thread count;
-    /// scenarios the engine cannot shard (closed-loop, DAG, single-rack,
-    /// wasted-bandwidth probes, fluid hybrid) silently run serially.
+    /// (sim/parallel.h). Results are byte-identical at any thread count.
+    /// Scenarios the engine cannot shard (closed-loop, DAG, single-rack,
+    /// zero switch delay, wasted-bandwidth probes, fluid hybrid) run
+    /// serially, and the Network caps the count at the rack count;
+    /// ExperimentResult::shards reports what ran.
     ParallelConfig parallel;
     /// Fluid fast path (sim/fluid.h): messages with length >= this many
     /// bytes become flow-level fluid transfers instead of packets; 0 sends
@@ -88,7 +90,12 @@ struct ExperimentResult {
     uint64_t generated = 0;
     uint64_t delivered = 0;        // within the measurement window
     uint64_t deliveredTotal = 0;   // including warm-up and drain
+    /// One-host tracker of every in-window delivery's slowdown.
     std::unique_ptr<SlowdownTracker> slowdown;
+    /// Shards the run's network built (Network::shardCount()): 1 when the
+    /// engine ran serially. Left out of resultFingerprint, so serial and
+    /// sharded fingerprints stay equal.
+    int shards = 1;
 
     Time windowStart = 0;
     Time windowEnd = 0;

@@ -333,7 +333,16 @@ void Network::sendMessage(Message m) {
 }
 
 void Network::setDeliveryCallback(Transport::DeliveryCallback cb) {
-    for (auto& h : hosts_) h->transport().setDeliveryCallback(cb);
+    deliver_ = std::move(cb);
+    // A forwarder that captures only `this` fits std::function's inline
+    // buffer, so no host allocates its own copy of the callback.
+    Transport::DeliveryCallback forward;
+    if (deliver_) {
+        forward = [this](const Message& m, const DeliveryInfo& info) {
+            deliver_(m, info);
+        };
+    }
+    for (auto& h : hosts_) h->transport().setDeliveryCallback(forward);
 }
 
 void Network::drainInboxes(int shard) {

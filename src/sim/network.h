@@ -85,7 +85,8 @@ public:
         return (static_cast<MsgId>(src) + 1) << 40 | perHostMsg_[src]++;
     }
 
-    /// Install a delivery callback on every host's transport.
+    /// Install a delivery callback on every host's transport. The network
+    /// keeps the one copy; each transport gets a forwarder to it.
     void setDeliveryCallback(Transport::DeliveryCallback cb);
 
     /// Inject every parked cross-shard packet destined for `shard` into its
@@ -146,6 +147,7 @@ private:
     MsgId nextMsg_ = 1;
     std::vector<uint64_t> perHostMsg_;
     std::function<bool(const Message&)> intercept_;
+    Transport::DeliveryCallback deliver_;
 };
 
 }  // namespace homa

@@ -29,9 +29,14 @@ double Samples::max() const {
     return *std::max_element(values_.begin(), values_.end());
 }
 
-double Samples::percentile(double p) const {
-    if (values_.empty()) return 0.0;
+size_t Samples::nearestRank(double p, size_t n) {
     p = std::clamp(p, 0.0, 1.0);
+    return std::min(n - 1, static_cast<size_t>(
+                               std::ceil(p * static_cast<double>(n)) -
+                               (p > 0.0 ? 1 : 0)));
+}
+
+const std::vector<double>& Samples::sorted() const {
     const auto tail =
         values_.begin() + static_cast<std::ptrdiff_t>(sortedPrefix_);
     if (tail != values_.end()) {
@@ -39,11 +44,12 @@ double Samples::percentile(double p) const {
         std::inplace_merge(values_.begin(), tail, values_.end());
         sortedPrefix_ = values_.size();
     }
-    const size_t idx = std::min(
-        values_.size() - 1,
-        static_cast<size_t>(std::ceil(p * static_cast<double>(values_.size())) -
-                            (p > 0.0 ? 1 : 0)));
-    return values_[idx];
+    return values_;
+}
+
+double Samples::percentile(double p) const {
+    if (values_.empty()) return 0.0;
+    return sorted()[nearestRank(p, values_.size())];
 }
 
 }  // namespace homa

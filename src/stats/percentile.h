@@ -18,15 +18,19 @@ class Samples {
 public:
     void add(double v);
 
-    /// Append another collection's samples. The driver records into
-    /// per-host collections and merges them in host order in *both* the
-    /// serial and parallel engines, so the floating-point accumulation
-    /// order of mean() — the one order-sensitive statistic here — is a pure
-    /// function of the samples, not of engine or thread count.
+    /// Append another collection's samples and add its sum to this one.
+    /// mean() is the one order-sensitive statistic here: it divides a sum
+    /// kept in the order of add() and absorb() calls, so a caller whose
+    /// samples arrive in engine-dependent order keeps its own sums and
+    /// hands the total over with setSum() (SlowdownTracker sums per host
+    /// and adds the hosts in order).
     void absorb(const Samples& other);
 
     size_t count() const { return values_.size(); }
     bool empty() const { return values_.empty(); }
+    double sum() const { return sum_; }
+    /// Replace the sum mean() divides by count().
+    void setSum(double sum) { sum_ = sum; }
     double mean() const;
     double min() const;
     double max() const;
@@ -37,6 +41,12 @@ public:
     double median() const { return percentile(0.50); }
     double p99() const { return percentile(0.99); }
 
+    /// The index percentile(p) reads in `n` sorted values (n > 0).
+    static size_t nearestRank(double p, size_t n);
+
+    /// Every value, in ascending order.
+    const std::vector<double>& sorted() const;
+    /// Every value: the sorted prefix, then those added since.
     const std::vector<double>& values() const { return values_; }
 
 private:

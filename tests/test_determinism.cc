@@ -263,6 +263,40 @@ TEST(ParallelDeterminism, SingleRackClampsToOneShard) {
     EXPECT_EQ(golden, resultFingerprint(runExperiment(cfg)));
 }
 
+TEST(ParallelDeterminism, ResultReportsTheShardsThatRan) {
+    // Scenarios the engine cannot shard run serially whatever
+    // parallel.threads says; the result says so instead of staying silent.
+    ExperimentConfig closed = smallConfig(WorkloadId::W1, 0.5);
+    closed.traffic.scenario.kind = TrafficPatternKind::ClosedLoop;
+    closed.traffic.scenario.closedLoopWindow = 4;
+    ExperimentConfig dag = smallConfig(WorkloadId::W1, 0.5);
+    dag.traffic.scenario.kind = TrafficPatternKind::Dag;
+    dag.traffic.scenario.dag.fanout = 4;
+    dag.traffic.scenario.dag.depth = 2;
+    dag.traffic.scenario.dag.roots = 8;
+    ExperimentConfig fluid = smallConfig(WorkloadId::W4, 0.5);
+    fluid.fluidThresholdBytes = 100000;
+    ExperimentConfig wasted = smallConfig(WorkloadId::W4, 0.5);
+    wasted.measureWastedBandwidth = true;
+    ExperimentConfig rack = smallConfig(WorkloadId::W2, 0.6);
+    rack.net = NetworkConfig::singleRack16();
+    for (ExperimentConfig cfg : {closed, dag, fluid, wasted, rack}) {
+        cfg.traffic.stop = milliseconds(1);
+        cfg.drainGrace = milliseconds(5);
+        cfg.parallel.threads = 4;
+        const ExperimentResult r = runExperiment(cfg);
+        EXPECT_GT(r.deliveredTotal, 0u);
+        EXPECT_EQ(r.shards, 1) << patternName(cfg.traffic.scenario.kind);
+    }
+
+    ExperimentConfig w4 = smallConfig(WorkloadId::W4, 0.8);
+    w4.traffic.stop = milliseconds(1);
+    w4.drainGrace = milliseconds(5);
+    EXPECT_EQ(runExperiment(w4).shards, 1);
+    w4.parallel.threads = 4;
+    EXPECT_EQ(runExperiment(w4).shards, 4);
+}
+
 TEST(ParallelDeterminism, SweepSimThreadsComposesByteIdentically) {
     // SweepOptions::simThreads stacks shard-level parallelism under
     // point-level fan-out; the composition must still reproduce the

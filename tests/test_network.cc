@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/homa_transport.h"
 #include "sim/network.h"
@@ -74,6 +75,32 @@ TEST(NetworkWiring, CrossRackTrafficUsesCoreLinks) {
         coreBytes += p->stats().wireBytesSent;
     }
     EXPECT_GE(coreBytes, messageWireBytes(50000));
+}
+
+TEST(NetworkWiring, SecondDeliveryCallbackReachesEveryHost) {
+    // The network keeps one callback and every transport forwards to it,
+    // so replacing it must reroute all hosts' deliveries, not some.
+    NetworkConfig cfg = NetworkConfig::fatTree144();
+    Network net(cfg, HomaTransport::factory({}, cfg, &workload(WorkloadId::W3)));
+    int first = 0;
+    net.setDeliveryCallback([&](const Message&, const DeliveryInfo&) {
+        first++;
+    });
+    std::vector<int> second(net.hostCount(), 0);
+    net.setDeliveryCallback([&](const Message& m, const DeliveryInfo&) {
+        second[m.dst]++;
+    });
+    for (HostId h = 0; h < net.hostCount(); h++) {
+        Message m;
+        m.id = net.nextMsgId();
+        m.src = (h + 17) % net.hostCount();  // most cross a rack
+        m.dst = h;
+        m.length = 3000;
+        net.sendMessage(m);
+    }
+    net.loop().run();
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, std::vector<int>(net.hostCount(), 1));
 }
 
 TEST(NetworkWiring, IntraRackTrafficStaysLocal) {

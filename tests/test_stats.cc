@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/random.h"
@@ -210,6 +213,141 @@ TEST(SlowdownTracker, DuplicateHeavySamplesKeepExactPercentiles) {
     EXPECT_DOUBLE_EQ(t.overallPercentile(0.5), 1.0);
     EXPECT_DOUBLE_EQ(t.overallPercentile(0.99), 1.0);
     EXPECT_DOUBLE_EQ(t.overallPercentile(1.0), 50.0);
+}
+
+TEST(SlowdownTracker, RecordWithBestRejectsNonPositiveBestAndForeignHosts) {
+    // Release builds compile asserts out, so a zero best-case time would
+    // record inf into a decile and its mean.
+    const auto& dist = workload(WorkloadId::W3);
+    SlowdownTracker one(dist, [](uint32_t) { return microseconds(1); });
+    EXPECT_THROW(one.recordWithBest(100, microseconds(2), 0),
+                 std::invalid_argument);
+    EXPECT_THROW(one.recordWithBest(100, microseconds(2), -5),
+                 std::invalid_argument);
+    EXPECT_THROW(one.recordWithBest(100, microseconds(2), microseconds(1), 0,
+                                    0, /*host=*/1),
+                 std::invalid_argument);
+    EXPECT_THROW(one.recordWithBest(100, microseconds(2), microseconds(1), 0,
+                                    0, /*host=*/-1),
+                 std::invalid_argument);
+    EXPECT_EQ(one.count(), 0u);
+
+    SlowdownTracker four(dist, [](uint32_t) { return microseconds(1); }, 4);
+    EXPECT_THROW(four.recordWithBest(100, microseconds(2), microseconds(1), 0,
+                                     0, /*host=*/4),
+                 std::invalid_argument);
+    four.recordWithBest(100, microseconds(2), microseconds(1), 0, 0, 3);
+    EXPECT_EQ(four.count(), 1u);
+    EXPECT_THROW(SlowdownTracker(dist, OracleFn{}, 0), std::invalid_argument);
+}
+
+TEST(SlowdownTracker, OverallPercentileMatchesOneSampleOfAllValues) {
+    // The tracker keeps each value once, in its decile; the overall
+    // percentile must pick the nearest-rank value of all of them. Values
+    // come from 12 levels, so ties cross deciles everywhere.
+    const auto& dist = workload(WorkloadId::W3);
+    const std::vector<double> ps = {0.0, 1e-9, 0.5, 0.99, 1.0};
+    Rng rng(20261020);
+    for (int n : {0, 1, 2, 7, 100, 1000}) {
+        SlowdownTracker t(dist, OracleFn{});
+        Samples all;
+        for (int k = 0; k < n; k++) {
+            const uint32_t size = dist.deciles()[rng.below(10)];
+            const Duration elapsed = 1000 + 250 * static_cast<Duration>(rng.below(12));
+            t.recordWithBest(size, elapsed, 1000);
+            all.add(static_cast<double>(elapsed) / 1000.0);
+            if (k % 97 == 0) t.overallPercentile(0.5);  // sorts a prefix
+        }
+        ASSERT_EQ(t.count(), all.count());
+        for (double p : ps) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(t.overallPercentile(p)),
+                      std::bit_cast<uint64_t>(all.percentile(p)))
+                << "n=" << n << " p=" << p;
+        }
+    }
+}
+
+// Per-host sums: an n-host tracker (or the engine's shard trackers merged)
+// must report exactly what n one-host trackers absorbed in host order do.
+void expectSameBits(const SlowdownTracker& want, const SlowdownTracker& got,
+                    const char* what) {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(want.count(), got.count());
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    const std::vector<SlowdownRow> a = want.rows(), b = got.rows();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); i++) {
+        EXPECT_EQ(a[i].count, b[i].count) << "row " << i;
+        EXPECT_EQ(bits(a[i].median), bits(b[i].median)) << "row " << i;
+        EXPECT_EQ(bits(a[i].p99), bits(b[i].p99)) << "row " << i;
+        EXPECT_EQ(bits(a[i].mean), bits(b[i].mean)) << "row " << i;
+    }
+    for (double p : {0.5, 0.99}) {
+        EXPECT_EQ(bits(want.overallPercentile(p)), bits(got.overallPercentile(p)))
+            << "p=" << p;
+    }
+    EXPECT_EQ(want.tailDelaySources(), got.tailDelaySources());
+}
+
+TEST(SlowdownTrackerHosts, InterleavedRecordsMatchOneHostTrackersInHostOrder) {
+    const auto& dist = workload(WorkloadId::W3);
+    constexpr int kHosts = 9;  // hosts 2 and 7 record nothing
+    const OracleFn oracle = [](uint32_t) { return microseconds(1); };
+    std::vector<SlowdownTracker> perHost;
+    for (int h = 0; h < kHosts; h++) perHost.emplace_back(dist, oracle);
+    SlowdownTracker eventOrder(dist, oracle);
+    SlowdownTracker hosts(dist, oracle, kHosts);
+    // Two shard trackers, hosts dealt round-robin as racks are.
+    std::vector<SlowdownTracker> shards;
+    shards.emplace_back(dist, oracle, kHosts);
+    shards.emplace_back(dist, oracle, kHosts);
+
+    Rng rng(7);
+    for (int k = 0; k < 4000; k++) {
+        int h = static_cast<int>(rng.below(kHosts));
+        if (h == 2 || h == 7) h++;
+        const uint32_t size = dist.deciles()[rng.below(10)] - 1;
+        const Duration elapsed = 1 + static_cast<Duration>(rng.below(1u << 30));
+        const Duration best = 1 + static_cast<Duration>(rng.below(1u << 20));
+        const Duration q = static_cast<Duration>(rng.below(5000));
+        const Duration lag = static_cast<Duration>(rng.below(5000));
+        perHost[h].recordWithBest(size, elapsed, best, q, lag);
+        eventOrder.recordWithBest(size, elapsed, best, q, lag);
+        hosts.recordWithBest(size, elapsed, best, q, lag, h);
+        shards[h % 2].recordWithBest(size, elapsed, best, q, lag, h);
+    }
+    SlowdownTracker want(dist, oracle);
+    for (const SlowdownTracker& t : perHost) want.absorb(t);
+
+    // The data must tell the orders apart, or the checks below prove
+    // nothing: summing in event order moves some decile mean.
+    bool meansDiffer = false;
+    for (size_t i = 0; i < 10; i++) {
+        meansDiffer |= eventOrder.rows()[i].mean != want.rows()[i].mean;
+    }
+    EXPECT_TRUE(meansDiffer);
+
+    expectSameBits(want, hosts, "n-host tracker");
+    SlowdownTracker absorbed(dist, oracle);
+    absorbed.absorb(hosts);
+    expectSameBits(want, absorbed, "one-host tracker absorbing it");
+    expectSameBits(want, SlowdownTracker::merge(std::move(shards)),
+                   "two shard trackers merged");
+    std::vector<SlowdownTracker> whole;
+    whole.push_back(std::move(hosts));
+    expectSameBits(want, SlowdownTracker::merge(std::move(whole)),
+                   "one shard tracker merged");
+}
+
+TEST(SlowdownTrackerHosts, AbsorbRefusesAMismatchedHostCount) {
+    const auto& dist = workload(WorkloadId::W3);
+    SlowdownTracker four(dist, OracleFn{}, 4);
+    SlowdownTracker three(dist, OracleFn{}, 3);
+    SlowdownTracker one(dist, OracleFn{});
+    EXPECT_THROW(four.absorb(three), std::invalid_argument);
+    EXPECT_THROW(four.absorb(one), std::invalid_argument);
+    one.absorb(three);  // a one-host tracker takes any
+    EXPECT_EQ(one.count(), 0u);
 }
 
 TEST(Table, FormatsAlignedColumns) {
