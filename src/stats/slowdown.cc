@@ -104,14 +104,10 @@ SlowdownTracker SlowdownTracker::merge(std::vector<SlowdownTracker>&& parts) {
         parts[k].buckets_ = {};
         parts[k].shortMessages_ = {};
     }
-    SlowdownTracker out(all.dist_, all.oracle_);
-    for (int i = 0; i < 10; i++) {
-        const double sum = all.decileSum(i);
-        out.buckets_[i] = std::move(all.buckets_[i]);
-        out.buckets_[i].setSum(sum);
-    }
-    out.shortMessages_ = std::move(all.shortMessages_);
-    return out;
+    for (int i = 0; i < 10; i++) all.buckets_[i].setSum(all.decileSum(i));
+    all.hosts_ = 1;
+    all.hostSums_ = {};
+    return std::move(all);
 }
 
 std::vector<SlowdownRow> SlowdownTracker::rows() const {
