@@ -25,7 +25,7 @@ public:
     void sendMessage(const Message& m) override;
     void handlePacket(const Packet& p) override;
     std::optional<Packet> pullPacket() override;
-    bool hasWithheldWork() const override { return receiver_->hasWithheldWork(); }
+    bool hasWithheldWork() const override { return receiver_.hasWithheldWork(); }
 
     /// RESEND arrived for a message this sender no longer (or never) knew.
     /// The RPC layer uses this for at-least-once re-execution (§3.7/§3.8).
@@ -34,8 +34,8 @@ public:
         onUnknownResend_ = std::move(h);
     }
 
-    HomaSender& sender() { return *sender_; }
-    HomaReceiver& receiver() { return *receiver_; }
+    HomaSender& sender() { return sender_; }
+    HomaReceiver& receiver() { return receiver_; }
 
     /// Build a factory for Network construction.
     static TransportFactory factory(HomaConfig cfg, const NetworkConfig& net,
@@ -43,8 +43,8 @@ public:
 
 private:
     HomaContext ctx_;
-    std::unique_ptr<HomaSender> sender_;
-    std::unique_ptr<HomaReceiver> receiver_;
+    HomaSender sender_;
+    HomaReceiver receiver_;
     TrafficMeter meter_;
     bool onlineAllocation_;
     uint64_t messagesSinceRealloc_ = 0;

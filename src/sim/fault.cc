@@ -98,16 +98,53 @@ const SpecKey<FaultSpec> kFaultKeys[] = {
     {"gap", faultDuration<&FaultSpec::gap>},
 };
 
-// Contradictory or missing keys for the spec's kind.
+// The value rule, which needs no topology: what every spec must hold,
+// however it was built. Each bound is written so that NaN fails it. The
+// parser applies it to a spec that starts from FaultSpec's defaults, so a
+// missing `for`, `count` or `gap` fails here with the message that names
+// the key.
+std::string faultValueError(const FaultSpec& spec) {
+    if (spec.targetIndex < 0) return "fault target index must be >= 0";
+    if (spec.at < 0) return "at must be a non-negative duration";
+    if (spec.duration < 0) return "for must be a non-negative duration";
+    switch (spec.kind) {
+        case FaultKind::Flap:
+            if (spec.duration <= 0) return "flap needs for=<duration> > 0";
+            break;
+        case FaultKind::Kill:
+            break;
+        case FaultKind::Degrade:
+            if (!(spec.bwFactor > 0.0 && spec.bwFactor <= 1.0)) {
+                return "bw must be in (0, 1]";
+            }
+            if (!(spec.dropProb >= 0.0 && spec.dropProb < 1.0)) {
+                return "drop must be in [0, 1)";
+            }
+            if (spec.extraDelay < 0) {
+                return "delay must be a non-negative duration";
+            }
+            break;
+        case FaultKind::FlapTrain:
+            if (spec.count < 1) return "flap-train needs count=<n> >= 1";
+            if (spec.gap <= 0) {
+                return "flap-train needs gap=<mean duration> > 0";
+            }
+            if (spec.duration <= 0) {
+                return "flap-train needs for=<mean down duration> > 0";
+            }
+            break;
+    }
+    return "";
+}
+
+// Keys that contradict the spec's kind (the parser's rule on top of the
+// value rule).
 std::string faultKeysError(const FaultSpec& spec, const GivenKeys& given) {
     const bool degradeKnobs =
         given.has("bw") || given.has("delay") || given.has("drop");
     const bool trainKnobs = given.has("count") || given.has("gap");
     switch (spec.kind) {
         case FaultKind::Flap:
-            if (!given.has("for") || spec.duration <= 0) {
-                return "flap needs for=<duration> > 0";
-            }
             if (degradeKnobs) {
                 return "flap takes no degrade knobs (bw/delay/drop); "
                        "use degrade=";
@@ -129,25 +166,8 @@ std::string faultKeysError(const FaultSpec& spec, const GivenKeys& given) {
                 return "degrade needs at least one of bw=, delay=, drop=";
             }
             if (trainKnobs) return "degrade takes no count/gap";
-            if (given.has("bw") &&
-                (spec.bwFactor <= 0.0 || spec.bwFactor > 1.0)) {
-                return "bw must be in (0, 1]";
-            }
-            if (given.has("drop") &&
-                (spec.dropProb < 0.0 || spec.dropProb >= 1.0)) {
-                return "drop must be in [0, 1)";
-            }
             break;
         case FaultKind::FlapTrain:
-            if (!given.has("count") || spec.count < 1) {
-                return "flap-train needs count=<n> >= 1";
-            }
-            if (!given.has("gap") || spec.gap <= 0) {
-                return "flap-train needs gap=<mean duration> > 0";
-            }
-            if (!given.has("for") || spec.duration <= 0) {
-                return "flap-train needs for=<mean down duration> > 0";
-            }
             if (degradeKnobs) {
                 return "flap-train takes no degrade knobs (bw/delay/drop)";
             }
@@ -178,6 +198,7 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
         why = readSpec("fault", body.substr(comma + 1), kFaultKeys, spec,
                        &given);
     }
+    if (why.empty()) why = faultValueError(spec);
     if (why.empty()) why = faultKeysError(spec, given);
     if (!why.empty()) {
         if (err) *err = why;
@@ -189,6 +210,8 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
 
 std::string validateFaultSpec(const FaultSpec& spec,
                               const NetworkConfig& cfg) {
+    const std::string why = faultValueError(spec);
+    if (!why.empty()) return why;
     // "<tier> fault target index <i> out of range: ... (valid: tier0..tierN-1)"
     auto outOfRange = [&spec](const char* tier, const char* what, int n) {
         return std::string(tier) + " fault target index " +

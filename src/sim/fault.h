@@ -84,11 +84,14 @@ struct FaultSpec {
 bool parseFaultSpec(const std::string& body, FaultSpec& out,
                     std::string* err = nullptr);
 
-/// Validates a parsed spec against a topology (index ranges; aggr targets
-/// need a multi-rack fat tree; core targets need a three-tier one).
-/// Returns "" if valid, else a reason naming the valid target range for
-/// the tier (e.g. "... this topology has 4 aggregation switches (valid:
-/// aggr0..aggr3)").
+/// Validates a spec, parsed or built in code. First the values the parser
+/// also enforces: bw in (0, 1], drop in [0, 1), no negative duration or
+/// target index, and for/count/gap > 0 where the kind needs them (NaN
+/// fails every bound). Then the target against the topology (index
+/// ranges; aggr targets need a multi-rack fat tree; core targets need a
+/// three-tier one). Returns "" if valid, else the reason; a target out of
+/// range names the valid range for the tier (e.g. "... this topology has
+/// 4 aggregation switches (valid: aggr0..aggr3)").
 std::string validateFaultSpec(const FaultSpec& spec, const NetworkConfig& cfg);
 
 /// Canonical round-trip of a spec back to its "fault:..." body.

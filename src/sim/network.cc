@@ -53,8 +53,11 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
                             ? 1
                             : std::clamp(shards, 1, cfg_.racks);
     loops_.reserve(nShards);
+    rxDelay_.reserve(nShards);
     for (int s = 0; s < nShards; s++) {
         loops_.push_back(std::make_unique<EventLoop>());
+        rxDelay_.push_back(std::make_unique<SoftwareDelayQueue>(
+            *loops_[s], cfg_.softwareDelay));
     }
     perHostMsg_.assign(nHosts, 0);
 
@@ -65,9 +68,9 @@ Network::Network(NetworkConfig cfg, const TransportFactory& makeTransport,
     // byte-identical to the pre-core-layer wiring.
     hosts_.reserve(nHosts);
     for (HostId h = 0; h < nHosts; h++) {
-        hosts_.push_back(std::make_unique<Host>(*loops_[shardOfHost(h)], h,
-                                                cfg_.hostLink,
-                                                cfg_.softwareDelay, rng_.fork()));
+        const int s = shardOfHost(h);
+        hosts_.push_back(std::make_unique<Host>(*loops_[s], h, cfg_.hostLink,
+                                                *rxDelay_[s], rng_.fork()));
     }
 
     // Aggregation switches, dealt round-robin across shards. Global index

@@ -135,6 +135,8 @@ private:
     NetworkConfig cfg_;
     NetworkTimings timings_;
     std::vector<std::unique_ptr<EventLoop>> loops_;
+    // rxDelay_[s]: the software-delay FIFO of every host on loop s.
+    std::vector<std::unique_ptr<SoftwareDelayQueue>> rxDelay_;
     Rng rng_;
     std::vector<std::unique_ptr<Host>> hosts_;
     std::vector<std::unique_ptr<Switch>> tors_;

@@ -60,21 +60,19 @@ enum PacketFlag : uint16_t {
     kFlagLast = 1 << 5,         // last packet of its message
 };
 
+// Within each part the fields run from wide to narrow, so the struct packs
+// into 96 bytes: every queued packet, every packet on a wire and every
+// packet waiting out a software delay is a copy.
 struct Packet {
+    MsgId msg = 0;                   // message / RPC identifier
     HostId src = kNoHost;
     HostId dst = kNoHost;
-    PacketType type = PacketType::Data;
-    uint8_t priority = 0;            // discrete in-network priority (0..7)
-    uint16_t flags = 0;
-
-    MsgId msg = 0;                   // message / RPC identifier
     uint32_t offset = 0;             // data: first byte; resend: range start
     uint32_t length = 0;             // data payload bytes; resend: range len
     uint32_t messageLength = 0;      // total message length
 
     // Grant/Token/Pull fields.
     uint32_t grantOffset = 0;        // Homa/Basic: may send up to this
-    uint8_t grantPriority = 0;       // Homa: priority for the granted bytes
 
     // pFabric's fine-grained priority: bytes remaining in the message when
     // this packet was sent. Smaller = more urgent.
@@ -84,14 +82,19 @@ struct Packet {
     // sending host).
     uint32_t stream = 0;
 
+    uint16_t flags = 0;
+    PacketType type = PacketType::Data;
+    uint8_t priority = 0;            // discrete in-network priority (0..7)
+    uint8_t grantPriority = 0;       // Homa: priority for the granted bytes
+
     // --- Instrumentation (not on the wire) -------------------------------
     Time created = -1;               // message creation time; -1 = unset
     Duration queueingDelay = 0;      // waited behind >= priority packets
     Duration preemptionLag = 0;      // waited behind a < priority packet
-    uint32_t hops = 0;
     // Transient per-hop accounting, reset by each port.
     Time hopEnqueuedAt = 0;
     Duration hopPreemptLagBound = 0;
+    uint32_t hops = 0;
     // Canonical id of the link this packet most recently arrived on,
     // stamped by the transmitting port (-1 until the first hop). Switches
     // order their internal transit queue by (arrival time, arrivalLink), so
@@ -109,7 +112,11 @@ struct Packet {
     int64_t wireBytes() const;
 
     std::string summary() const;  // compact human-readable form for logs
+
+    friend bool operator==(const Packet&, const Packet&) = default;
 };
+
+static_assert(sizeof(Packet) == 96, "Packet grew: reorder or justify it");
 
 const char* packetTypeName(PacketType t);
 

@@ -1,10 +1,15 @@
-// Packet slab + freelist, and the index ring that queues them.
+// Packet slab + freelist, and the FIFOs that queue packets through it.
 //
 // The simulator used to move Packets by value through per-qdisc
 // std::deques, paying deque chunk allocation and ~140-byte element copies
 // per hop. Queues now hold 4-byte handles into a PacketPool whose slots are
 // recycled through a freelist: steady-state enqueue/dequeue allocates
 // nothing, and the hot data stays in two tight arrays.
+//
+// Each slot has one link. A free slot's link chains the freelist; a queued
+// slot's link chains its FIFO. A FIFO is therefore just its (head, tail)
+// handles: eight priority levels cost 64 bytes and no allocation of their
+// own, however many packets they ever held.
 #pragma once
 
 #include <cassert>
@@ -21,25 +26,54 @@ public:
     using Handle = uint32_t;
     static constexpr Handle kNone = UINT32_MAX;
 
+    /// A FIFO of this pool's slots, chained through their links.
+    struct Fifo {
+        Handle head = kNone;
+        Handle tail = kNone;
+        bool empty() const { return head == kNone; }
+    };
+
     /// Copy `p` into a recycled (or new) slot.
     Handle acquire(const Packet& p) {
         if (freeHead_ != kNone) {
             const Handle h = freeHead_;
-            freeHead_ = nextFree_[h];
+            freeHead_ = link_[h];
             slots_[h] = p;
             return h;
         }
         slots_.push_back(p);
-        nextFree_.push_back(kNone);
+        link_.push_back(kNone);
         return static_cast<Handle>(slots_.size() - 1);
     }
 
     /// Move the packet out and recycle its slot.
     Packet release(Handle h) {
         Packet p = std::move(slots_[h]);
-        nextFree_[h] = freeHead_;
+        link_[h] = freeHead_;
         freeHead_ = h;
         return p;
+    }
+
+    /// Copy `p` into a slot at the back of `q`.
+    void push(Fifo& q, const Packet& p) {
+        const Handle h = acquire(p);
+        link_[h] = kNone;
+        if (q.empty()) {
+            q.head = h;
+        } else {
+            link_[q.tail] = h;
+        }
+        q.tail = h;
+    }
+
+    /// Move the front packet of `q` (which must not be empty) out and
+    /// recycle its slot.
+    Packet pop(Fifo& q) {
+        assert(!q.empty());
+        const Handle h = q.head;
+        q.head = link_[h];
+        if (q.head == kNone) q.tail = kNone;
+        return release(h);
     }
 
     Packet& at(Handle h) { return slots_[h]; }
@@ -49,50 +83,8 @@ public:
 
 private:
     std::vector<Packet> slots_;
-    std::vector<Handle> nextFree_;
+    std::vector<Handle> link_;  // freelist or FIFO successor, kNone at the end
     Handle freeHead_ = kNone;
-};
-
-/// FIFO of pool handles on a power-of-two ring buffer; grows on demand and
-/// never shrinks, so a warmed-up queue performs no allocation.
-class IndexRing {
-public:
-    bool empty() const { return count_ == 0; }
-    size_t size() const { return count_; }
-
-    void push_back(PacketPool::Handle h) {
-        if (count_ == buf_.size()) grow();
-        buf_[(head_ + count_) & (buf_.size() - 1)] = h;
-        count_++;
-    }
-
-    PacketPool::Handle front() const {
-        assert(count_ > 0);
-        return buf_[head_];
-    }
-
-    PacketPool::Handle pop_front() {
-        assert(count_ > 0);
-        const PacketPool::Handle h = buf_[head_];
-        head_ = (head_ + 1) & (buf_.size() - 1);
-        count_--;
-        return h;
-    }
-
-private:
-    void grow() {
-        const size_t cap = buf_.empty() ? 16 : buf_.size() * 2;
-        std::vector<PacketPool::Handle> next(cap);
-        for (size_t i = 0; i < count_; i++) {
-            next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-        }
-        buf_ = std::move(next);
-        head_ = 0;
-    }
-
-    std::vector<PacketPool::Handle> buf_;
-    size_t head_ = 0;
-    size_t count_ = 0;
 };
 
 }  // namespace homa

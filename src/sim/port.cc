@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace homa {
@@ -74,21 +75,35 @@ void EgressPort::abortTransmission() {
 
 void EgressPort::setDegrade(double bwFactor, Duration extraDelay,
                             double dropProb, uint64_t rngSeed) {
-    assert(bwFactor > 0.0 && bwFactor <= 1.0);
-    assert(dropProb >= 0.0 && dropProb < 1.0);
-    degradeBwFactor_ = bwFactor;
-    degradeExtraDelay_ = extraDelay;
-    degradeDropProb_ = dropProb;
+    // Written so that NaN fails: a zero factor would divide by zero in
+    // startTransmission, and a NaN one cast NaN to a Duration.
+    if (!(bwFactor > 0.0 && bwFactor <= 1.0)) {
+        throw std::invalid_argument("EgressPort::setDegrade: bwFactor must "
+                                    "be in (0, 1]");
+    }
+    if (!(dropProb >= 0.0 && dropProb < 1.0)) {
+        throw std::invalid_argument("EgressPort::setDegrade: dropProb must "
+                                    "be in [0, 1)");
+    }
+    if (extraDelay < 0) {
+        throw std::invalid_argument("EgressPort::setDegrade: extraDelay must "
+                                    "be >= 0");
+    }
+    if (!degrade_) degrade_ = std::make_unique<Degrade>();
+    degrade_->bwFactor = bwFactor;
+    degrade_->extraDelay = extraDelay;
+    degrade_->dropProb = dropProb;
     // One persistent stream per port: repeated windows continue it, so the
     // draw sequence is a pure function of (seed, packets serialized while
     // degraded), never of how many windows the schedule used.
-    if (dropProb > 0.0 && !faultRng_) faultRng_.emplace(rngSeed);
+    if (dropProb > 0.0 && !degrade_->rng) degrade_->rng.emplace(rngSeed);
 }
 
 void EgressPort::clearDegrade() {
-    degradeBwFactor_ = 1.0;
-    degradeExtraDelay_ = 0;
-    degradeDropProb_ = 0.0;
+    if (!degrade_) return;
+    degrade_->bwFactor = 1.0;
+    degrade_->extraDelay = 0;
+    degrade_->dropProb = 0.0;
 }
 
 uint64_t EgressPort::dropAllQueued() {
@@ -137,11 +152,13 @@ void EgressPort::startTransmission(Packet p) {
 
     const int64_t wire = p.wireBytes();
     Duration serialization = bw_.serialize(wire);
-    if (degradeBwFactor_ < 1.0) {
-        serialization = static_cast<Duration>(
-            static_cast<double>(serialization) / degradeBwFactor_);
+    if (degrade_) {
+        if (degrade_->bwFactor < 1.0) {
+            serialization = static_cast<Duration>(
+                static_cast<double>(serialization) / degrade_->bwFactor);
+        }
+        serialization += degrade_->extraDelay;
     }
-    serialization += degradeExtraDelay_;
     busy_ = true;
     inFlightBytes_ = wire;
     txPriority_ = p.priority;
@@ -176,7 +193,8 @@ void EgressPort::finishTransmission() {
     Packet done = std::move(*txPacket_);
     txPacket_.reset();
     done.arrivalLink = linkId_;
-    if (degradeDropProb_ > 0.0 && faultRng_->chance(degradeDropProb_)) {
+    if (degrade_ && degrade_->dropProb > 0.0 &&
+        degrade_->rng->chance(degrade_->dropProb)) {
         // Lost on the degraded wire: it burned serialization time but
         // never reaches the peer.
         stats_.faultProbDrops++;

@@ -139,6 +139,8 @@ public:
     /// with probability dropProb at serialization end (drawn from a
     /// deterministic per-port RNG seeded with `rngSeed`; the RNG persists
     /// across degrade windows so repeated windows continue one stream).
+    /// Throws std::invalid_argument unless bwFactor is in (0, 1], dropProb
+    /// in [0, 1) and extraDelay >= 0.
     void setDegrade(double bwFactor, Duration extraDelay, double dropProb,
                     uint64_t rngSeed);
     void clearDegrade();
@@ -191,10 +193,17 @@ private:
     // Fault state (sim/fault.h).
     int downCount_ = 0;
     bool killed_ = false;
-    double degradeBwFactor_ = 1.0;
-    Duration degradeExtraDelay_ = 0;
-    double degradeDropProb_ = 0.0;
-    std::optional<Rng> faultRng_;
+    // Degraded-link state, created by the first setDegrade() and kept from
+    // then on (cleared to a healthy link's values), so the drop RNG's
+    // stream runs on across windows. A port never degraded holds only the
+    // null pointer.
+    struct Degrade {
+        double bwFactor = 1.0;
+        Duration extraDelay = 0;
+        double dropProb = 0.0;
+        std::optional<Rng> rng;
+    };
+    std::unique_ptr<Degrade> degrade_;
 
     PortStats stats_;
 };

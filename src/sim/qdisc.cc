@@ -36,7 +36,7 @@ bool StrictPriorityQdisc::enqueue(Packet& p) {
             return false;
         }
     }
-    queues_[p.priority].push_back(pool_.acquire(p));
+    pool_.push(queues_[p.priority], p);
     bytes_ += bufferBytes(p);
     packets_++;
     stats_.enqueued++;
@@ -47,7 +47,7 @@ std::optional<Packet> StrictPriorityQdisc::dequeue() {
     for (int prio = kHighestPriority; prio >= 0; prio--) {
         auto& q = queues_[prio];
         if (q.empty()) continue;
-        Packet p = pool_.release(q.pop_front());
+        Packet p = pool_.pop(q);
         bytes_ -= bufferBytes(p);
         packets_--;
         return p;
@@ -64,7 +64,8 @@ int StrictPriorityQdisc::headPriority() const {
 
 bool PFabricQdisc::enqueue(Packet& p) {
     if (p.isControl()) {
-        control_.push_back(slab_.acquire(p));
+        slab_.push(control_, p);
+        controlCount_++;
         bytes_ += bufferBytes(p);
         stats_.enqueued++;
         return true;
@@ -106,7 +107,8 @@ bool PFabricQdisc::enqueue(Packet& p) {
 
 std::optional<Packet> PFabricQdisc::dequeue() {
     if (!control_.empty()) {
-        Packet p = slab_.release(control_.pop_front());
+        Packet p = slab_.pop(control_);
+        controlCount_--;
         bytes_ -= bufferBytes(p);
         return p;
     }

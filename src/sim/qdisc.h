@@ -76,10 +76,10 @@ public:
 
 private:
     StrictPriorityOptions opts_;
-    // Queued packets live in a recycled slab; the per-level FIFOs hold
-    // 4-byte handles (see packet_pool.h).
+    // Queued packets live in a recycled slab; each level's FIFO is chained
+    // through the slab's links (see packet_pool.h).
     PacketPool pool_;
-    std::array<IndexRing, kPriorityLevels> queues_;
+    std::array<PacketPool::Fifo, kPriorityLevels> queues_;
     int64_t bytes_ = 0;
     size_t packets_ = 0;
 };
@@ -96,12 +96,13 @@ public:
     bool enqueue(Packet& p) override;
     std::optional<Packet> dequeue() override;
     int64_t queuedBytes() const override { return bytes_; }
-    size_t queuedPackets() const override { return data_.size() + control_.size(); }
+    size_t queuedPackets() const override { return data_.size() + controlCount_; }
 
 private:
     PFabricOptions opts_;
     PacketPool slab_;
-    IndexRing control_;                        // ACKs etc., served first
+    PacketPool::Fifo control_;                 // ACKs etc., served first
+    size_t controlCount_ = 0;
     std::vector<PacketPool::Handle> data_;     // scanned (queues are small)
     int64_t bytes_ = 0;
 };

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -188,6 +189,83 @@ TEST(FaultSpec, ExplainsContradictoryKeys) {
               "flap-train needs gap=<mean duration> > 0");
     EXPECT_EQ(parseError("flap-train=aggr0,count=3,gap=1ms"),
               "flap-train needs for=<mean down duration> > 0");
+}
+
+TEST(FaultSpec, LibrarySpecsMeetTheParsersValueRules) {
+    // A spec built in code, not parsed, gets the parser's value rules
+    // through runExperiment and FaultTimeline alike. These specs used to
+    // run: a bw factor of 0 divided by zero when a packet was serialized
+    // and cast +inf to a Duration.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    FaultSpec degrade;
+    degrade.kind = FaultKind::Degrade;
+    degrade.targetKind = FaultTargetKind::Host;
+    degrade.targetIndex = 1;
+    degrade.at = microseconds(100);
+    FaultSpec flap = degrade;
+    flap.kind = FaultKind::Flap;
+    flap.duration = microseconds(50);
+    FaultSpec train = flap;
+    train.kind = FaultKind::FlapTrain;
+    train.count = 3;
+    train.gap = microseconds(100);
+    struct Case {
+        const char* expect;
+        FaultSpec spec;
+    };
+    std::vector<Case> cases;
+    auto bad = [&cases](const char* expect, FaultSpec f, auto&& set) {
+        set(f);
+        cases.push_back({expect, f});
+    };
+    for (double bw : {0.0, 2.0, -0.5, nan}) {
+        bad("bw must be in (0, 1]", degrade, [bw](FaultSpec& f) { f.bwFactor = bw; });
+    }
+    for (double drop : {-0.1, 1.0, nan}) {
+        bad("drop must be in [0, 1)", degrade,
+            [drop](FaultSpec& f) { f.dropProb = drop; });
+    }
+    bad("delay must be a non-negative duration", degrade,
+        [](FaultSpec& f) { f.extraDelay = -1; });
+    bad("at must be a non-negative duration", degrade,
+        [](FaultSpec& f) { f.at = -1; });
+    bad("for must be a non-negative duration", degrade,
+        [](FaultSpec& f) { f.duration = -1; });
+    bad("fault target index must be >= 0", degrade,
+        [](FaultSpec& f) { f.targetIndex = -1; });
+    bad("flap needs for=<duration> > 0", flap,
+        [](FaultSpec& f) { f.duration = 0; });
+    bad("flap-train needs count=<n> >= 1", train,
+        [](FaultSpec& f) { f.count = 0; });
+    bad("flap-train needs gap=<mean duration> > 0", train,
+        [](FaultSpec& f) { f.gap = 0; });
+    bad("flap-train needs for=<mean down duration> > 0", train,
+        [](FaultSpec& f) { f.duration = 0; });
+
+    ExperimentConfig cfg;
+    cfg.net = NetworkConfig::singleRack16();
+    cfg.traffic.workload = WorkloadId::W3;
+    cfg.traffic.load = 0.5;
+    cfg.traffic.stop = milliseconds(1);
+    degrade.bwFactor = 0.5;
+    cfg.traffic.scenario.faults = {degrade};
+    ASSERT_EQ(experimentConfigError(cfg), "");  // the base spec is sound
+
+    ProtocolConfig proto;
+    NetworkConfig netCfg = cfg.net;
+    netCfg.switchQdisc = switchQdiscFor(proto);
+    Network net(netCfg, makeTransportFactory(proto, netCfg,
+                                             &workload(WorkloadId::W3)));
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.expect);
+        EXPECT_EQ(validateFaultSpec(c.spec, cfg.net), c.expect);
+        cfg.traffic.scenario.faults = {c.spec};
+        EXPECT_NE(experimentConfigError(cfg).find(c.expect), std::string::npos)
+            << experimentConfigError(cfg);
+        EXPECT_THROW((void)runExperiment(cfg), std::invalid_argument);
+        FaultTimeline timeline(net, {c.spec}, 1);
+        EXPECT_THROW(timeline.schedule(), std::invalid_argument);
+    }
 }
 
 TEST(FaultSpec, ValidatesTargetsAgainstTopology) {

@@ -1,12 +1,16 @@
 // Network wiring, port accounting, and timing constants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/homa_transport.h"
 #include "sim/network.h"
+#include "sim/parallel.h"
 #include "workload/workloads.h"
 
 namespace homa {
@@ -249,6 +253,119 @@ TEST(HostSoftwareDelay, AppliedOncePerPacket) {
     const Duration base = measure(nanoseconds(1500));
     const Duration doubled = measure(nanoseconds(3000));
     EXPECT_EQ(doubled - base, nanoseconds(1500));
+}
+
+// One packet reaching a transport: when, where, and the loop's event
+// count at that moment (a run order within one shard loop).
+struct Arrival {
+    Time at;
+    HostId host;
+    MsgId msg;
+    uint64_t order;
+};
+
+class LoggingTransport final : public Transport {
+public:
+    LoggingTransport(HostServices& host, std::vector<Arrival>& log)
+        : host_(host), log_(log) {}
+    void sendMessage(const Message&) override {}
+    void handlePacket(const Packet& p) override {
+        log_.push_back(Arrival{host_.loop().now(), host_.id(), p.msg,
+                               host_.loop().executedEvents()});
+    }
+
+private:
+    HostServices& host_;
+    std::vector<Arrival>& log_;
+};
+
+// Each host logs into its own vector, so shard threads never share one.
+TransportFactory loggingFactory(std::vector<std::vector<Arrival>>& logs) {
+    return [&logs](HostServices& h) {
+        return std::make_unique<LoggingTransport>(h, logs[h.id()]);
+    };
+}
+
+// Hands `batch` ((host, msg) pairs, in order) to the hosts' Host::deliver
+// at `at`, from the loop of the batch's shard.
+void deliverAt(Network& net, Time at,
+               std::vector<std::pair<HostId, MsgId>> batch) {
+    EventLoop& loop = net.loopFor(batch.front().first);
+    loop.at(at, [&net, batch] {
+        for (const auto& [h, msg] : batch) {
+            Packet p;
+            p.dst = h;
+            p.msg = msg;
+            net.host(h).deliver(p);
+        }
+    });
+}
+
+// The arrivals of `hosts`, merged in the order their (common) loop ran
+// them.
+std::vector<Arrival> mergedArrivals(
+    const std::vector<std::vector<Arrival>>& logs,
+    std::initializer_list<HostId> hosts) {
+    std::vector<Arrival> all;
+    for (HostId h : hosts) all.insert(all.end(), logs[h].begin(), logs[h].end());
+    std::sort(all.begin(), all.end(), [](const Arrival& a, const Arrival& b) {
+        return a.order < b.order;
+    });
+    return all;
+}
+
+TEST(HostSoftwareDelay, SameInstantArrivalsKeepTheirOrderAcrossHosts) {
+    // Two hosts of one rack share their loop's software-delay FIFO. Each
+    // packet reaches its transport exactly one software delay after
+    // Host::deliver, and the loop hands them over in delivery order,
+    // across both hosts and across two instants.
+    NetworkConfig cfg = NetworkConfig::singleRack16();
+    std::vector<std::vector<Arrival>> logs(cfg.hostCount());
+    Network net(cfg, loggingFactory(logs));
+    const Time t0 = microseconds(1);
+    const Time t1 = t0 + nanoseconds(700);  // before t0's batch comes out
+    deliverAt(net, t0, {{0, 1}, {1, 2}, {1, 3}, {0, 4}, {1, 5}});
+    deliverAt(net, t1, {{1, 6}, {0, 7}});
+    net.loop().run();
+
+    const std::vector<Arrival> got = mergedArrivals(logs, {0, 1});
+    const std::vector<std::pair<HostId, MsgId>> want = {
+        {0, 1}, {1, 2}, {1, 3}, {0, 4}, {1, 5}, {1, 6}, {0, 7}};
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) {
+        EXPECT_EQ(got[i].host, want[i].first) << i;
+        EXPECT_EQ(got[i].msg, want[i].second) << i;
+        const Time sent = got[i].msg <= 5 ? t0 : t1;
+        EXPECT_EQ(got[i].at, sent + cfg.softwareDelay) << i;
+    }
+}
+
+TEST(ParallelDeterminism, SoftwareDelayFifoPerShardKeepsArrivalOrder) {
+    // With two shards, hosts 0 and 1 (rack 0) wait on shard 0's FIFO and
+    // hosts 16 and 17 (rack 1) on shard 1's, each touched only by its own
+    // shard's thread. Same-instant packets on both shards each come out
+    // one software delay later, in delivery order within the shard.
+    NetworkConfig cfg = NetworkConfig::fatTree144();
+    std::vector<std::vector<Arrival>> logs(cfg.hostCount());
+    Network net(cfg, loggingFactory(logs), /*shards=*/2);
+    ASSERT_EQ(net.shardCount(), 2);
+    ASSERT_NE(net.shardOfHost(0), net.shardOfHost(16));
+    const Time t0 = microseconds(1);
+    deliverAt(net, t0, {{0, 1}, {1, 2}, {0, 3}, {1, 4}});
+    deliverAt(net, t0, {{17, 11}, {16, 12}, {17, 13}, {16, 14}});
+    runNetworkUntil(net, t0 + microseconds(10));
+
+    const auto check = [&](std::initializer_list<HostId> hosts,
+                           const std::vector<MsgId>& want) {
+        const std::vector<Arrival> got = mergedArrivals(logs, hosts);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < want.size(); i++) {
+            EXPECT_EQ(got[i].msg, want[i]) << i;
+            EXPECT_EQ(got[i].at, t0 + cfg.softwareDelay) << i;
+        }
+    };
+    check({0, 1}, {1, 2, 3, 4});
+    check({16, 17}, {11, 12, 13, 14});
 }
 
 TEST(NetworkTimingsTest, SingleRackRttSmallerThanFatTree) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
+#include <stdexcept>
 
 #include "sim/port.h"
 
@@ -160,6 +162,37 @@ TEST(EgressPort, BacklogCountsQueuedAndInFlight) {
     EXPECT_GT(f.port.backlogBytes(), 1524);
     f.loop.run();
     EXPECT_EQ(f.port.backlogBytes(), 0);
+}
+
+TEST(EgressPort, SetDegradeRejectsValuesOutOfRange) {
+    // The checks hold in every build type: a bw factor of 0 would divide
+    // by zero at the next serialization and cast +inf to a Duration.
+    PortFixture f;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double bw : {0.0, -1.0, 1.5, nan}) {
+        EXPECT_THROW(f.port.setDegrade(bw, 0, 0.0, 1), std::invalid_argument)
+            << bw;
+    }
+    for (double drop : {-0.1, 1.0, nan}) {
+        EXPECT_THROW(f.port.setDegrade(0.5, 0, drop, 1), std::invalid_argument)
+            << drop;
+    }
+    EXPECT_THROW(f.port.setDegrade(0.5, -1, 0.0, 1), std::invalid_argument);
+
+    // A rejected call leaves the link healthy: full-size serialization.
+    f.port.enqueue(mkData(0));
+    f.loop.run();
+    ASSERT_EQ(f.sink.got.size(), 1u);
+    EXPECT_EQ(f.sink.got[0].first, k10Gbps.serialize(kFullPacketWireBytes));
+
+    // In range, it stretches the serialization by 1/bwFactor.
+    f.port.setDegrade(0.5, 0, 0.0, 1);
+    const Time start = f.loop.now();
+    f.port.enqueue(mkData(0));
+    f.loop.run();
+    ASSERT_EQ(f.sink.got.size(), 2u);
+    EXPECT_EQ(f.sink.got[1].first - start,
+              2 * k10Gbps.serialize(kFullPacketWireBytes));
 }
 
 }  // namespace

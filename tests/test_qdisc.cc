@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "sim/qdisc.h"
+#include "sim/random.h"
 
 namespace homa {
 namespace {
@@ -270,6 +277,268 @@ TEST(PFabric, ControlNeverDroppedByCap) {
         ack.type = PacketType::Ack;
         EXPECT_TRUE(q.enqueue(ack));
     }
+}
+
+// ------------------------------------------- differential vs. references
+//
+// Both qdiscs queue through PacketPool's chained FIFOs. These runs check
+// them, op for op, against the plain containers they replaced: the same
+// rules over std::deque<Packet> per level (and pFabric's control FIFO),
+// and every dequeued packet, occupancy, head level and statistic must
+// agree.
+
+int64_t refBufferBytes(const Packet& p) {
+    const bool payload = p.type == PacketType::Data && !p.hasFlag(kFlagTrimmed);
+    return (payload ? p.length : 0) + kHeaderBytes;
+}
+
+bool sameStats(const QdiscStats& a, const QdiscStats& b) {
+    return a.enqueued == b.enqueued && a.dropped == b.dropped &&
+           a.trimmed == b.trimmed && a.ecnMarked == b.ecnMarked;
+}
+
+class RefStrictPriority {
+public:
+    explicit RefStrictPriority(StrictPriorityOptions o) : opts_(o) {}
+
+    bool enqueue(Packet& p) {
+        if (opts_.ecnThresholdBytes > 0 && bytes_ >= opts_.ecnThresholdBytes) {
+            p.setFlag(kFlagEcn);
+            stats.ecnMarked++;
+        }
+        if (opts_.capBytes > 0 && bytes_ + refBufferBytes(p) > opts_.capBytes) {
+            if (!opts_.trimOnOverflow) {
+                stats.dropped++;
+                return false;
+            }
+            if (p.type == PacketType::Data && !p.hasFlag(kFlagTrimmed)) {
+                p.setFlag(kFlagTrimmed);
+                p.priority = kHighestPriority;
+                stats.trimmed++;
+            }
+        }
+        levels_[p.priority].push_back(p);
+        bytes_ += refBufferBytes(p);
+        stats.enqueued++;
+        return true;
+    }
+
+    std::optional<Packet> dequeue() {
+        for (int prio = kHighestPriority; prio >= 0; prio--) {
+            if (levels_[prio].empty()) continue;
+            Packet p = levels_[prio].front();
+            levels_[prio].pop_front();
+            bytes_ -= refBufferBytes(p);
+            return p;
+        }
+        return std::nullopt;
+    }
+
+    int headPriority() const {
+        for (int prio = kHighestPriority; prio >= 0; prio--) {
+            if (!levels_[prio].empty()) return prio;
+        }
+        return -1;
+    }
+
+    int64_t queuedBytes() const { return bytes_; }
+    size_t queuedPackets() const {
+        size_t n = 0;
+        for (const auto& q : levels_) n += q.size();
+        return n;
+    }
+
+    QdiscStats stats;
+
+private:
+    StrictPriorityOptions opts_;
+    std::array<std::deque<Packet>, kPriorityLevels> levels_;
+    int64_t bytes_ = 0;
+};
+
+// A random packet: mostly data of any size at any level, some already
+// trimmed headers, some control packets; `msg` numbers every packet.
+Packet randomPacket(Rng& rng, MsgId serial) {
+    Packet p;
+    p.msg = serial;
+    p.priority = static_cast<uint8_t>(rng.below(kPriorityLevels));
+    p.length = static_cast<uint32_t>(rng.range(1, kMaxPayload));
+    p.offset = static_cast<uint32_t>(rng.below(1 << 20));
+    p.remaining = static_cast<uint32_t>(rng.range(1, 1 << 20));
+    p.created = static_cast<Time>(serial);
+    if (rng.chance(0.15)) {
+        p.type = PacketType::Grant;
+    } else if (rng.chance(0.05)) {
+        p.setFlag(kFlagTrimmed);
+    }
+    return p;
+}
+
+// Enqueue-heavy and dequeue-heavy phases alternate, so the queues fill
+// past any cap, drain to empty, and reuse freed slots across levels.
+bool enqueuePhase(int op) { return (op / 1000) % 2 == 0; }
+
+TEST(StrictPriority, MatchesPerLevelDequesOverRandomRuns) {
+    struct Setting {
+        const char* name;
+        StrictPriorityOptions opts;
+    };
+    StrictPriorityOptions capped, trimming, ecn;
+    capped.capBytes = 24 * 1500;
+    trimming.capBytes = 24 * 1500;
+    trimming.trimOnOverflow = true;
+    ecn.ecnThresholdBytes = 12 * 1500;
+    const Setting settings[] = {{"default", {}},
+                                {"byte cap, tail drop", capped},
+                                {"trimOnOverflow", trimming},
+                                {"ECN threshold", ecn}};
+    constexpr int kOps = 120000;
+    for (const Setting& st : settings) {
+        SCOPED_TRACE(st.name);
+        StrictPriorityQdisc q(st.opts);
+        RefStrictPriority ref(st.opts);
+        Rng rng(0x5eed);
+        MsgId serial = 0;
+        for (int op = 0; op < kOps; op++) {
+            if (rng.chance(enqueuePhase(op) ? 0.7 : 0.3)) {
+                Packet a = randomPacket(rng, serial++);
+                Packet b = a;
+                ASSERT_EQ(q.enqueue(a), ref.enqueue(b)) << "op " << op;
+                ASSERT_EQ(a, b) << "op " << op << ": marks and trims differ";
+            } else {
+                const std::optional<Packet> got = q.dequeue();
+                const std::optional<Packet> want = ref.dequeue();
+                ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+                if (got) {
+                    ASSERT_EQ(*got, *want) << "op " << op;
+                }
+            }
+            ASSERT_EQ(q.queuedBytes(), ref.queuedBytes()) << "op " << op;
+            ASSERT_EQ(q.queuedPackets(), ref.queuedPackets()) << "op " << op;
+            ASSERT_EQ(q.headPriority(), ref.headPriority()) << "op " << op;
+            ASSERT_TRUE(sameStats(q.stats(), ref.stats)) << "op " << op;
+        }
+        // Every setting exercised what it configures.
+        EXPECT_GT(q.stats().enqueued, 30000u);
+        if (st.opts.capBytes > 0 && !st.opts.trimOnOverflow) {
+            EXPECT_GT(q.stats().dropped, 1000u);
+        }
+        if (st.opts.trimOnOverflow) {
+            EXPECT_GT(q.stats().trimmed, 1000u);
+        }
+        if (st.opts.ecnThresholdBytes > 0) {
+            EXPECT_GT(q.stats().ecnMarked, 1000u);
+        }
+    }
+}
+
+class RefPFabric {
+public:
+    explicit RefPFabric(PFabricOptions o) : opts_(o) {}
+
+    bool enqueue(Packet& p) {
+        if (p.isControl()) {
+            control_.push_back(p);
+            bytes_ += refBufferBytes(p);
+            stats.enqueued++;
+            return true;
+        }
+        auto byRemaining = [](const Packet& a, const Packet& b) {
+            return a.remaining < b.remaining;
+        };
+        if (bytes_ + refBufferBytes(p) > opts_.capBytes) {
+            auto worst = std::max_element(data_.begin(), data_.end(), byRemaining);
+            if (worst == data_.end() || worst->remaining <= p.remaining) {
+                stats.dropped++;
+                return false;
+            }
+            while (bytes_ + refBufferBytes(p) > opts_.capBytes && !data_.empty()) {
+                worst = std::max_element(data_.begin(), data_.end(), byRemaining);
+                if (worst->remaining <= p.remaining) break;
+                bytes_ -= refBufferBytes(*worst);
+                data_.erase(worst);
+                stats.dropped++;
+            }
+            if (bytes_ + refBufferBytes(p) > opts_.capBytes) {
+                stats.dropped++;
+                return false;
+            }
+        }
+        data_.push_back(p);
+        bytes_ += refBufferBytes(p);
+        stats.enqueued++;
+        return true;
+    }
+
+    std::optional<Packet> dequeue() {
+        if (!control_.empty()) {
+            Packet p = control_.front();
+            control_.pop_front();
+            bytes_ -= refBufferBytes(p);
+            return p;
+        }
+        if (data_.empty()) return std::nullopt;
+        const MsgId msg =
+            std::min_element(data_.begin(), data_.end(),
+                             [](const Packet& a, const Packet& b) {
+                                 return a.remaining < b.remaining;
+                             })
+                ->msg;
+        auto earliest = data_.end();
+        for (auto it = data_.begin(); it != data_.end(); ++it) {
+            if (it->msg != msg) continue;
+            if (earliest == data_.end() || it->offset < earliest->offset) {
+                earliest = it;
+            }
+        }
+        Packet p = *earliest;
+        data_.erase(earliest);
+        bytes_ -= refBufferBytes(p);
+        return p;
+    }
+
+    int64_t queuedBytes() const { return bytes_; }
+    size_t queuedPackets() const { return control_.size() + data_.size(); }
+
+    QdiscStats stats;
+
+private:
+    PFabricOptions opts_;
+    std::deque<Packet> control_;
+    std::vector<Packet> data_;
+    int64_t bytes_ = 0;
+};
+
+TEST(PFabric, MatchesReferenceWithControlInterleaved) {
+    PFabricQdisc q;
+    RefPFabric ref(PFabricOptions{});
+    Rng rng(0xfab);
+    MsgId serial = 0;
+    constexpr int kOps = 120000;
+    for (int op = 0; op < kOps; op++) {
+        if (rng.chance(enqueuePhase(op) ? 0.7 : 0.3)) {
+            Packet a = randomPacket(rng, serial++);
+            // A few messages at a time, so the earliest-offset rule within
+            // the winning message matters; a message's remaining bytes
+            // stay its own.
+            a.msg = rng.below(12);
+            a.remaining = static_cast<uint32_t>(a.msg * 10000 + 1);
+            Packet b = a;
+            ASSERT_EQ(q.enqueue(a), ref.enqueue(b)) << "op " << op;
+        } else {
+            const std::optional<Packet> got = q.dequeue();
+            const std::optional<Packet> want = ref.dequeue();
+            ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+            if (got) {
+                ASSERT_EQ(*got, *want) << "op " << op;
+            }
+        }
+        ASSERT_EQ(q.queuedBytes(), ref.queuedBytes()) << "op " << op;
+        ASSERT_EQ(q.queuedPackets(), ref.queuedPackets()) << "op " << op;
+        ASSERT_TRUE(sameStats(q.stats(), ref.stats)) << "op " << op;
+    }
+    EXPECT_GT(q.stats().enqueued, 30000u);
+    EXPECT_GT(q.stats().dropped, 1000u);
 }
 
 }  // namespace

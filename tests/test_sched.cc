@@ -271,26 +271,67 @@ TEST(PacketPool, RecyclesSlots) {
     EXPECT_EQ(pool.capacity(), 1u);
 }
 
-TEST(IndexRing, FifoAcrossGrowth) {
-    IndexRing ring;
-    for (uint32_t i = 0; i < 100; i++) ring.push_back(i);
-    for (uint32_t i = 0; i < 100; i++) {
-        ASSERT_FALSE(ring.empty());
-        EXPECT_EQ(ring.pop_front(), i);
-    }
-    EXPECT_TRUE(ring.empty());
+// The pool's FIFOs chain queued slots through the same links as the
+// freelist, so they need order kept across growth, across interleaved
+// pushes and pops, and while other FIFOs of the same pool hold slots.
+
+Packet withMsg(MsgId msg) {
+    Packet p;
+    p.msg = msg;
+    return p;
 }
 
-TEST(IndexRing, InterleavedPushPopKeepsOrder) {
-    IndexRing ring;
-    uint32_t nextPush = 0, nextPop = 0;
-    for (int round = 0; round < 200; round++) {
-        ring.push_back(nextPush++);
-        ring.push_back(nextPush++);
-        EXPECT_EQ(ring.pop_front(), nextPop++);
+TEST(PacketPoolFifo, FifoAcrossGrowth) {
+    PacketPool pool;
+    PacketPool::Fifo q;
+    for (MsgId i = 0; i < 100; i++) pool.push(q, withMsg(i));
+    for (MsgId i = 0; i < 100; i++) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(pool.pop(q).msg, i);
     }
-    while (!ring.empty()) EXPECT_EQ(ring.pop_front(), nextPop++);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(pool.capacity(), 100u);
+}
+
+TEST(PacketPoolFifo, InterleavedPushPopKeepsOrder) {
+    PacketPool pool;
+    PacketPool::Fifo q;
+    MsgId nextPush = 0, nextPop = 0;
+    for (int round = 0; round < 200; round++) {
+        pool.push(q, withMsg(nextPush++));
+        pool.push(q, withMsg(nextPush++));
+        EXPECT_EQ(pool.pop(q).msg, nextPop++);
+    }
+    while (!q.empty()) EXPECT_EQ(pool.pop(q).msg, nextPop++);
     EXPECT_EQ(nextPop, nextPush);
+    EXPECT_EQ(pool.capacity(), 201u) << "popped slots are reused";
+}
+
+TEST(PacketPoolFifo, SlotReusedWhileOtherFifosHoldPackets) {
+    PacketPool pool;
+    PacketPool::Fifo a, b;
+    pool.push(a, withMsg(1));
+    pool.push(b, withMsg(10));
+    pool.push(a, withMsg(2));
+    pool.push(b, withMsg(11));
+    EXPECT_EQ(pool.pop(a).msg, 1u);
+    // The slot that packet 1 freed is the next one handed out, here to b,
+    // while a still holds 2 and b holds 10 and 11.
+    pool.push(b, withMsg(12));
+    pool.push(a, withMsg(3));
+    EXPECT_EQ(pool.capacity(), 5u);
+    EXPECT_EQ(pool.pop(b).msg, 10u);
+    EXPECT_EQ(pool.pop(a).msg, 2u);
+    EXPECT_EQ(pool.pop(b).msg, 11u);
+    EXPECT_EQ(pool.pop(b).msg, 12u);
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(pool.pop(a).msg, 3u);
+    EXPECT_TRUE(a.empty());
+    // Emptied FIFOs start over cleanly.
+    pool.push(b, withMsg(20));
+    EXPECT_EQ(a.head, PacketPool::kNone);
+    EXPECT_EQ(b.head, b.tail);
+    EXPECT_EQ(pool.pop(b).msg, 20u);
 }
 
 }  // namespace
