@@ -98,6 +98,41 @@ const SpecKey<FaultSpec> kFaultKeys[] = {
     {"gap", faultDuration<&FaultSpec::gap>},
 };
 
+// Every time a spec schedules must fit a Duration. A flap or a degrade
+// ends at `at + for`. A train's exponential draws are at most
+// -ln(2^-53) ~ 36.7 times their mean (Rng::exponential), so its last flap
+// ends before `at + count x 37 x (for + gap)`; that sum is taken in
+// double, where it cannot overflow, and the margin over 36.7 exceeds its
+// rounding. Call only once every time is known to be non-negative.
+std::string faultEndError(const FaultSpec& spec) {
+    Duration end = 0;
+    switch (spec.kind) {
+        case FaultKind::Flap:
+        case FaultKind::Degrade:
+            if (__builtin_add_overflow(spec.at, spec.duration, &end)) {
+                return "at + for must fit the simulation clock "
+                       "(2^63 ps, about 106 days)";
+            }
+            break;
+        case FaultKind::Kill:
+            break;
+        case FaultKind::FlapTrain: {
+            const double last =
+                static_cast<double>(spec.at) +
+                static_cast<double>(spec.count) * 37.0 *
+                    (static_cast<double>(spec.duration) +
+                     static_cast<double>(spec.gap));
+            if (!(last < 0x1p63)) {
+                return "flap-train must end within the simulation clock: "
+                       "at + count x 37 x (for + gap) must stay below 2^63 "
+                       "ps (about 106 days)";
+            }
+            break;
+        }
+    }
+    return "";
+}
+
 // The value rule, which needs no topology: what every spec must hold,
 // however it was built. Each bound is written so that NaN fails it. The
 // parser applies it to a spec that starts from FaultSpec's defaults, so a
@@ -134,7 +169,7 @@ std::string faultValueError(const FaultSpec& spec) {
             }
             break;
     }
-    return "";
+    return faultEndError(spec);
 }
 
 // Keys that contradict the spec's kind (the parser's rule on top of the

@@ -86,8 +86,11 @@ bool parseFaultSpec(const std::string& body, FaultSpec& out,
 
 /// Validates a spec, parsed or built in code. First the values the parser
 /// also enforces: bw in (0, 1], drop in [0, 1), no negative duration or
-/// target index, and for/count/gap > 0 where the kind needs them (NaN
-/// fails every bound). Then the target against the topology (index
+/// target index, for/count/gap > 0 where the kind needs them (NaN fails
+/// every bound), and every scheduled time within a Duration (a flap's or
+/// degrade's at + for; a flap-train's at + count x 37 x (for + gap),
+/// which bounds its exponential draws). Then the target against the
+/// topology (index
 /// ranges; aggr targets need a multi-rack fat tree; core targets need a
 /// three-tier one). Returns "" if valid, else the reason; a target out of
 /// range names the valid range for the tier (e.g. "... this topology has

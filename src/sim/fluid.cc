@@ -96,46 +96,44 @@ FluidEngine::FluidEngine(EventLoop& loop, const NetworkConfig& net,
     classAt_.resize(groups.size());
 }
 
-void FluidEngine::addLinksFor(Flow& f) const {
-    const int links = static_cast<int>(links_.size());
-    const int hosts = rackBase_ >= 0 ? rackBase_ / 2 : links / 2;
-    const int srcRack = f.msg.src / hostsPerRack_;
-    const int dstRack = f.msg.dst / hostsPerRack_;
-    f.nLinks = 0;
-    f.links[f.nLinks++] = f.msg.src;          // host uplink
-    f.links[f.nLinks++] = hosts + f.msg.dst;  // host downlink
-    f.intraRack = srcRack == dstRack;
-    if (f.intraRack || rackBase_ < 0) return;
-    const int racks = ((podBase_ >= 0 ? podBase_ : links) - rackBase_) / 2;
-    f.links[f.nLinks++] = rackBase_ + srcRack;          // rack uplink trunk
-    f.links[f.nLinks++] = rackBase_ + racks + dstRack;  // rack downlink trunk
-    if (podBase_ < 0) return;
+int FluidEngine::route(const Message& m, int* links) const {
+    const int total = static_cast<int>(links_.size());
+    const int hosts = rackBase_ >= 0 ? rackBase_ / 2 : total / 2;
+    const int srcRack = m.src / hostsPerRack_;
+    const int dstRack = m.dst / hostsPerRack_;
+    int n = 0;
+    links[n++] = m.src;          // host uplink
+    links[n++] = hosts + m.dst;  // host downlink
+    if (srcRack == dstRack || rackBase_ < 0) return n;
+    const int racks = ((podBase_ >= 0 ? podBase_ : total) - rackBase_) / 2;
+    links[n++] = rackBase_ + srcRack;          // rack uplink trunk
+    links[n++] = rackBase_ + racks + dstRack;  // rack downlink trunk
+    if (podBase_ < 0) return n;
     const int srcPod = srcRack / podRacks_;
     const int dstPod = dstRack / podRacks_;
-    if (srcPod == dstPod) return;
-    const int pods = (links - podBase_) / 2;
-    f.links[f.nLinks++] = podBase_ + srcPod;         // pod->core trunk
-    f.links[f.nLinks++] = podBase_ + pods + dstPod;  // core->pod trunk
+    if (srcPod == dstPod) return n;
+    const int pods = (total - podBase_) / 2;
+    links[n++] = podBase_ + srcPod;         // pod->core trunk
+    links[n++] = podBase_ + pods + dstPod;  // core->pod trunk
+    return n;
 }
 
 void FluidEngine::attach(int slot) {
-    const Flow& f = slots_[slot];
-    for (int k = 0; k < f.nLinks; k++) {
-        Link& link = links_[f.links[k]];
+    for (int k = 0; k < hops_[slot]; k++) {
         const int node = slot * kMaxHops + k;
+        Link& link = links_[linkOf_[node]];
         hopPrev_[node] = -1;
         hopNext_[node] = link.head;
         if (link.head >= 0) hopPrev_[link.head] = node;
         link.head = node;
-        changeFlowCount(f.links[k], +1);
+        changeFlowCount(linkOf_[node], +1);
     }
 }
 
 void FluidEngine::detach(int slot) {
-    const Flow& f = slots_[slot];
-    for (int k = 0; k < f.nLinks; k++) {
-        Link& link = links_[f.links[k]];
+    for (int k = 0; k < hops_[slot]; k++) {
         const int node = slot * kMaxHops + k;
+        Link& link = links_[linkOf_[node]];
         const int prev = hopPrev_[node];
         const int next = hopNext_[node];
         if (prev >= 0) {
@@ -144,7 +142,7 @@ void FluidEngine::detach(int slot) {
             link.head = next;
         }
         if (next >= 0) hopPrev_[next] = prev;
-        changeFlowCount(f.links[k], -1);
+        changeFlowCount(linkOf_[node], -1);
     }
 }
 
@@ -195,12 +193,41 @@ void FluidEngine::freezeFlowsOn(int l, double rate) {
         uint64_t& frozen = frozen_[slot];
         if (frozen == solveStamp_) continue;
         frozen = solveStamp_;
-        slots_[slot].rate = rate;
+        rate_[slot] = rate;
         frozenNow_.push_back(slot);
     }
 }
 
+void FluidEngine::freezeBySweep(double rate) {
+    const uint64_t stamp = solveStamp_;
+    const uint64_t mark = roundMark_;
+    size_t kept = 0;
+    for (int slot : live_) {
+        uint64_t& frozen = frozen_[slot];
+        if (frozen == stamp) continue;  // froze in an earlier round
+        // An untouched link saturated when its class did; a touched one
+        // carries its own mark.
+        const int* hop = &linkOf_[static_cast<size_t>(slot) * kMaxHops];
+        bool saturated = false;
+        for (int k = 0; k < hops_[slot] && !saturated; k++) {
+            const Link& link = links_[hop[k]];
+            saturated = (link.stamp == stamp
+                             ? link.saturated
+                             : classes_[link.cls].saturated) == mark;
+        }
+        if (!saturated) {
+            live_[kept++] = slot;
+            continue;
+        }
+        frozen = stamp;
+        rate_[slot] = rate;
+        frozenNow_.push_back(slot);
+    }
+    live_.resize(kept);
+}
+
 void FluidEngine::solveRates() {
+    soonest_ = std::numeric_limits<double>::infinity();
     if (order_.empty()) return;
     solves_++;
     const uint64_t stamp = ++solveStamp_;
@@ -210,6 +237,7 @@ void FluidEngine::solveRates() {
         c.untouched = static_cast<int>(c.members.size());
     }
     touched_.clear();
+    live_.assign(order_.begin(), order_.end());
     // Progressive filling over link classes (see the header comment): all
     // unfrozen flows grow at the same rate until some link saturates;
     // flows crossing a saturated link freeze at their current rate; repeat
@@ -221,6 +249,7 @@ void FluidEngine::solveRates() {
     size_t unfrozen = order_.size();
     double rate = 0;
     for (size_t round = 0; unfrozen > 0 && round <= order_.size(); round++) {
+        const uint64_t mark = ++roundMark_;
         double inc = std::numeric_limits<double>::infinity();
         for (int id : nonempty_) {
             const LinkClass& c = classes_[id];
@@ -229,76 +258,139 @@ void FluidEngine::solveRates() {
                 (c.capacity - c.alloc) / static_cast<double>(c.flows);
             if (room < inc) inc = room;
         }
+        // Touched links no unfrozen flow crosses any more take no further
+        // part; this pass drops them.
+        size_t kept = 0;
         for (int l : touched_) {
             const Link& link = links_[l];
+            if (link.active == 0) continue;
+            touched_[kept++] = l;
             const double room =
                 (link.capacity - link.alloc) / static_cast<double>(link.active);
             if (room < inc) inc = room;
         }
+        touched_.resize(kept);
         if (!std::isfinite(inc) || inc < 0) inc = 0;
         rate += inc;
-        // Grow every allocation by one increment per unfrozen flow, then
-        // freeze the flows of the saturated links. Freezing writes no link
-        // state, so every test reads this round's allocations.
-        frozenNow_.clear();
+        // Grow every allocation by one increment per unfrozen flow and mark
+        // the saturated classes and links. Freezing writes no link state,
+        // so every test reads this round's allocations. `listed` counts the
+        // flow-list entries a walk of the saturated links would read.
+        satClasses_.clear();
+        satLinks_.clear();
+        size_t listed = 0;
         for (int id : nonempty_) {
             LinkClass& c = classes_[id];
             if (c.untouched == 0) continue;
             for (int k = 0; k < c.flows; k++) c.alloc += inc;
             if (c.capacity - c.alloc > kSaturationEps * c.capacity) continue;
-            for (int l : c.members) {
-                if (links_[l].stamp != stamp) freezeFlowsOn(l, rate);
-            }
+            c.saturated = mark;
+            satClasses_.push_back(id);
+            listed += static_cast<size_t>(c.untouched) *
+                      static_cast<size_t>(c.flows);
         }
+        // A touched link adds the increment once per active flow too. The
+        // tail adds +0.0 where a flow is missing, which leaves a
+        // non-negative allocation bit for bit, so no branch mispredicts
+        // on each link's count.
+        const double incOr0[2] = {0.0, inc};
         for (int l : touched_) {
             Link& link = links_[l];
-            for (int k = 0; k < link.active; k++) link.alloc += inc;
-            if (link.capacity - link.alloc <= kSaturationEps * link.capacity) {
-                freezeFlowsOn(l, rate);
+            double alloc = link.alloc;
+            int n = link.active;
+            for (; n >= 4; n -= 4) {
+                alloc += inc;
+                alloc += inc;
+                alloc += inc;
+                alloc += inc;
             }
+            alloc += incOr0[n > 0];
+            alloc += incOr0[n > 1];
+            alloc += incOr0[n > 2];
+            link.alloc = alloc;
+            if (link.capacity - alloc > kSaturationEps * link.capacity) {
+                continue;
+            }
+            link.saturated = mark;
+            satLinks_.push_back(l);
+            listed += static_cast<size_t>(link.flows);
         }
+        // Both walks freeze the same flows at the same rate.
+        frozenNow_.clear();
+        if (listed > live_.size()) {
+            freezeBySweep(rate);
+        } else {
+            for (int id : satClasses_) {
+                for (int l : classes_[id].members) {
+                    if (links_[l].stamp != stamp) freezeFlowsOn(l, rate);
+                }
+            }
+            for (int l : satLinks_) freezeFlowsOn(l, rate);
+        }
+        noteFinishes(frozenNow_, rate);
         if (frozenNow_.empty()) break;  // fp corner: accept rates
         unfrozen -= frozenNow_.size();
         if (unfrozen == 0) break;  // every flow froze: no later round
         // A link leaves its class when its first flow freezes, carrying
         // the class's allocation and its own unfrozen count from there on.
         for (int slot : frozenNow_) {
-            const Flow& f = slots_[slot];
-            for (int k = 0; k < f.nLinks; k++) {
-                Link& link = links_[f.links[k]];
+            const int* hop = &linkOf_[static_cast<size_t>(slot) * kMaxHops];
+            for (int k = 0; k < hops_[slot]; k++) {
+                Link& link = links_[hop[k]];
                 if (link.stamp != stamp) {
                     LinkClass& c = classes_[link.cls];
                     link.stamp = stamp;
                     link.alloc = c.alloc;
                     link.active = link.flows;
                     c.untouched--;
-                    touched_.push_back(f.links[k]);
+                    // A link of one flow has none left unfrozen.
+                    if (link.flows > 1) touched_.push_back(hop[k]);
                 }
                 link.active--;
             }
         }
-        // Links no unfrozen flow crosses any more take no further part.
-        std::erase_if(touched_,
-                      [this](int l) { return links_[l].active == 0; });
     }
     if (unfrozen == 0) return;
-    for (int slot : order_) {
-        if (frozen_[slot] != stamp) slots_[slot].rate = rate;
+    size_t kept = 0;
+    for (int slot : live_) {
+        if (frozen_[slot] != stamp) live_[kept++] = slot;
     }
+    live_.resize(kept);
+    for (int slot : live_) rate_[slot] = rate;
+    noteFinishes(live_, rate);
+}
+
+void FluidEngine::noteFinishes(const std::vector<int>& group, double rate) {
+    // x / rate rounds monotonically in x, so the first of the group to
+    // finish is the one with the fewest bytes left.
+    if (group.empty() || !(rate > 0)) return;
+    // Four running minima, not one chain of dependent compares.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double fewest[4] = {kInf, kInf, kInf, kInf};
+    size_t i = 0;
+    for (; i + 4 <= group.size(); i += 4) {
+        for (size_t j = 0; j < 4; j++) {
+            fewest[j] = std::min(fewest[j], remaining_[group[i + j]]);
+        }
+    }
+    for (; i < group.size(); i++) {
+        fewest[0] = std::min(fewest[0], remaining_[group[i]]);
+    }
+    const double least = std::min(std::min(fewest[0], fewest[1]),
+                                  std::min(fewest[2], fewest[3]));
+    soonest_ = std::min(soonest_, least / rate);
 }
 
 void FluidEngine::advanceAndComplete(Time now) {
+    // rate x 0 is +0.0 for every (finite, non-negative) rate, so a
+    // same-instant pass leaves every flow's bytes as they were.
     const double dt = static_cast<double>(now - lastSolve_);
-    if (dt > 0) {
-        for (int slot : order_) {
-            Flow& f = slots_[slot];
-            f.remaining -= f.rate * dt;
-        }
-    }
     lastSolve_ = now;
     size_t w = 0;
     for (int slot : order_) {
-        if (slots_[slot].remaining <= kDoneBytesEps) {
+        double& left = remaining_[slot];
+        left -= rate_[slot] * dt;
+        if (left <= kDoneBytesEps) {
             completeFlow(slot, now);
         } else {
             order_[w++] = slot;
@@ -311,8 +403,7 @@ void FluidEngine::completeFlow(int slot, Time at) {
     const Flow& f = slots_[slot];
     deliveredWireBytes_ += static_cast<int64_t>(f.wire);
     const Time deliverAt = at + f.tail;
-    const double best = static_cast<double>(
-        cfg_.bestOneWay(f.msg.length, f.intraRack));
+    const double best = static_cast<double>(f.best);
     const uint32_t packets = std::max<uint32_t>(
         1, (f.msg.length + kMaxPayload - 1) / kMaxPayload);
     loop_.at(deliverAt, [this, m = f.msg, best, packets] {
@@ -333,15 +424,10 @@ void FluidEngine::completeFlow(int slot, Time at) {
 void FluidEngine::armNextCompletion() {
     loop_.cancel(next_);
     next_ = EventLoop::EventHandle{};
-    if (order_.empty()) return;
-    double soonest = std::numeric_limits<double>::infinity();
-    for (int slot : order_) {
-        const Flow& f = slots_[slot];
-        if (f.rate > 0) soonest = std::min(soonest, f.remaining / f.rate);
-    }
-    if (!std::isfinite(soonest)) return;  // every flow stalled (cap == 0)
+    // No flow, or every flow stalled (cap == 0).
+    if (!std::isfinite(soonest_)) return;
     const Time at =
-        lastSolve_ + std::max<Time>(1, static_cast<Time>(std::ceil(soonest)));
+        lastSolve_ + std::max<Time>(1, static_cast<Time>(std::ceil(soonest_)));
     next_ = loop_.at(at, [this] { epoch(); });
 }
 
@@ -357,19 +443,20 @@ bool FluidEngine::offer(const Message& m) {
         static_cast<int64_t>(m.length) < cfg_.thresholdBytes) {
         return false;
     }
+    int links[kMaxHops];
+    const int hops = route(m, links);
     Flow f;
     f.msg = m;
     f.wire = wireBytesOf(m.length);
-    f.remaining = f.wire;
-    addLinksFor(f);
+    f.best = cfg_.bestOneWay(m.length,
+                             m.src / hostsPerRack_ == m.dst / hostsPerRack_);
     // Latency tail: whatever the unloaded pipeline costs beyond pure NIC
     // serialization (switch hops, store-and-forward offsets, receiver
     // software delay). An uncontended flow transfers at NIC rate, so its
     // completion lands exactly on the oracle's best one-way time.
     const Duration serialization = static_cast<Duration>(
         std::llround(f.wire / std::max(links_[m.src].capacity, 1e-12)));
-    f.tail = std::max<Duration>(
-        0, cfg_.bestOneWay(m.length, f.intraRack) - serialization);
+    f.tail = std::max<Duration>(0, f.best - serialization);
 
     admitted_++;
     payloadBytes_ += static_cast<int64_t>(m.length);
@@ -380,7 +467,11 @@ bool FluidEngine::offer(const Message& m) {
     if (freeSlots_.empty()) {
         slot = static_cast<int>(slots_.size());
         slots_.push_back(f);
+        remaining_.push_back(0);
+        rate_.push_back(0);
+        hops_.push_back(0);
         frozen_.push_back(0);
+        linkOf_.resize(slots_.size() * kMaxHops);
         hopNext_.resize(slots_.size() * kMaxHops);
         hopPrev_.resize(slots_.size() * kMaxHops);
     } else {
@@ -388,6 +479,11 @@ bool FluidEngine::offer(const Message& m) {
         freeSlots_.pop_back();
         slots_[slot] = f;
     }
+    remaining_[slot] = f.wire;
+    rate_[slot] = 0;
+    hops_[slot] = hops;
+    std::copy(links, links + hops,
+              &linkOf_[static_cast<size_t>(slot) * kMaxHops]);
     order_.push_back(slot);
     attach(slot);
     maxConcurrent_ = std::max<uint64_t>(maxConcurrent_, order_.size());
@@ -400,9 +496,9 @@ FluidEngine::SolverState FluidEngine::solverState() const {
     SolverState s;
     for (const Link& link : links_) s.capacity.push_back(link.capacity);
     for (int slot : order_) {
-        const Flow& f = slots_[slot];
-        s.flowLinks.emplace_back(f.links, f.links + f.nLinks);
-        s.rates.push_back(f.rate);
+        const int* hop = &linkOf_[static_cast<size_t>(slot) * kMaxHops];
+        s.flowLinks.emplace_back(hop, hop + hops_[slot]);
+        s.rates.push_back(rate_[slot]);
     }
     return s;
 }

@@ -46,15 +46,28 @@
 // with the same capacity the same room and saturation test. The engine
 // keeps links in classes by (capacity, flow count), and each link's flow
 // list, updated at O(hops) per admission and completion. A round computes
-// one value per class plus one per touched link, and walks only the
-// saturated links' flow lists. A link leaves its class when its first
-// flow freezes, starting from the class's value and continuing with its
-// own count. The rates are bitwise those of the per-link rescan this
-// replaced (a test keeps it as a reference). On bench_e2e's fluid_10k
-// (10,240 hosts, 20,992 links, up to 2,204 flows) that rescan spent 93.8%
-// of its link visits on untouched links; skipping them took the run's
-// wall_s from 1.94 s to 0.84 s (medians of 10 alternating pairs, Release,
-// 4-vCPU VM) with identical results.
+// one value per class plus one per touched link (dropping, in the same
+// pass, the touched links left without unfrozen flows), grows them all,
+// and marks the saturated ones. It then freezes their flows by whichever
+// of two walks reads less: the saturated links' flow lists, or one sweep
+// over the unfrozen flows that tests each flow's links against the marks.
+// Both freeze the same set. A link leaves its class when its first flow
+// freezes, starting from the class's value and continuing with its own
+// count. The rates are bitwise those of the per-link rescan this replaced
+// (a test keeps it as a reference).
+//
+// Per epoch the engine reads dense per-slot arrays (remaining bytes,
+// rate, link ids), never the per-flow records: one pass advances every
+// flow and completes the finished ones, the solve sweeps at most once a
+// round, and one pass finds the next completion. Each flow's oracle time
+// is computed once, at admission.
+//
+// On bench_e2e's fluid_10k (10,240 hosts, 20,992 links, up to 2,204
+// flows, 12,743 solves averaging 1,287 flows in 4.8 rounds), the last
+// round freezes two thirds of the flows, when the class of host links
+// with one flow saturates; its sweep reads each unfrozen flow once where
+// the flow lists were read about twice a flow. The timings are in
+// docs/ARCHITECTURE.md, "The solver".
 #pragma once
 
 #include <cstdint>
@@ -136,15 +149,13 @@ private:
     // pod up and down trunks.
     static constexpr int kMaxHops = 6;
 
+    // What a flow keeps outside the per-epoch loops; its remaining bytes,
+    // rate and links live in the dense per-slot arrays below.
     struct Flow {
         Message msg;
-        double wire = 0;       // total wire bytes (payload + per-packet headers)
-        double remaining = 0;  // wire bytes not yet through the bottleneck
-        double rate = 0;       // bytes per picosecond, set by the solver
-        Duration tail = 0;     // pipeline latency after the last byte
-        bool intraRack = false;
-        int nLinks = 0;
-        int links[kMaxHops] = {};
+        double wire = 0;    // total wire bytes (payload + per-packet headers)
+        Duration tail = 0;  // pipeline latency after the last byte
+        Duration best = 0;  // the oracle's unloaded one-way time
     };
 
     struct Link {
@@ -156,9 +167,10 @@ private:
         int head = -1;        // first node of its flow list, -1 when empty
         // Per-solve state, valid while stamp == solveStamp_: the link was
         // touched (one of its flows froze) in the current solve.
-        int active = 0;       // its flows not yet frozen
+        int active = 0;          // its flows not yet frozen
         uint64_t stamp = 0;
-        double alloc = 0;     // rate handed to its flows so far this solve
+        uint64_t saturated = 0;  // == roundMark_: saturated this round
+        double alloc = 0;        // rate handed to its flows so far this solve
     };
 
     // The links sharing one (capacity, flow count); never destroyed, so
@@ -173,9 +185,11 @@ private:
         // many members are still untouched.
         double alloc = 0;
         int untouched = 0;
+        uint64_t saturated = 0;  // == roundMark_: saturated this round
     };
 
-    void addLinksFor(Flow& f) const;
+    /// Writes the links a message's flow crosses; returns their count.
+    int route(const Message& m, int* links) const;
     /// Thread flow `slot` into (attach) or out of (detach) the flow list
     /// and class of every link it crosses.
     void attach(int slot);
@@ -185,8 +199,14 @@ private:
     /// Progressive-filling max-min over the link classes (see the header
     /// comment).
     void solveRates();
-    /// Freezes every unfrozen flow on link `l` at `rate`.
+    /// Freezes at `rate` every unfrozen flow on link `l`.
     void freezeFlowsOn(int l, double rate);
+    /// Freezes at `rate` every unfrozen flow that crosses a link marked
+    /// saturated this round, in one sweep over live_, which it compacts.
+    void freezeBySweep(double rate);
+    /// Lowers soonest_ to the finish time of the first flow of `group`,
+    /// which all run at `rate`.
+    void noteFinishes(const std::vector<int>& group, double rate);
     /// Decrement remaining bytes by rate x elapsed and schedule delivery of
     /// every flow that finished its transfer, in admission order.
     void advanceAndComplete(Time now);
@@ -213,20 +233,35 @@ private:
     std::vector<int> nonempty_;              // ids of classes with members
 
     // Flows live in recycled slots; order_ lists the active ones in
-    // admission order. Hop k of the flow in slot s is flow-list node
-    // s * kMaxHops + k, linked through hopNext_/hopPrev_ (-1 ends a list).
+    // admission order. Hop k of the flow in slot s is node s * kMaxHops + k:
+    // linkOf_[node] is its link, and hopNext_/hopPrev_ thread it into that
+    // link's flow list (-1 ends a list).
     std::vector<Flow> slots_;
+    std::vector<double> remaining_;  // wire bytes left to clear the bottleneck
+    std::vector<double> rate_;       // bytes per picosecond, set by the solver
+    std::vector<int> hops_;          // how many links the flow crosses
+    std::vector<int> linkOf_;
     std::vector<int> freeSlots_;
     std::vector<int> order_;
     std::vector<int> hopNext_, hopPrev_;
 
     // Solver scratch: frozen_[s] == solveStamp_ once the flow in slot s
-    // froze in the current solve; touched_ lists the touched links that
-    // still carry unfrozen flows, frozenNow_ the flows one round froze.
+    // froze in the current solve; roundMark_ numbers the rounds of every
+    // solve; touched_ lists the touched links that may still carry
+    // unfrozen flows, live_ a superset of the unfrozen flows (the sweep
+    // drops the frozen ones), frozenNow_ the flows one round froze, and
+    // satClasses_/satLinks_ the classes and touched links it saturated.
     uint64_t solveStamp_ = 0;
+    uint64_t roundMark_ = 0;
     std::vector<uint64_t> frozen_;
     std::vector<int> touched_;
+    std::vector<int> live_;
     std::vector<int> frozenNow_;
+    std::vector<int> satClasses_;
+    std::vector<int> satLinks_;
+    // Picoseconds from lastSolve_ until the first flow finishes at the
+    // rates of the last solve; +inf when none would.
+    double soonest_ = 0;
 
     Time lastSolve_ = 0;
     // The single pending next-completion event, re-armed at every epoch.

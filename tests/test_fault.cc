@@ -168,6 +168,27 @@ TEST(FaultSpec, ReadsNumbersWholeAndInRange) {
     EXPECT_EQ(f.duration, 400);
 }
 
+TEST(FaultSpec, RejectsTimesPastTheSimulationClock) {
+    // Each time fits a Duration (8e18 ps < 2^63) but their sum does not.
+    const std::string clock =
+        "at + for must fit the simulation clock (2^63 ps, about 106 days)";
+    EXPECT_EQ(parseError("flap=aggr0,at=8000000s,for=8000000s"), clock);
+    EXPECT_EQ(parseError("degrade=host0,at=8000000s,for=8000000s,bw=0.5"),
+              clock);
+    // A train whose draws could run past it: 37 x 1000 x 1 day.
+    EXPECT_NE(parseError("flap-train=aggr0,at=1ms,count=1000,gap=86400s,"
+                         "for=1s")
+                  .find("flap-train must end within the simulation clock"),
+              std::string::npos);
+    // Up to the clock is fine: a degrade for the rest of the run, and a
+    // train well inside it.
+    FaultSpec f;
+    EXPECT_TRUE(parseFaultSpec("degrade=host0,at=8000000s,bw=0.5", f));
+    EXPECT_TRUE(parseFaultSpec("flap=aggr0,at=4000000s,for=4000000s", f));
+    EXPECT_TRUE(
+        parseFaultSpec("flap-train=aggr0,at=1ms,count=100,gap=1s,for=1s", f));
+}
+
 TEST(FaultSpec, ExplainsContradictoryKeys) {
     EXPECT_EQ(parseError("flap=aggr0,at=1ms"), "flap needs for=<duration> > 0");
     EXPECT_EQ(parseError("flap=aggr0,for=1ms,drop=0.1"),
@@ -241,6 +262,23 @@ TEST(FaultSpec, LibrarySpecsMeetTheParsersValueRules) {
         [](FaultSpec& f) { f.gap = 0; });
     bad("flap-train needs for=<mean down duration> > 0", train,
         [](FaultSpec& f) { f.duration = 0; });
+    // Past the simulation clock: these overflowed a signed Duration while
+    // the fault was scheduled.
+    const Duration huge = 8000000 * kSecond;
+    const char* clock =
+        "at + for must fit the simulation clock (2^63 ps, about 106 days)";
+    bad(clock, flap, [huge](FaultSpec& f) {
+        f.at = huge;
+        f.duration = huge;
+    });
+    bad(clock, degrade, [huge](FaultSpec& f) {
+        f.bwFactor = 0.5;
+        f.at = huge;
+        f.duration = huge;
+    });
+    bad("flap-train must end within the simulation clock: at + count x 37 "
+        "x (for + gap) must stay below 2^63 ps (about 106 days)",
+        train, [](FaultSpec& f) { f.gap = 1000000 * kSecond; });
 
     ExperimentConfig cfg;
     cfg.net = NetworkConfig::singleRack16();
@@ -797,6 +835,11 @@ TEST(FaultCli, RejectsBadFaultSpecs) {
     EXPECT_EQ(runCli("--fault degrade=host0,at=1ms"), 2);    // no knobs
     EXPECT_EQ(runCli("--fault bogus=aggr0,at=1ms"), 2);      // unknown kind
     EXPECT_EQ(runCli("--fault flap=aggr0,for=10"), 2);       // unitless time
+    // Times whose sum or train runs past the simulation clock.
+    EXPECT_EQ(runCli("--fault flap=aggr0,at=8000000s,for=8000000s"), 2);
+    EXPECT_EQ(runCli("--fault flap-train=aggr0,at=1ms,count=1000,"
+                     "gap=86400s,for=1s"),
+              2);
 }
 
 TEST(FaultCli, RejectsTargetsOutsideTheTopology) {
