@@ -56,11 +56,13 @@
 // count. The rates are bitwise those of the per-link rescan this replaced
 // (a test keeps it as a reference).
 //
-// Per epoch the engine reads dense per-slot arrays (remaining bytes,
-// rate, link ids), never the per-flow records: one pass advances every
-// flow and completes the finished ones, the solve sweeps at most once a
-// round, and one pass finds the next completion. Each flow's oracle time
-// is computed once, at admission.
+// Per epoch the engine's loops read dense per-slot arrays (remaining
+// bytes, rate, link ids); only a finishing flow's record is read. One
+// pass advances every flow and completes the finished ones, the solve
+// sweeps at most once a round, and it notes the fewest bytes left in
+// each group of flows it freezes at one rate, which gives the next
+// completion without another pass. Each flow's oracle time is computed
+// once, at admission.
 //
 // On bench_e2e's fluid_10k (10,240 hosts, 20,992 links, up to 2,204
 // flows, 12,743 solves averaging 1,287 flows in 4.8 rounds), the last
